@@ -1,7 +1,7 @@
 """A first-order reasoning workbench with three solver styles.
 
 One shared formula and clause model feeds three engines: resolution
-saturation, grounding plus DPLL satisfiability, and typed forward
+saturation, grounding plus CDCL satisfiability, and typed forward
 chaining. Around them sit a model-enumeration oracle, a seeded problem
 generator, a batch evaluation harness with an error taxonomy, and a CLI.
 """
@@ -15,11 +15,11 @@ from .dialects import (
     parse_z3,
 )
 from .fol import (
-    And, Answered, Atom, Clause, Constant, ExecError, ExecFailed, Exists,
-    ForAll, Formula, Function, Iff, Implies, Inconsistent, Literal, Not, Or,
-    Outcome, ParseError, ParseFailed, Problem, ResourceLimits,
-    DEFAULT_LIMITS, SourceSpan, Term, Truth, Variable, Verdict,
-    WorldAssumption, Xor, free_variables, pretty,
+    And, Answered, Atom, Clause, Constant, DeadlineExceeded, ExecError,
+    ExecFailed, Exists, ForAll, Formula, Function, Iff, Implies,
+    Inconsistent, Literal, Not, Or, Outcome, ParseError, ParseFailed,
+    Problem, ResourceLimits, DEFAULT_LIMITS, SourceSpan, Term, Truth,
+    Variable, Verdict, WorldAssumption, Xor, free_variables, pretty,
 )
 from .harness import (
     DatasetRecord, ENGINES, FigureCategory, Metrics, RunRecord,

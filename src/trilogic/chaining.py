@@ -9,13 +9,14 @@ from the fixpoint is Unknown (open world) or False (closed world).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Optional
 
 from .dialects.pyke import PykeLiteral, PykeProgram, PykeRule
 from .fol import (
-    Answered, Constant, ExecError, ExecFailed, Inconsistent, Outcome,
-    ResourceLimits, DEFAULT_LIMITS, Truth, Variable, Verdict,
+    Answered, Constant, DeadlineExceeded, ExecError, ExecFailed,
+    Inconsistent, Outcome, ResourceLimits, DEFAULT_LIMITS, Truth, Verdict,
     WorldAssumption,
 )
 
@@ -82,52 +83,95 @@ def compile_rules(prog: PykeProgram) -> RuleBase:
     return RuleBase(tuple(facts), prog.rules, tuple(constants))
 
 
-def _match_literal(lit: PykeLiteral, fact: Fact,
-                   binding: dict[str, str]) -> dict[str, str] | None:
-    pred, args, value = fact
-    if lit.predicate != pred or lit.value != value or len(lit.args) != len(args):
-        return None
-    out = dict(binding)
-    for term, name in zip(lit.args, args):
-        if isinstance(term, Constant):
-            if term.name != name:
-                return None
-        else:
-            bound = out.get(term.name)
-            if bound is None:
-                out[term.name] = name
-            elif bound != name:
-                return None
-    return out
+# a compiled literal: (predicate, truth, argument codes); a code is a
+# variable's slot in the rule's binding (int) or a constant's name (str)
+_Code = int | str
+_Compiled = tuple[str, bool, tuple[_Code, ...]]
+# a fact's index key: (predicate, truth, arity)
+_Key = tuple[str, bool, int]
+
+# a compiled rule: (body, head, number of variable slots)
+_Rule = tuple[tuple[_Compiled, ...], _Compiled, int]
+# a join step: match these codes against facts[lo:hi]
+_Step = tuple[list[tuple[str, ...]], int, int, tuple[_Code, ...]]
+
+# join probes between two looks at the clock
+_PROBES_PER_CHECK = 4096
 
 
-def _match_body(body: tuple[PykeLiteral, ...], facts: list[Fact],
-                binding: dict[str, str]) -> Iterator[dict[str, str]]:
-    if not body:
+def _compile_rule(rule: PykeRule) -> _Rule:
+    """The rule with each variable replaced by its slot number."""
+    slots: dict[str, int] = {}
+
+    def compiled(lit: PykeLiteral) -> _Compiled:
+        codes = tuple(t.name if isinstance(t, Constant)
+                      else slots.setdefault(t.name, len(slots))
+                      for t in lit.args)
+        return lit.predicate, lit.value, codes
+
+    body = tuple(compiled(lit) for lit in rule.body)
+    return body, compiled(rule.head), len(slots)
+
+
+def _join(plan: list[_Step], binding: list[Optional[str]], deadline: float,
+          probes: list[int], d: int = 0) -> Iterator[list[Optional[str]]]:
+    """Every extension of binding that matches plan[d:] in turn.
+
+    It yields binding itself, updated in place between yields. probes[0]
+    counts the facts tried; the clock is read every _PROBES_PER_CHECK.
+    """
+    if d == len(plan):
         yield binding
         return
-    first, rest = body[0], body[1:]
-    for fact in facts:
-        extended = _match_literal(first, fact, binding)
-        if extended is not None:
-            yield from _match_body(rest, facts, extended)
+    facts, lo, hi, codes = plan[d]
+    for args in facts[lo:hi]:
+        probes[0] += 1
+        if not probes[0] % _PROBES_PER_CHECK and time.monotonic() > deadline:
+            raise DeadlineExceeded("wall clock budget")
+        newly: list[int] = []
+        for code, name in zip(codes, args):
+            if type(code) is int:
+                held = binding[code]
+                if held is None:
+                    binding[code] = name
+                    newly.append(code)
+                elif held != name:
+                    break
+            elif code != name:
+                break
+        else:
+            yield from _join(plan, binding, deadline, probes, d + 1)
+        for slot in newly:
+            binding[slot] = None
 
 
-def _instantiate(head: PykeLiteral, binding: Mapping[str, str]) -> Fact:
-    args = tuple(t.name if isinstance(t, Constant) else binding[t.name]
-                 for t in head.args)
-    return head.predicate, args, head.value
+def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
+                  ) -> tuple[Fact, ...]:
+    """Run rules to a fixpoint by semi-naive evaluation; the fact store.
 
+    Each round joins a rule only where one of its body literals matches a
+    fact new in the previous round (the delta), after Bancilhon and
+    Ramakrishnan (SIGMOD 1986). Body literals left of that literal read the
+    facts older than the delta, those right of it read the facts up to the
+    delta's end, so no combination of facts is joined twice. Facts are
+    indexed by (predicate, truth, arity), so a join only reads facts that
+    can match; compile_rules makes the arity follow from the predicate.
 
-def forward_chain(rb: RuleBase,
-                  limits: ResourceLimits = DEFAULT_LIMITS) -> tuple[Fact, ...]:
-    """Run rules to a fixpoint; the derived fact store in derivation order."""
+    The store holds the given facts and then each round's new facts. That
+    order is deterministic, but it is not the order in which a naive loop
+    derives them. The run has wall_ms to finish; the clock is read once per
+    round and every few thousand join probes, and past the deadline the run
+    raises DeadlineExceeded.
+    """
+    deadline = limits.deadline()
+    probes = [0]
     store: list[Fact] = []
     present: set[Fact] = set()
+    index: dict[_Key, list[tuple[str, ...]]] = {}
 
-    def add(fact: Fact) -> bool:
+    def add(fact: Fact) -> None:
         if fact in present:
-            return False
+            return
         flipped = (fact[0], fact[1], not fact[2])
         if flipped in present:
             raise InconsistentFacts(
@@ -137,20 +181,48 @@ def forward_chain(rb: RuleBase,
             raise ExecError("fact store budget exceeded")
         present.add(fact)
         store.append(fact)
-        return True
+        index.setdefault((fact[0], fact[2], len(fact[1])), []).append(fact[1])
+
+    def instantiate(head: _Compiled, binding: list[Optional[str]]) -> Fact:
+        predicate, value, codes = head
+        return predicate, tuple(binding[c] if type(c) is int else c
+                                for c in codes), value
 
     for fact in rb.facts:
         add(fact)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rb.rules:
-            # Snapshot so one pass joins against a stable store.
-            snapshot = list(store)
-            for binding in _match_body(rule.body, snapshot, {}):
-                if add(_instantiate(rule.head, binding)):
-                    changed = True
-    return tuple(store)
+    rules = [_compile_rule(rule) for rule in rb.rules]
+    for body, head, _ in rules:
+        if not body:
+            add(instantiate(head, []))
+
+    empty: list[tuple[str, ...]] = []
+    # facts older than the delta, per index key
+    older: dict[_Key, int] = {}
+    while True:
+        if time.monotonic() > deadline:
+            raise DeadlineExceeded("wall clock budget")
+        # the delta is each key's facts in [older, upto); facts this round
+        # adds lie beyond upto and wait for the next round
+        upto = {key: len(facts) for key, facts in index.items()}
+        if all(older.get(key, 0) == end for key, end in upto.items()):
+            return tuple(store)
+        for body, head, width in rules:
+            keys = [(p, v, len(codes)) for p, v, codes in body]
+            for i, key in enumerate(keys):
+                start, end = older.get(key, 0), upto.get(key, 0)
+                if start == end:
+                    continue
+                plan = [(index[key], start, end, body[i][2])]
+                for j, other in enumerate(keys):
+                    if j != i:
+                        hi = older.get(other, 0) if j < i \
+                            else upto.get(other, 0)
+                        plan.append((index.get(other, empty), 0, hi,
+                                     body[j][2]))
+                for binding in _join(plan, [None] * width, deadline,
+                                     probes):
+                    add(instantiate(head, binding))
+        older = upto
 
 
 def answer_query(fixpoint: tuple[Fact, ...], query: tuple[str, tuple[str, ...]],
@@ -184,4 +256,6 @@ def entail_chaining(prog: PykeProgram,
         return Inconsistent()
     except ExecError as e:
         return ExecFailed(str(e))
+    except DeadlineExceeded:
+        return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
     return Answered(answer_query(fixpoint, prog.query, assumption))

@@ -10,6 +10,7 @@ PYTHONHASHSEED.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -543,6 +544,14 @@ class ExecError(Exception):
     """Raised when solving fails for a reason other than syntax."""
 
 
+class DeadlineExceeded(Exception):
+    """Raised by a search that ran past its wall-clock deadline.
+
+    Not an ExecError: the problem itself was fine, the search just did not
+    finish, so the engine answers a resource-limited Unknown.
+    """
+
+
 @dataclass(frozen=True)
 class ResourceLimits:
     max_generated_clauses: int = 200_000
@@ -556,6 +565,16 @@ class ResourceLimits:
                   self.wall_ms, self.max_cnf_clauses, self.max_ground_literals):
             if f <= 0:
                 raise ValueError("limits must be strictly positive")
+
+    def deadline(self, share: float = 1.0) -> float:
+        """The time.monotonic() instant share of wall_ms from now.
+
+        A problem's two dual runs take one budget: the first stops at half
+        of it, the second at all of it, so a first run that never ends
+        cannot starve the second, and one that ends early hands its
+        leftover time on.
+        """
+        return time.monotonic() + share * self.wall_ms / 1000.0
 
 
 DEFAULT_LIMITS = ResourceLimits()

@@ -282,9 +282,14 @@ class ProofState:
 
 
 def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
-             limits: ResourceLimits = DEFAULT_LIMITS) -> ProofResult:
-    """Run the given-clause loop to the empty clause, saturation, or a limit."""
-    deadline = time.monotonic() + limits.wall_ms / 1000.0
+             limits: ResourceLimits = DEFAULT_LIMITS,
+             deadline: Optional[float] = None) -> ProofResult:
+    """Run the given-clause loop to the empty clause, saturation, or a limit.
+
+    deadline is a time.monotonic() instant; by default wall_ms from now.
+    """
+    if deadline is None:
+        deadline = limits.deadline()
     clauses: dict[int, Clause] = {}
     steps: dict[int, ProofStep] = {}
     next_id = 1
@@ -412,7 +417,12 @@ def replay_trace(proof: Proved) -> bool:
 
 def resolution_runs(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS
                     ) -> tuple[Outcome, Optional[ProofResult], Optional[ProofResult]]:
-    """Outcome plus the two saturation results (prove-C side, prove-not-C side)."""
+    """Outcome plus the two saturation results (prove-C side, prove-not-C side).
+
+    Both saturations share one wall_ms budget, split as in
+    ResourceLimits.deadline.
+    """
+    first_deadline, deadline = limits.deadline(0.5), limits.deadline()
     var_supply, sk_supply = variable_supply(), skolem_supply()
     try:
         premises = clausify_all(p.premises, var_supply, sk_supply, limits)
@@ -421,8 +431,8 @@ def resolution_runs(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS
     except ExecError as e:
         return ExecFailed(str(e)), None, None
 
-    proves_c = saturate(premises, neg_goal, limits)
-    proves_not_c = saturate(premises, pos_goal, limits)
+    proves_c = saturate(premises, neg_goal, limits, first_deadline)
+    proves_not_c = saturate(premises, pos_goal, limits, deadline)
     if isinstance(proves_c, Proved) and isinstance(proves_not_c, Proved):
         return Inconsistent(), proves_c, proves_not_c
     if isinstance(proves_c, Proved):

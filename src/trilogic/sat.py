@@ -1,4 +1,4 @@
-"""Entailment by grounding to propositional clauses and running DPLL.
+"""Entailment by grounding to propositional clauses and a CDCL SAT search.
 
 Quantifiers are read over the closed universe of named constants (plus
 skolem constants the clausifier introduced, plus one dummy constant when a
@@ -11,17 +11,23 @@ fragment and must go to the resolution engine instead.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 from .fol import (
-    Answered, Atom, Clause, Constant, ExecError, ExecFailed, Function,
-    Inconsistent, Literal, Not, Outcome, Problem, ResourceLimits,
-    DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
+    Answered, Atom, Clause, Constant, DeadlineExceeded, ExecError,
+    ExecFailed, Function, Inconsistent, Not, Outcome, Problem,
+    ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
+    term_constants,
 )
 from .normalize import clausify_all, skolem_supply, variable_supply
 
 DUMMY_CONSTANT = "_c0"
+
+# clause instances grounded between two looks at the clock
+_COMBOS_PER_CHECK = 1024
 
 
 @dataclass
@@ -53,47 +59,84 @@ class PropClauseSet:
 
 
 def ground(clauses: Iterable[Clause], constants: Iterable[str],
-           limits: ResourceLimits = DEFAULT_LIMITS) -> PropClauseSet:
-    """Instantiate every clause under every assignment of its variables."""
+           limits: ResourceLimits = DEFAULT_LIMITS,
+           deadline: Optional[float] = None) -> PropClauseSet:
+    """Instantiate every clause under every assignment of its variables.
+
+    Each clause is compiled once into literal templates. Every argument
+    reads either a variable's slot in the assignment or one of the clause's
+    constants. Atoms are interned by their plain (predicate, names) key, and
+    an Atom is built only the first time its key appears. deadline is a
+    time.monotonic() instant, by default wall_ms from now, checked every
+    _COMBOS_PER_CHECK assignments of a clause; past it grounding raises
+    DeadlineExceeded.
+    """
+    if deadline is None:
+        deadline = limits.deadline()
     universe = sorted(set(constants))
     if not universe:
         universe = [DUMMY_CONSTANT]
     table = GroundAtomTable()
+    index_of: dict[tuple[str, tuple[str, ...]], int] = {}
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     literal_budget = limits.max_ground_literals
     total_literals = 0
 
     for clause in clauses:
+        # a row holds the variables' values, then the clause's constants
+        variables = sorted(clause.variables())
+        fixed: list[str] = []
+        template: list[tuple[bool, str, Callable[[tuple], tuple]]] = []
         for lit in clause:
+            slots = []
             for arg in lit.atom.args:
                 _reject_functions(arg)
-        variables = sorted(clause.variables())
-        for combo in itertools.product(universe, repeat=len(variables)):
-            binding = {v: Constant(c) for v, c in zip(variables, combo)}
+                if isinstance(arg, Variable):
+                    slots.append(variables.index(arg.name))
+                else:
+                    slots.append(len(variables) + len(fixed))
+                    fixed.append(arg.name)
+            template.append((lit.positive, lit.atom.predicate, _picker(slots)))
+        constants_row = tuple(fixed)
+        combos = itertools.product(universe, repeat=len(variables))
+        for k, combo in enumerate(combos):
+            if not k % _COMBOS_PER_CHECK and time.monotonic() > deadline:
+                raise DeadlineExceeded("wall clock budget")
+            row = combo + constants_row
             signed: list[int] = []
-            tautology = False
-            for lit in clause:
-                atom = Atom(lit.atom.predicate,
-                            tuple(_ground_term(a, binding) for a in lit.atom.args))
-                idx = table.intern(atom) + 1
-                s = idx if lit.positive else -idx
+            for positive, predicate, pick in template:
+                key = (predicate, pick(row))
+                idx = index_of.get(key)
+                if idx is None:
+                    atom = Atom(predicate, tuple(Constant(n) for n in key[1]))
+                    idx = index_of[key] = table.intern(atom) + 1
+                s = idx if positive else -idx
                 if -s in signed:
-                    tautology = True
-                    break
+                    break  # a tautology
                 if s not in signed:
                     signed.append(s)
-            if tautology:
-                continue
-            key = tuple(sorted(signed, key=lambda x: (abs(x), x)))
-            if key in seen:
-                continue
-            seen.add(key)
-            total_literals += len(key)
-            if total_literals > literal_budget:
-                raise ExecError("grounding budget exceeded")
-            out.append(key)
+            else:
+                # no tautology, so abs alone orders the literals
+                instance = tuple(sorted(signed, key=abs))
+                if instance in seen:
+                    continue
+                seen.add(instance)
+                total_literals += len(instance)
+                if total_literals > literal_budget:
+                    raise ExecError("grounding budget exceeded")
+                out.append(instance)
     return PropClauseSet(out, len(table), table)
+
+
+def _picker(slots: list[int]) -> Callable[[tuple], tuple]:
+    """A function taking a row of names to the tuple at these slots."""
+    if not slots:
+        return lambda row: ()
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda row: (row[slot],)
+    return itemgetter(*slots)
 
 
 def _reject_functions(t: Term) -> None:
@@ -103,66 +146,178 @@ def _reject_functions(t: Term) -> None:
             "(skolem functions of arity >= 1 need the resolution engine)")
 
 
-def _ground_term(t: Term, binding: dict[str, Term]) -> Term:
-    if isinstance(t, Variable):
-        return binding[t.name]
-    return t
+def dpll(cs: PropClauseSet, deadline: Optional[float] = None
+         ) -> Optional[dict[int, bool]]:
+    """Conflict-driven clause learning; a total model, or None if UNSAT.
 
-
-def dpll(cs: PropClauseSet) -> Optional[dict[int, bool]]:
-    """Plain DPLL with unit propagation; a total model, or None if UNSAT.
-
-    Branching is deterministic: lowest unassigned index first, True first.
+    The search is iterative, after MiniSat (Een & Sorensson, SAT 2003): an
+    explicit trail, two watched literals per clause, and first-UIP learning
+    with non-chronological backjumping. There are no restarts, no activity
+    scores and no clause deletion. Branching is deterministic: lowest
+    unassigned index first, True first, so an atom that no clause forces
+    comes out True. deadline is a time.monotonic() instant, checked once
+    per conflict; past it the search raises DeadlineExceeded.
     """
-
-    def simplify(clauses: list[tuple[int, ...]], lit: int
-                 ) -> Optional[list[tuple[int, ...]]]:
-        next_clauses: list[tuple[int, ...]] = []
-        for c in clauses:
-            if lit in c:
+    n = cs.atom_count
+    units: list[int] = []
+    long_clauses: list[list[int]] = []
+    for c in cs.clauses:
+        if not c:
+            return None
+        lits = list(c)
+        atoms = set(map(abs, lits))
+        if len(atoms) < len(lits):  # a repeated literal, or a tautology
+            lits = list(dict.fromkeys(lits))
+            if any(-l in lits for l in lits):
                 continue
-            if -lit in c:
-                reduced = tuple(x for x in c if x != -lit)
-                if not reduced:
-                    return None
-                next_clauses.append(reduced)
-            else:
-                next_clauses.append(c)
-        return next_clauses
+        n = max(n, max(atoms))
+        (units if len(lits) == 1 else long_clauses).append(lits)
 
-    def solve(clauses: list[tuple[int, ...]], assign: dict[int, bool]
-              ) -> Optional[dict[int, bool]]:
+    # value[l] is 1 when literal l is true, -1 when false, 0 when unassigned.
+    # With 2n + 1 slots, -l lands at index 2n + 1 - l, so value[-l] works.
+    value = [0] * (2 * n + 1)
+    level = [0] * (n + 1)
+    reason: list[Optional[list[int]]] = [None] * (n + 1)
+    # watches[l]: the clauses that watch l; a watched literal sits at
+    # position 0 or 1, and position 0 holds the implied literal of a reason
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+    trail: list[int] = []
+    trail_lim: list[int] = []  # trail length at each decision
+    seen = [False] * (n + 1)
+    qhead = 0
+    next_var = 1
+
+    def assign(lit: int, why: Optional[list[int]]) -> None:
+        value[lit] = 1
+        value[-lit] = -1
+        v = abs(lit)
+        level[v] = len(trail_lim)
+        reason[v] = why
+        trail.append(lit)
+
+    def propagate() -> Optional[list[int]]:
+        """Unit propagation from qhead; the conflicting clause, or None."""
+        nonlocal qhead
+        depth = len(trail_lim)
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                c = ws[i]
+                i += 1
+                if c[0] == false_lit:
+                    c[0] = c[1]
+                    c[1] = false_lit
+                first = c[0]
+                if value[first] == 1:
+                    ws[j] = c
+                    j += 1
+                    continue
+                for k in range(2, len(c)):
+                    other = c[k]
+                    if value[other] != -1:
+                        c[1] = other
+                        c[k] = false_lit
+                        watches[other].append(c)
+                        break
+                else:
+                    ws[j] = c
+                    j += 1
+                    if value[first] == -1:
+                        del ws[j:i]
+                        return c
+                    value[first] = 1
+                    value[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = depth
+                    reason[v] = c
+                    trail.append(first)
+            del ws[j:]
+        return None
+
+    def analyze(conflict: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause, asserting literal first, and its level."""
+        depth = len(trail_lim)
+        learnt = [0]
+        pending = 0  # current-level literals not yet resolved away
+        idx = len(trail) - 1
+        lits = conflict
         while True:
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is None:
+            for q in lits:
+                v = abs(q)
+                if not seen[v] and level[v] > 0:
+                    seen[v] = True
+                    if level[v] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while not seen[abs(trail[idx])]:
+                idx -= 1
+            p = trail[idx]
+            idx -= 1
+            v = abs(p)
+            seen[v] = False
+            pending -= 1
+            if not pending:
                 break
-            assign[abs(unit)] = unit > 0
-            reduced = simplify(clauses, unit)
-            if reduced is None:
-                return None
-            clauses = reduced
-        if not clauses:
-            return assign
-        var = min(abs(l) for c in clauses for l in c)
-        for value in (True, False):
-            lit = var if value else -var
-            reduced = simplify(clauses, lit)
-            if reduced is not None:
-                branch = dict(assign)
-                branch[var] = value
-                result = solve(reduced, branch)
-                if result is not None:
-                    return result
-        return None
+            lits = reason[v][1:]
+        learnt[0] = -p
+        for q in learnt[1:]:
+            seen[abs(q)] = False
+        if len(learnt) == 1:
+            return learnt, 0
+        # watch the deepest of the rest, the last literal undone
+        top = max(range(1, len(learnt)), key=lambda k: level[abs(learnt[k])])
+        learnt[1], learnt[top] = learnt[top], learnt[1]
+        return learnt, level[abs(learnt[1])]
 
-    if any(len(c) == 0 for c in cs.clauses):
-        return None
-    model = solve(list(cs.clauses), {})
-    if model is None:
-        return None
-    for i in range(1, cs.atom_count + 1):
-        model.setdefault(i, True)
-    return model
+    def backjump(to: int) -> None:
+        nonlocal qhead, next_var
+        stop = trail_lim[to]
+        for lit in trail[stop:]:
+            value[lit] = value[-lit] = 0
+            v = abs(lit)
+            reason[v] = None
+            if v < next_var:
+                next_var = v
+        del trail[stop:]
+        del trail_lim[to:]
+        qhead = stop
+
+    for lits in long_clauses:
+        watches[lits[0]].append(lits)
+        watches[lits[1]].append(lits)
+    for (lit,) in units:
+        if value[lit] == -1:
+            return None
+        if not value[lit]:
+            assign(lit, None)
+
+    while True:
+        conflict = propagate()
+        if conflict is not None:
+            if not trail_lim:
+                return None
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded("wall clock budget")
+            learnt, to = analyze(conflict)
+            backjump(to)
+            if len(learnt) > 1:
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
+                assign(learnt[0], learnt)
+            else:
+                assign(learnt[0], None)
+            continue
+        while next_var <= n and value[next_var]:
+            next_var += 1
+        if next_var > n:
+            return {v: value[v] == 1 for v in range(1, n + 1)}
+        trail_lim.append(len(trail))
+        assign(next_var, None)
 
 
 def to_dimacs(cs: PropClauseSet) -> str:
@@ -173,28 +328,14 @@ def to_dimacs(cs: PropClauseSet) -> str:
     return "\n".join(lines)
 
 
-def _clause_constants(clauses: Iterable[Clause]) -> set[str]:
-    out: set[str] = set()
-    for c in clauses:
-        for lit in c:
-            for arg in lit.atom.args:
-                out |= _term_constants(arg)
-    return out
-
-
-def _term_constants(t: Term) -> set[str]:
-    if isinstance(t, Constant):
-        return {t.name}
-    if isinstance(t, Function):
-        names: set[str] = set()
-        for a in t.args:
-            names |= _term_constants(a)
-        return names
-    return set()
-
-
 def entail_sat(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
-    """Dual satisfiability queries: UNSAT(P and not C) / UNSAT(P and C)."""
+    """Dual satisfiability queries: UNSAT(P and not C) / UNSAT(P and C).
+
+    Both queries share one wall_ms budget, split as in
+    ResourceLimits.deadline. A query that runs past its deadline counts as
+    undecided, as a saturation that hits a limit does in resolution_runs.
+    """
+    first_deadline, deadline = limits.deadline(0.5), limits.deadline()
     var_supply, sk_supply = variable_supply(), skolem_supply()
     try:
         premises = clausify_all(p.premises, var_supply, sk_supply, limits)
@@ -205,22 +346,30 @@ def entail_sat(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
 
     base = p.constants()
 
-    def satisfiable(goal: list[Clause]) -> bool:
+    def satisfiable(goal: list[Clause], deadline: float) -> Optional[bool]:
+        """SAT or UNSAT; None once past the deadline."""
         side = premises + goal
-        constants = base | _clause_constants(side)
-        cs = ground(side, constants, limits)
-        return dpll(cs) is not None
+        constants = base | {name for c in side for lit in c
+                            for arg in lit.atom.args
+                            for name in term_constants(arg)}
+        try:
+            cs = ground(side, constants, limits, deadline)
+            return dpll(cs, deadline) is not None
+        except DeadlineExceeded:
+            return None
 
     try:
-        sat_with_neg = satisfiable(neg_goal)
-        sat_with_pos = satisfiable(pos_goal)
+        sat_with_neg = satisfiable(neg_goal, first_deadline)
+        sat_with_pos = satisfiable(pos_goal, deadline)
     except ExecError as e:
         return ExecFailed(str(e))
 
-    if not sat_with_neg and not sat_with_pos:
+    if sat_with_neg is False and sat_with_pos is False:
         return Inconsistent()
-    if not sat_with_neg:
+    if sat_with_neg is False:
         return Answered(Verdict(Truth.TRUE))
-    if not sat_with_pos:
+    if sat_with_pos is False:
         return Answered(Verdict(Truth.FALSE))
-    return Answered(Verdict(Truth.UNKNOWN))
+    if sat_with_neg and sat_with_pos:
+        return Answered(Verdict(Truth.UNKNOWN))
+    return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))

@@ -1,14 +1,17 @@
 """Forward-chaining engine: rule compilation, fixpoints, query answers."""
 
+import random
+
 import pytest
 
 from trilogic.chaining import (
-    InconsistentFacts, answer_query, compile_rules, dump_fixpoint,
+    InconsistentFacts, RuleBase, answer_query, compile_rules, dump_fixpoint,
     entail_chaining, forward_chain,
 )
-from trilogic.dialects import parse_pyke
+from trilogic.dialects import PykeLiteral, PykeRule, parse_pyke
 from trilogic.fol import (
-    DEFAULT_LIMITS, ExecError, ResourceLimits, Truth, WorldAssumption,
+    DEFAULT_LIMITS, Constant, DeadlineExceeded, ExecError, ResourceLimits,
+    Truth, Variable, WorldAssumption,
 )
 
 BASE = """Predicates:
@@ -118,6 +121,130 @@ class TestForwardChain:
         assert len(facts) <= bound
 
 
+    def test_matches_naive_fixpoint_on_random_programs(self):
+        outcomes = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            rb = random_program(rng)
+            cap = rng.choice([DEFAULT_LIMITS.max_ground_literals,
+                              rng.randint(3, 20)])
+            limits = ResourceLimits(max_ground_literals=cap)
+            want = run_to_fixpoint(naive_fixpoint, rb, limits)
+            assert run_to_fixpoint(forward_chain, rb, limits) == want, seed
+            outcomes.add(want if isinstance(want, type) else str)
+        assert outcomes == {str, InconsistentFacts, ExecError}
+
+    def test_closure_over_60_constants_within_budget(self):
+        # naive evaluation took about 10 s here, past this deadline
+        fp = forward_chain(compile_rules(parse_pyke(closure(60))),
+                           ResourceLimits(wall_ms=5000))
+        assert len(fp) == 59 + 59 * 60 // 2
+
+    def test_past_deadline_raises(self):
+        rb = compile_rules(parse_pyke(closure(80)))
+        with pytest.raises(DeadlineExceeded):
+            forward_chain(rb, ResourceLimits(wall_ms=1))
+
+
+def closure(n):
+    """A chain of n constants under a transitive path rule; pyke text."""
+    edges = "\n".join(f"edge(C{i}, C{i + 1}, True)" for i in range(n - 1))
+    return ("Predicates:\nedge($x, $y, bool)\npath($x, $y, bool)\n\n"
+            f"Facts:\n{edges}\n\n"
+            "Rules:\nedge($x, $y, True) >>> path($x, $y, True)\n"
+            "path($x, $y, True) && edge($y, $z, True) >>> path($x, $z, True)"
+            f"\n\nQuery:\npath(C0, C{n - 1})\n")
+
+
+def naive_fixpoint(rb, limits):
+    """Naive evaluation: every rule against the whole store, each pass."""
+    store, present = [], set()
+
+    def add(fact):
+        if fact in present:
+            return False
+        if (fact[0], fact[1], not fact[2]) in present:
+            raise InconsistentFacts(f"inconsistent facts: {fact}")
+        if len(store) >= limits.max_ground_literals:
+            raise ExecError("fact store budget exceeded")
+        present.add(fact)
+        store.append(fact)
+        return True
+
+    def bindings(body, snapshot, binding):
+        if not body:
+            yield binding
+            return
+        lit = body[0]
+        for pred, args, value in snapshot:
+            ext = dict(binding)
+            if (pred, value, len(args)) == (lit.predicate, lit.value,
+                                            len(lit.args)) and all(
+                    ext.setdefault(t.name, a) == a
+                    if isinstance(t, Variable) else t.name == a
+                    for t, a in zip(lit.args, args)):
+                yield from bindings(body[1:], snapshot, ext)
+
+    for fact in rb.facts:
+        add(fact)
+    changed = True
+    while changed:
+        changed = False
+        for rule in rb.rules:
+            head = rule.head
+            for b in bindings(rule.body, list(store), {}):
+                changed |= add((head.predicate, tuple(
+                    b[t.name] if isinstance(t, Variable) else t.name
+                    for t in head.args), head.value))
+    return tuple(store)
+
+
+ARITY = {"p": 1, "q": 1, "s": 1, "r": 2, "t": 2}
+
+
+def random_program(rng):
+    """Facts and 1-5 rules over unary and binary predicates, both truths."""
+    names = [f"c{k}" for k in range(rng.randint(2, 4))]
+    preds = sorted(ARITY)
+
+    def truth():
+        return rng.random() < 0.8
+
+    facts = []
+    for _ in range(rng.randint(1, 8)):
+        pred = rng.choice(preds)
+        fact = (pred, tuple(rng.choice(names) for _ in range(ARITY[pred])),
+                truth())
+        if fact not in facts:
+            facts.append(fact)
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            pred = rng.choice(preds)
+            body.append(PykeLiteral(pred, tuple(
+                Constant(rng.choice(names)) if rng.random() < 0.15
+                else Variable(rng.choice("xyz"))
+                for _ in range(ARITY[pred])), truth()))
+        bound = sorted({t.name for lit in body for t in lit.args
+                        if isinstance(t, Variable)})
+        pred = rng.choice(preds)
+        head = PykeLiteral(pred, tuple(
+            Variable(rng.choice(bound)) if bound and rng.random() < 0.85
+            else Constant(rng.choice(names))
+            for _ in range(ARITY[pred])), truth())
+        rules.append(PykeRule(tuple(body), head))
+    return RuleBase(tuple(facts), tuple(rules), tuple(names))
+
+
+def run_to_fixpoint(chain, rb, limits):
+    """The dumped fixpoint, or the class of the error chaining raised."""
+    try:
+        return dump_fixpoint(chain(rb, limits))
+    except ExecError as e:  # InconsistentFacts is an ExecError too
+        return type(e)
+
+
 class TestAnswerQuery:
     def fixpoint(self):
         return forward_chain(compile_rules(parse_pyke(BASE)), DEFAULT_LIMITS)
@@ -154,3 +281,9 @@ class TestEntailChaining:
         out = entail_chaining(parse_pyke(text))
         assert type(out).__name__ == "ExecFailed"
         assert "arity mismatch" in out.detail
+
+    def test_deadline_gives_resource_limited_unknown(self):
+        tiny = ResourceLimits(wall_ms=1)
+        out = entail_chaining(parse_pyke(closure(80)), tiny)
+        assert out.verdict.value is Truth.UNKNOWN
+        assert out.verdict.resource_limited

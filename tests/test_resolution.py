@@ -1,5 +1,7 @@
 """Resolution engine: unification, inference rules, saturation, traces."""
 
+import time
+
 from trilogic.fol import (
     Atom, Clause, Constant, Function, Literal, ResourceLimits, Truth,
     Variable, WorldAssumption,
@@ -185,3 +187,23 @@ class TestEntailResolution:
         out = entail_resolution(parse_prover9(text), tight)
         assert out.verdict.value is Truth.UNKNOWN
         assert out.verdict.resource_limited
+
+    def test_both_runs_share_one_deadline(self):
+        text = ("Premises:\np(A)\nall x (p(x) -> p(f(x)))\n"
+                "Conclusion:\nq(B)\n")
+        start = time.monotonic()
+        out = entail_resolution(parse_prover9(text),
+                                ResourceLimits(wall_ms=500))
+        assert out.verdict.resource_limited
+        # one 500 ms budget per run would take a second
+        assert time.monotonic() - start < 1.0
+
+    def test_endless_first_run_leaves_time_for_second(self):
+        # the prove-C side only derives p(f(...f(A))); the prove-not-C side
+        # meets -q(B) in two steps
+        text = ("Premises:\np(A)\nall x (p(x) -> p(f(x)))\n-q(B)\n"
+                "Conclusion:\nq(B)\n")
+        out = entail_resolution(parse_prover9(text),
+                                ResourceLimits(wall_ms=300))
+        assert out.verdict.value is Truth.FALSE
+        assert not out.verdict.resource_limited
