@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..fol import (
     And, Atom, Constant, Formula, ForAll, Exists, Function, Iff, Implies,
     Not, Or, ParseError, Problem, SourceSpan, Term, Variable, WorldAssumption,
-    Xor,
+    Xor, MAX_NESTING_DEPTH, too_deep,
 )
 
 _UNICODE_OPS = {
@@ -155,6 +155,12 @@ class _FormulaParser:
         self.line_len = line_len
         self.arities = arities
         self.scope: list[str] = []
+        self.depth = 0
+
+    def deeper(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise too_deep(tok.span())
 
     def peek(self) -> _Token | None:
         if self.pos < len(self.tokens):
@@ -188,13 +194,13 @@ class _FormulaParser:
     def implication(self) -> Formula:
         left = self.disjunction()
         tok = self.peek()
-        if tok is not None and tok.kind == "implies":
-            self.advance()
-            return Implies(left, self.implication())
-        if tok is not None and tok.kind == "iff":
-            self.advance()
-            return Iff(left, self.implication())
-        return left
+        if tok is None or tok.kind not in ("implies", "iff"):
+            return left
+        self.advance()
+        self.deeper(tok)
+        right = self.implication()
+        self.depth -= 1
+        return (Implies if tok.kind == "implies" else Iff)(left, right)
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
@@ -232,11 +238,18 @@ class _FormulaParser:
         if tok is None:
             raise ParseError("expected a formula",
                              SourceSpan(self.line_no, max(1, self.line_len)))
+        if tok.kind == "ident":
+            return self.atom()
+        if tok.kind not in ("not", "forall", "exists", "lparen"):
+            raise ParseError(f"unexpected token {tok.text!r}", tok.span())
+        self.advance()
+        self.deeper(tok)
         if tok.kind == "not":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind in ("forall", "exists"):
-            self.advance()
+            f: Formula = Not(self.unary())
+        elif tok.kind == "lparen":
+            f = self.implication()
+            self.expect("rparen", "')'")
+        else:
             var = self.expect("ident", "a quantified variable name")
             self.scope.append(var.text)
             try:
@@ -244,15 +257,9 @@ class _FormulaParser:
             finally:
                 self.scope.pop()
             cls = ForAll if tok.kind == "forall" else Exists
-            return cls(var.text, body)
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.implication()
-            self.expect("rparen", "')'")
-            return inner
-        if tok.kind == "ident":
-            return self.atom()
-        raise ParseError(f"unexpected token {tok.text!r}", tok.span())
+            f = cls(var.text, body)
+        self.depth -= 1
+        return f
 
     def atom(self) -> Formula:
         name_tok = self.advance()
@@ -282,6 +289,7 @@ class _FormulaParser:
                 raise ParseError(
                     f"variable '{tok.text}' applied as a function", tok.span())
             self.advance()
+            self.deeper(nxt)
             args = [self.term()]
             while True:
                 nxt = self.peek()
@@ -291,6 +299,7 @@ class _FormulaParser:
                 else:
                     break
             self.expect("rparen", "')'")
+            self.depth -= 1
             return Function(tok.text, tuple(args))
         if tok.text in self.scope:
             return Variable(tok.text)

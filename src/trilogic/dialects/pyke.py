@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fol import (
-    Constant, ParseError, SourceSpan, Term, Variable,
+    MAX_NESTING_DEPTH, Constant, ParseError, SourceSpan, Term, Variable,
+    too_deep,
 )
 
 _CONNECTIVE_WORDS = ("Xor", "Exists", "ForAll", "Or", "And", "Not",
@@ -230,11 +231,14 @@ def _parse_fact(parser: _LineParser) -> tuple[str, tuple[str, ...], bool]:
 
 
 def _parse_rule(parser: _LineParser) -> PykeRule:
+    # the engine's join nests one level per body literal
     body = [parser.literal()]
     while True:
         tok = parser.peek()
         if tok is not None and tok.kind == "andand":
             parser.advance()
+            if len(body) == MAX_NESTING_DEPTH:
+                raise too_deep(tok.span())
             body.append(parser.literal())
         else:
             break

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..fol import (
     And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, Not, Or,
     ParseError, Problem, SourceSpan, Term, Variable, WorldAssumption, Xor,
+    MAX_NESTING_DEPTH, too_deep,
 )
 
 _DEF_LINE = re.compile(r"^def\s+[A-Za-z_]\w*\s*\(\s*\)\s*:\s*$")
@@ -87,6 +88,12 @@ class _LineParser:
         self.line_len = line_len
         self.arities = arities
         self.scope: list[str] = []
+        self.depth = 0
+
+    def deeper(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise too_deep(tok.span())
 
     def peek(self) -> _Token | None:
         if self.pos < len(self.tokens):
@@ -137,8 +144,10 @@ class _LineParser:
                              SourceSpan(self.line_no, max(1, self.line_len)))
         if tok.kind == "lparen":
             self.advance()
+            self.deeper(tok)
             inner = self.expression()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return inner
         if tok.kind == "lbracket":
             raise ParseError("unexpected '['", tok.span())
@@ -162,6 +171,8 @@ class _LineParser:
                                  name_tok.span())
             self.check_arity(name, 0, name_tok)
             return Atom(name)
+        if name in ("ForAll", "Exists"):
+            return self.quantifier_call(name_tok)
         if name in _OPERATORS:
             return self.operator_call(name_tok)
         return self.atom_call(name_tok)
@@ -169,8 +180,7 @@ class _LineParser:
     def operator_call(self, name_tok: _Token) -> Formula:
         name = name_tok.text
         self.expect("lparen", "'('")
-        if name in ("ForAll", "Exists"):
-            return self.quantifier_call(name_tok)
+        self.deeper(name_tok)
         args = [self.expression()]
         while True:
             tok = self.peek()
@@ -180,6 +190,7 @@ class _LineParser:
             else:
                 break
         self.expect("rparen", "')'")
+        self.depth -= 1
         if name == "Not":
             if len(args) != 1:
                 raise ParseError("Not takes exactly 1 argument", name_tok.span())
@@ -197,6 +208,8 @@ class _LineParser:
         return cls(tuple(args))
 
     def quantifier_call(self, name_tok: _Token) -> Formula:
+        self.expect("lparen", "'('")
+        self.deeper(name_tok)
         self.expect("lbracket", "'['")
         variables = [self.expect("ident", "a variable name")]
         while True:
@@ -215,6 +228,7 @@ class _LineParser:
         finally:
             del self.scope[len(self.scope) - len(variables):]
         self.expect("rparen", "')'")
+        self.depth -= 1
         cls = ForAll if name_tok.text == "ForAll" else Exists
         for v in reversed(variables):
             body = cls(v.text, body)

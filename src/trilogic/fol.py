@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 
 def _check_name(name: str) -> None:
@@ -395,12 +396,15 @@ class Clause:
         neg = {l.atom for l in self.literals if not l.positive}
         return bool(pos & neg)
 
-    def variables(self) -> set[str]:
+    @cached_property
+    def variables(self) -> frozenset[str]:
+        """Names of the variables in the clause, computed once per clause:
+        resolution renames every pair of parents apart."""
         out: set[str] = set()
         for lit in self.literals:
             for a in lit.atom.args:
                 out |= term_variables(a)
-        return out
+        return frozenset(out)
 
     def __str__(self):
         if not self.literals:
@@ -408,11 +412,12 @@ class Clause:
         return " | ".join(str(l) for l in self.literals)
 
 
-def clause_substitute(c: Clause, s: Mapping[str, Term]) -> Clause:
+def clause_substitute(literals: Iterable[Literal], s: Mapping[str, Term]) -> Clause:
+    """The clause of the given literals (a Clause or any iterable) under s."""
     return Clause(tuple(
         Literal(l.positive, Atom(l.atom.predicate,
                                  tuple(substitute_term(a, s) for a in l.atom.args)))
-        for l in c
+        for l in literals
     ))
 
 
@@ -538,6 +543,17 @@ class ParseError(Exception):
         super().__init__(message)
         self.message = message
         self.span = span
+
+
+# How deep the dialect parsers let input nest: formulas and terms in the
+# prover9 and z3 dialects, rule bodies in pyke. Parsing and every engine
+# recurse once per level, so deeper input is a ParseError rather than a
+# RecursionError.
+MAX_NESTING_DEPTH = 200
+
+
+def too_deep(span: SourceSpan) -> ParseError:
+    return ParseError(f"nested deeper than {MAX_NESTING_DEPTH} levels", span)
 
 
 class ExecError(Exception):

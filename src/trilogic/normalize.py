@@ -229,8 +229,3 @@ def clausify_all(formulas: Iterable[Formula], var_supply: NameSupply,
                 seen.add(c)
                 clauses.append(c)
     return clauses
-
-
-def dump_clauses(clauses: Iterable[Clause]) -> str:
-    """One clause per line, literals `|`-separated."""
-    return "\n".join(str(c) for c in clauses)

@@ -2,24 +2,28 @@
 
 The saturation loop keeps two clause lists: `usable` holds clauses already
 selected, `sos` holds clauses waiting their turn. Each round moves the
-lightest sos clause over and resolves it against everything usable
-(including itself). Goal clauses are queued ahead of premise clauses, so
-goal-directed inferences happen first, but premises do get selected too:
-otherwise a contradiction sitting entirely inside the premises could never
-surface, and the dual-run wrapper relies on exactly that to report
-Inconsistent.
+lightest sos clause over and resolves it against every usable clause
+(including itself) that holds a complementary literal. Goal clauses are
+queued ahead of premise clauses, so goal-directed inferences happen first,
+but premises do get selected too: otherwise a contradiction sitting
+entirely inside the premises could never surface, and the dual-run wrapper
+relies on exactly that to report Inconsistent.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fol import (
     Answered, Atom, Clause, Constant, ExecFailed, ExecError, Function,
     Inconsistent, Literal, Not, Outcome, Problem, ResourceLimits,
-    DEFAULT_LIMITS, Term, Truth, Variable, Verdict, substitute_term,
+    DEFAULT_LIMITS, Term, Truth, Variable, Verdict, clause_substitute,
+    substitute_term, term_variables,
 )
 from .normalize import clausify_all, skolem_supply, variable_supply
 
@@ -41,11 +45,11 @@ def unify(a: Atom, b: Atom) -> Optional[dict[str, Term]]:
         if s == t:
             continue
         if isinstance(s, Variable):
-            if s.name in _term_vars(t):
+            if s.name in term_variables(t):
                 return None
             _bind(sub, s.name, t)
         elif isinstance(t, Variable):
-            if t.name in _term_vars(s):
+            if t.name in term_variables(s):
                 return None
             _bind(sub, t.name, s)
         elif (isinstance(s, Function) and isinstance(t, Function)
@@ -54,17 +58,6 @@ def unify(a: Atom, b: Atom) -> Optional[dict[str, Term]]:
         else:
             return None
     return sub
-
-
-def _term_vars(t: Term) -> set[str]:
-    if isinstance(t, Variable):
-        return {t.name}
-    if isinstance(t, Function):
-        out: set[str] = set()
-        for a in t.args:
-            out |= _term_vars(a)
-        return out
-    return set()
 
 
 def _bind(sub: dict[str, Term], var: str, term: Term) -> None:
@@ -112,11 +105,11 @@ def rename_apart(left: Clause, right: Clause) -> Clause:
     Trace replay recomputes this renaming, so it must be a pure function
     of the two clauses.
     """
-    left_vars = left.variables()
-    taken = left_vars | right.variables()
+    left_vars = left.variables
+    taken = left_vars | right.variables
     ren: dict[str, Term] = {}
     k = 0
-    for v in sorted(right.variables()):
+    for v in sorted(right.variables):
         if v in left_vars:
             while f"_r{k}" in taken:
                 k += 1
@@ -124,16 +117,7 @@ def rename_apart(left: Clause, right: Clause) -> Clause:
             k += 1
     if not ren:
         return right
-    return _clause_apply(right, ren)
-
-
-def _literal_apply(l: Literal, sub: dict[str, Term]) -> Literal:
-    return Literal(l.positive, Atom(l.atom.predicate,
-                                    tuple(substitute_term(a, sub) for a in l.atom.args)))
-
-
-def _clause_apply(c: Clause, sub: dict[str, Term]) -> Clause:
-    return Clause(tuple(_literal_apply(l, sub) for l in c))
+    return clause_substitute(right, ren)
 
 
 @dataclass(frozen=True)
@@ -156,7 +140,7 @@ def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
             if sub is None:
                 continue
             rest = [l for l in c1 if l != l1] + [l for l in c2r if l != l2]
-            clause = Clause(tuple(_literal_apply(l, sub) for l in rest))
+            clause = clause_substitute(rest, sub)
             if clause.is_tautology():
                 continue
             out.append(Resolvent(clause, l1, l2, _freeze_sub(sub)))
@@ -193,7 +177,7 @@ def factors(c: Clause) -> list[Factor]:
             sub = unify(lits[i].atom, lits[j].atom)
             if sub is None:
                 continue
-            clause = _clause_apply(c, sub)
+            clause = clause_substitute(c, sub)
             if clause.is_tautology():
                 continue
             out.append(Factor(clause, lits[i], lits[j], _freeze_sub(sub)))
@@ -272,13 +256,8 @@ class LimitReached:
 ProofResult = Proved | Saturated | LimitReached
 
 
-@dataclass
-class ProofState:
-    usable: list[int] = field(default_factory=list)
-    sos: list[int] = field(default_factory=list)
-    processed_count: int = 0
-    generated_count: int = 0
-    limits: ResourceLimits = DEFAULT_LIMITS
+def _keys(c: Clause) -> frozenset[tuple[str, bool]]:
+    return frozenset((l.atom.predicate, l.positive) for l in c)
 
 
 def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
@@ -287,6 +266,19 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     """Run the given-clause loop to the empty clause, saturation, or a limit.
 
     deadline is a time.monotonic() instant; by default wall_ms from now.
+    Saturation after a clause was dropped for having more than
+    max_clause_literals literals is not complete, so it ends in
+    LimitReached.
+
+    Three indexes skip only work that yields nothing, so clause ids, proofs
+    and the points where limits fire are those of the plain loop:
+    - partners: (predicate, sign) -> positions in usable. A given clause
+      meets only usable clauses with a complementary literal, in usable
+      order.
+    - by_keys: the kept clauses grouped by their (predicate, sign) sets.
+      A clause can subsume another only if its set is a subset of the
+      other's, so only those groups are tried.
+    - sos is a heap on (literals, arrival): lightest first, FIFO on ties.
     """
     if deadline is None:
         deadline = limits.deadline()
@@ -296,21 +288,13 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     premise_ids: list[int] = []
     goal_ids: list[int] = []
     seen: set[Clause] = set()
-    for c in premise_clauses:
-        if c not in seen:
-            seen.add(c)
-            clauses[next_id] = c
-            premise_ids.append(next_id)
-            next_id += 1
-    for c in goal_clauses:
-        if c not in seen:
-            seen.add(c)
-            clauses[next_id] = c
-            goal_ids.append(next_id)
-            next_id += 1
-
-    state = ProofState(limits=limits)
-    state.sos = goal_ids + premise_ids
+    for ids, source in ((premise_ids, premise_clauses), (goal_ids, goal_clauses)):
+        for c in source:
+            if c not in seen:
+                seen.add(c)
+                clauses[next_id] = c
+                ids.append(next_id)
+                next_id += 1
 
     def build_proof(empty_id: int) -> Proved:
         wanted: set[int] = set()
@@ -326,23 +310,38 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         used_inputs = tuple((i, clauses[i]) for i in sorted(wanted) if i not in steps)
         return Proved(used_steps, used_inputs)
 
+    queued = goal_ids + premise_ids
     # an input may already be the empty clause (contradictory premises clausify to it)
-    for i in state.sos:
+    for i in queued:
         if clauses[i].is_empty():
             return build_proof(i)
 
-    while state.sos:
+    arrival = itertools.count()
+    sos = [(len(clauses[i]), next(arrival), i) for i in queued]
+    heapq.heapify(sos)
+    usable: list[int] = []
+    partners: defaultdict[tuple[str, bool], list[int]] = defaultdict(list)
+    keys = {i: _keys(clauses[i]) for i in queued}
+    by_keys: defaultdict[frozenset, list[int]] = defaultdict(list)
+    for i in queued:
+        by_keys[keys[i]].append(i)
+    generated = 0
+    dropped = False
+
+    while sos:
         if time.monotonic() > deadline:
             return LimitReached("wall clock budget")
-        # lightest clause, FIFO on ties
-        best = min(range(len(state.sos)), key=lambda k: (len(clauses[state.sos[k]]), k))
-        given_id = state.sos.pop(best)
+        given_id = heapq.heappop(sos)[2]
         given = clauses[given_id]
-        state.usable.append(given_id)
-        state.processed_count += 1
+        for key in keys[given_id]:
+            partners[key].append(len(usable))
+        usable.append(given_id)
 
+        positions: set[int] = set()
+        for predicate, positive in keys[given_id]:
+            positions.update(partners.get((predicate, not positive), ()))
         new: list[tuple[Clause, ProofStep]] = []
-        for partner_id in state.usable:
+        for partner_id in (usable[p] for p in sorted(positions)):
             for r in resolvents(given, clauses[partner_id]):
                 step = ProofStep(0, "resolve", (given_id, partner_id),
                                  r.left_literal, r.right_literal, r.unifier, r.clause)
@@ -353,13 +352,16 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
             new.append((fa.clause, step))
 
         for clause, step in new:
-            state.generated_count += 1
-            if state.generated_count > limits.max_generated_clauses:
+            generated += 1
+            if generated > limits.max_generated_clauses:
                 return LimitReached("generated clause budget")
             if len(clause) > limits.max_clause_literals:
+                dropped = True
                 continue
+            clause_keys = _keys(clause)
             if any(subsumes(clauses[k], clause)
-                   for k in (*state.usable, *state.sos)):
+                   for group, members in by_keys.items() if group <= clause_keys
+                   for k in members):
                 continue
             cid = next_id
             next_id += 1
@@ -368,7 +370,11 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
                                    step.right_literal, step.unifier, clause)
             if clause.is_empty():
                 return build_proof(cid)
-            state.sos.append(cid)
+            keys[cid] = clause_keys
+            by_keys[clause_keys].append(cid)
+            heapq.heappush(sos, (len(clause), next(arrival), cid))
+    if dropped:
+        return LimitReached("clause literal limit")
     return Saturated()
 
 
@@ -395,12 +401,12 @@ def replay_trace(proof: Proved) -> bool:
                 return False
             rest = [l for l in left if l != step.left_literal] + \
                    [l for l in right if l != step.right_literal]
-            derived = Clause(tuple(_literal_apply(l, sub) for l in rest))
+            derived = clause_substitute(rest, sub)
         elif step.rule == "factor":
             parent = clauses[step.parents[0]]
             if step.left_literal not in parent or step.right_literal not in parent:
                 return False
-            derived = _clause_apply(parent, sub)
+            derived = clause_substitute(parent, sub)
         else:
             return False
         if derived != step.clause:

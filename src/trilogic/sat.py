@@ -85,7 +85,7 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
 
     for clause in clauses:
         # a row holds the variables' values, then the clause's constants
-        variables = sorted(clause.variables())
+        variables = sorted(clause.variables)
         fixed: list[str] = []
         template: list[tuple[bool, str, Callable[[tuple], tuple]]] = []
         for lit in clause:

@@ -4,8 +4,8 @@ import pytest
 
 from trilogic.dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
 from trilogic.fol import (
-    Atom, Constant, Exists, ForAll, Iff, Implies, Not, Or, ParseError, Truth,
-    Variable, WorldAssumption, Xor, pretty,
+    MAX_NESTING_DEPTH, Atom, Constant, Exists, ForAll, Iff, Implies, Not, Or,
+    ParseError, Truth, Variable, WorldAssumption, Xor, pretty,
 )
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 
@@ -282,3 +282,53 @@ class TestCrossDialect:
         p9 = parse_prover9(read_fixture("anne.p9"))
         z3 = parse_z3(read_fixture("anne.z3"))
         assert self.clause_set(p9) == self.clause_set(z3)
+
+
+def _p9(conclusion):
+    return parse_prover9(f"Premises:\np(A)\nConclusion:\n{conclusion}\n")
+
+
+def _z3(conclusion):
+    return parse_z3(f"p(A)\nreturn {conclusion}\n")
+
+
+def _pyke_rule(n):
+    body = " && ".join(["p($x, True)"] * n)
+    return parse_pyke(f"Facts:\np(A, True)\nRules:\n{body} >>> q($x, True)\n"
+                      "Query:\nq(A)\n")
+
+
+# shape -> parse a text nested n levels deep
+NESTED = {
+    "prover9-not": lambda n: _p9("-" * n + "p(A)"),
+    "prover9-parentheses": lambda n: _p9("(" * n + "p(A)" + ")" * n),
+    "prover9-implication": lambda n: _p9("p(A) -> " * n + "p(A)"),
+    "prover9-quantifier": lambda n: _p9("all x " * n + "p(A)"),
+    "prover9-term": lambda n: _p9("p(" + "f(" * n + "A" + ")" * n + ")"),
+    "z3-not": lambda n: _z3("Not(" * n + "p(A)" + ")" * n),
+    "z3-parentheses": lambda n: _z3("(" * n + "p(A)" + ")" * n),
+    "z3-forall": lambda n: _z3("".join(f"ForAll([x{i}], " for i in range(n))
+                               + "p(A)" + ")" * n),
+    "pyke-rule-body": _pyke_rule,
+}
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_deep_input_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            NESTED[shape](3000)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_moderate_depth_parses(self, shape):
+        NESTED[shape](150)
+
+    @pytest.mark.parametrize("shape", ["prover9-not", "z3-not", "pyke-rule-body"])
+    def test_cap_is_exact(self, shape):
+        NESTED[shape](MAX_NESTING_DEPTH)
+        with pytest.raises(ParseError):
+            NESTED[shape](MAX_NESTING_DEPTH + 1)
+
+    def test_span_points_where_the_cap_was_hit(self):
+        err = p9_err("Premises:\np(A)\nConclusion:\n" + "-" * 3000 + "p(A)\n")
+        assert (err.span.line, err.span.column) == (4, MAX_NESTING_DEPTH + 1)

@@ -124,6 +124,29 @@ class TestRunTranslation:
             assert isinstance(out, Answered)
             assert out.verdict.value is Truth.TRUE
 
+    def test_deep_nesting_is_a_parse_failure_not_a_crash(self):
+        # the same conclusion nested 150 and 3000 levels deep
+        cases = (
+            ("prover9", "resolution", lambda n: "Premises:\np(A)\nConclusion:\n"
+             + "(" * n + "p(A)" + ")" * n + "\n"),
+            ("prover9", "sat", lambda n: "Premises:\np(A)\nConclusion:\n"
+             + "--" * (n // 2) + "p(A)\n"),
+            ("z3", "resolution", lambda n: "p(A)\nreturn " + "Not(Not(" * (n // 2)
+             + "p(A)" + "))" * (n // 2) + "\n"),
+            ("z3", "sat", lambda n: "p(A)\nreturn "
+             + "".join(f"ForAll([x{i}], " for i in range(n)) + "p(A)" + ")" * n
+             + "\n"),
+            ("pyke", "chaining", lambda n: "Facts:\np(A, True)\nRules:\n"
+             + " && ".join(["p($x, True)"] * n) + " >>> q($x, True)\n"
+             + "Query:\nq(A)\n"),
+        )
+        for dialect, engine, text in cases:
+            assert run_translation(text(150), dialect, engine) \
+                == Answered(Verdict(Truth.TRUE)), (dialect, engine)
+            out = run_translation(text(3000), dialect, engine)
+            assert isinstance(out, ParseFailed), (dialect, engine)
+            assert "nested deeper than" in out.detail
+
 
 class TestClassifyOutcome:
     def test_all_four_categories(self):

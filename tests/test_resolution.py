@@ -2,15 +2,21 @@
 
 import time
 
+import pytest
+
+from trilogic import resolution
 from trilogic.fol import (
-    Atom, Clause, Constant, Function, Literal, ResourceLimits, Truth,
-    Variable, WorldAssumption,
+    DEFAULT_LIMITS, Atom, Clause, Constant, Function, Literal, Not,
+    ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
 )
 from trilogic.dialects import parse_prover9
+from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.resolution import (
-    LimitReached, Proved, Saturated, entail_resolution, factor, render_trace,
-    replay_trace, resolution_runs, resolve, saturate, subsumes, unify,
+    LimitReached, Proved, ProofStep, Saturated, entail_resolution, factor,
+    factors, render_trace, replay_trace, resolution_runs, resolve, resolvents,
+    saturate, subsumes, unify,
 )
+from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
 X = Variable("x")
 Y = Variable("y")
@@ -24,6 +30,68 @@ def at(p, *args):
 
 def lit(p, *args, pos=True):
     return Literal(pos, at(p, *args))
+
+
+def reference_saturate(premise_clauses, goal_clauses, limits=DEFAULT_LIMITS):
+    """The plain given-clause loop that saturate must match step for step:
+    the lightest sos clause by a scan, every usable clause as a partner and
+    every kept clause tried for subsumption. No wall clock."""
+    clauses, steps = {}, {}
+    premise_ids, goal_ids = [], []
+    seen = set()
+    for ids, source in ((premise_ids, premise_clauses), (goal_ids, goal_clauses)):
+        for c in source:
+            if c not in seen:
+                seen.add(c)
+                clauses[len(clauses) + 1] = c
+                ids.append(len(clauses))
+
+    def build_proof(empty_id):
+        wanted, stack = set(), [empty_id]
+        while stack:
+            i = stack.pop()
+            if i not in wanted:
+                wanted.add(i)
+                stack.extend(steps[i].parents if i in steps else ())
+        return Proved(tuple(steps[i] for i in sorted(wanted) if i in steps),
+                      tuple((i, clauses[i]) for i in sorted(wanted) if i not in steps))
+
+    usable, sos = [], goal_ids + premise_ids
+    for i in sos:
+        if clauses[i].is_empty():
+            return build_proof(i)
+    generated, dropped = 0, False
+    while sos:
+        best = min(range(len(sos)), key=lambda k: (len(clauses[sos[k]]), k))
+        given_id = sos.pop(best)
+        given = clauses[given_id]
+        usable.append(given_id)
+        new = []
+        for partner_id in usable:
+            for r in resolvents(given, clauses[partner_id]):
+                new.append((r.clause, ProofStep(0, "resolve", (given_id, partner_id),
+                                                r.left_literal, r.right_literal,
+                                                r.unifier, r.clause)))
+        for fa in factors(given):
+            new.append((fa.clause, ProofStep(0, "factor", (given_id,), fa.first,
+                                             fa.second, fa.unifier, fa.clause)))
+        for clause, step in new:
+            generated += 1
+            if generated > limits.max_generated_clauses:
+                return LimitReached("generated clause budget")
+            if len(clause) > limits.max_clause_literals:
+                dropped = True
+                continue
+            if any(subsumes(clauses[k], clause) for k in (*usable, *sos)):
+                continue
+            cid = len(clauses) + 1
+            clauses[cid] = clause
+            steps[cid] = ProofStep(cid, step.rule, step.parents, step.left_literal,
+                                   step.right_literal, step.unifier, clause)
+            if clause.is_empty():
+                return build_proof(cid)
+            sos.append(cid)
+    return LimitReached("clause literal limit") if dropped else Saturated()
 
 
 class TestUnify:
@@ -107,6 +175,71 @@ class TestSaturate:
         assert isinstance(result, LimitReached)
 
 
+    def test_prefilter_offers_two_literals_mapped_onto_one(self, monkeypatch):
+        # p(x) | p(y) subsumes the derived p(A) by mapping both literals onto
+        # it, so the key-set filter must still try that pair
+        tried = []
+
+        def spy(c1, c2):
+            got = subsumes(c1, c2)
+            tried.append((str(c1), str(c2), got))
+            return got
+
+        monkeypatch.setattr(resolution, "subsumes", spy)
+        premises = [Clause((lit("p", X), lit("p", Y))), Clause((lit("q", A),)),
+                    Clause((lit("q", X, pos=False), lit("p", X)))]
+        goal = [Clause((lit("r", A, pos=False),))]
+        assert isinstance(saturate(premises, goal), Saturated)
+        assert ("p(x) | p(y)", "p(A)", True) in tried
+
+    def test_dropped_clause_means_limit_not_saturation(self):
+        premises = [Clause((lit("p", A), lit("q", A), lit("r", A))),
+                    Clause((lit("p", A, pos=False),)),
+                    Clause((lit("q", A, pos=False),))]
+        goal = [Clause((lit("r", A, pos=False),))]
+        got = saturate(premises, goal, ResourceLimits(max_clause_literals=1))
+        assert got == LimitReached("clause literal limit")
+
+    def test_proof_stands_after_a_dropped_clause(self):
+        # -p(A) | w(A) meets p(A) | q(A) and gives q(A) | w(A), which is over
+        # the cap, before w(A) meets -w(A)
+        premises = [Clause((lit("p", A), lit("q", A))),
+                    Clause((lit("p", A, pos=False), lit("w", A))),
+                    Clause((lit("q", A, pos=False),)),
+                    Clause((lit("w", A, pos=False),))]
+        got = saturate(premises, [], ResourceLimits(max_clause_literals=1))
+        assert isinstance(got, Proved) and replay_trace(got)
+
+
+class TestIndexedLoop:
+    """saturate against the plain loop kept above as reference_saturate."""
+
+    @pytest.mark.parametrize("fragment", [HORN, FULL_FOL])
+    def test_matches_reference_on_generated_problems(self, fragment):
+        kinds = set()
+        budgets = (ResourceLimits(wall_ms=60_000),
+                   ResourceLimits(wall_ms=60_000, max_generated_clauses=40))
+        for gp in generate_suite(GenConfig(fragment=fragment, seed=23), 60, (2, 3, 5)):
+            problem = parse_prover9(gp.texts["prover9"])
+            var_supply, sk_supply = variable_supply(), skolem_supply()
+            premises = clausify_all(problem.premises, var_supply, sk_supply)
+            neg_goal = clausify_all([Not(problem.conclusion)], var_supply, sk_supply)
+            pos_goal = clausify_all([problem.conclusion], var_supply, sk_supply)
+            # both sides of resolution_runs: prove C, prove not-C
+            for goal in (neg_goal, pos_goal):
+                for limits in budgets:
+                    want = reference_saturate(premises, goal, limits)
+                    got = saturate(premises, goal, limits)
+                    assert type(got) is type(want), gp.id
+                    if isinstance(want, Proved):
+                        assert render_trace(got) == render_trace(want), gp.id
+                        assert replay_trace(got)
+                    else:
+                        assert got == want, gp.id
+                    kinds.add(type(want).__name__)
+        assert kinds == {"Proved", "Saturated", "LimitReached"}
+
+
 class TestTrace:
     def problem(self):
         text = ("Premises:\n"
@@ -187,6 +320,14 @@ class TestEntailResolution:
         out = entail_resolution(parse_prover9(text), tight)
         assert out.verdict.value is Truth.UNKNOWN
         assert out.verdict.resource_limited
+
+    def test_literal_cap_gives_resource_limited_unknown(self):
+        text = ("Premises:\np(A) ∨ q(A) ∨ r(A)\n¬p(A)\n¬q(A)\n"
+                "Conclusion:\nr(A)\n")
+        assert entail_resolution(parse_prover9(text)).verdict == Verdict(Truth.TRUE)
+        out = entail_resolution(parse_prover9(text),
+                                ResourceLimits(max_clause_literals=1))
+        assert out.verdict == Verdict(Truth.UNKNOWN, resource_limited=True)
 
     def test_both_runs_share_one_deadline(self):
         text = ("Premises:\np(A)\nall x (p(x) -> p(f(x)))\n"
