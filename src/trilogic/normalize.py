@@ -11,14 +11,18 @@ only accepts constant skolems.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 from .fol import (
-    And, Atom, Clause, Constant, ExecError, Exists, ForAll, Formula, Function,
-    Implies, Iff, Literal, Not, Or, ResourceLimits, DEFAULT_LIMITS, Term,
-    Variable, Xor, substitute_term,
+    And, Atom, Clause, Constant, DeadlineExceeded, ExecError, Exists, ForAll,
+    Formula, Function, Implies, Iff, Literal, Not, Or, ResourceLimits,
+    DEFAULT_LIMITS, Term, Variable, Xor, substitute_term,
 )
+
+# inner formula nodes visited between two looks at the clock
+_NODES_PER_CHECK = 1024
 
 
 @dataclass
@@ -46,60 +50,92 @@ def variable_supply() -> NameSupply:
     return NameSupply("_v")
 
 
-def eliminate_connectives(f: Formula) -> Formula:
+def clock(deadline: float) -> Callable[[], None]:
+    """The tick that the walks below call at every inner node they visit,
+    and clausify at every literal it puts in a clause.
+
+    Once per _NODES_PER_CHECK ticks it reads the clock, and past deadline
+    (a time.monotonic() instant) it raises DeadlineExceeded. The walks
+    visit a tree, and the two sides of an Iff or Xor each appear twice in
+    eliminate_connectives' output, so a chain of them costs time
+    exponential in its length; the tick bounds that time.
+    """
+    visits = 0
+
+    def tick() -> None:
+        nonlocal visits
+        visits += 1
+        if visits == _NODES_PER_CHECK:
+            visits = 0
+            if time.monotonic() > deadline:
+                raise DeadlineExceeded("wall clock budget")
+
+    return tick
+
+
+def _no_tick() -> None:
+    pass
+
+
+def eliminate_connectives(f: Formula, tick: Callable[[], None] = _no_tick
+                          ) -> Formula:
     """Rewrite Implies/Iff/Xor in terms of And/Or/Not."""
     if isinstance(f, Atom):
         return f
+    tick()
     if isinstance(f, Not):
-        return Not(eliminate_connectives(f.body))
+        return Not(eliminate_connectives(f.body, tick))
     if isinstance(f, And):
-        return And(tuple(eliminate_connectives(p) for p in f.parts))
+        return And(tuple(eliminate_connectives(p, tick) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(eliminate_connectives(p) for p in f.parts))
+        return Or(tuple(eliminate_connectives(p, tick) for p in f.parts))
     if isinstance(f, Implies):
-        return Or((Not(eliminate_connectives(f.left)), eliminate_connectives(f.right)))
+        return Or((Not(eliminate_connectives(f.left, tick)),
+                   eliminate_connectives(f.right, tick)))
     if isinstance(f, Iff):
-        a = eliminate_connectives(f.left)
-        b = eliminate_connectives(f.right)
+        a = eliminate_connectives(f.left, tick)
+        b = eliminate_connectives(f.right, tick)
         return And((Or((Not(a), b)), Or((Not(b), a))))
     if isinstance(f, Xor):
-        a = eliminate_connectives(f.left)
-        b = eliminate_connectives(f.right)
+        a = eliminate_connectives(f.left, tick)
+        b = eliminate_connectives(f.right, tick)
         return And((Or((a, b)), Or((Not(a), Not(b)))))
     if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, eliminate_connectives(f.body))
+        return type(f)(f.var, eliminate_connectives(f.body, tick))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def to_nnf(f: Formula) -> Formula:
+def to_nnf(f: Formula, tick: Callable[[], None] = _no_tick) -> Formula:
     """Push negations down to atoms. Input must be free of ->, <-> and ^."""
     if isinstance(f, Atom):
         return f
+    if isinstance(f, Not) and isinstance(f.body, Atom):
+        return f
+    tick()
     if isinstance(f, And):
-        return And(tuple(to_nnf(p) for p in f.parts))
+        return And(tuple(to_nnf(p, tick) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(to_nnf(p) for p in f.parts))
+        return Or(tuple(to_nnf(p, tick) for p in f.parts))
     if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, to_nnf(f.body))
+        return type(f)(f.var, to_nnf(f.body, tick))
     if isinstance(f, Not):
         g = f.body
-        if isinstance(g, Atom):
-            return f
         if isinstance(g, Not):
-            return to_nnf(g.body)
+            return to_nnf(g.body, tick)
         if isinstance(g, And):
-            return Or(tuple(to_nnf(Not(p)) for p in g.parts))
+            return Or(tuple(to_nnf(Not(p), tick) for p in g.parts))
         if isinstance(g, Or):
-            return And(tuple(to_nnf(Not(p)) for p in g.parts))
+            return And(tuple(to_nnf(Not(p), tick) for p in g.parts))
         if isinstance(g, ForAll):
-            return Exists(g.var, to_nnf(Not(g.body)))
+            return Exists(g.var, to_nnf(Not(g.body), tick))
         if isinstance(g, Exists):
-            return ForAll(g.var, to_nnf(Not(g.body)))
+            return ForAll(g.var, to_nnf(Not(g.body), tick))
         raise ValueError(f"eliminate connectives before NNF: {g!r}")
     raise ValueError(f"eliminate connectives before NNF: {f!r}")
 
 
-def standardize_apart(f: Formula, supply: NameSupply) -> Formula:
+def standardize_apart(f: Formula, supply: NameSupply,
+                      tick: Callable[[], None] = _no_tick) -> Formula:
     """Give every binder its own fresh variable name."""
 
     def walk(f: Formula, ren: dict[str, Term]) -> Formula:
@@ -107,6 +143,7 @@ def standardize_apart(f: Formula, supply: NameSupply) -> Formula:
             if not ren:
                 return f
             return Atom(f.predicate, tuple(substitute_term(a, ren) for a in f.args))
+        tick()
         if isinstance(f, Not):
             return Not(walk(f.body, ren))
         if isinstance(f, And):
@@ -123,7 +160,8 @@ def standardize_apart(f: Formula, supply: NameSupply) -> Formula:
     return walk(f, {})
 
 
-def skolemize(f: Formula, supply: NameSupply) -> Formula:
+def skolemize(f: Formula, supply: NameSupply,
+              tick: Callable[[], None] = _no_tick) -> Formula:
     """Drop existentials from a standardized NNF formula.
 
     An existential under k universals becomes a fresh k-ary symbol applied
@@ -135,6 +173,7 @@ def skolemize(f: Formula, supply: NameSupply) -> Formula:
             if not sub:
                 return f
             return Atom(f.predicate, tuple(substitute_term(a, sub) for a in f.args))
+        tick()
         if isinstance(f, Not):
             return Not(walk(f.body, univ, sub))
         if isinstance(f, And):
@@ -158,7 +197,8 @@ def skolemize(f: Formula, supply: NameSupply) -> Formula:
     return walk(f, (), {})
 
 
-def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS) -> list[Clause]:
+def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS,
+             tick: Callable[[], None] = _no_tick) -> list[Clause]:
     """Distribute a skolemized NNF formula into clauses.
 
     Universal quantifiers are dropped (clause variables are implicitly
@@ -175,6 +215,7 @@ def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS) -> list[Clause
             if not isinstance(f.body, Atom):
                 raise ValueError(f"input is not in NNF: {f!r}")
             return [(Literal(False, f.body),)]
+        tick()
         if isinstance(f, ForAll):
             return cnf(f.body)
         if isinstance(f, And):
@@ -199,6 +240,8 @@ def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS) -> list[Clause
     clauses: list[Clause] = []
     seen: set[Clause] = set()
     for lits in cnf(f):
+        for _ in lits:
+            tick()
         c = Clause(lits)
         if c.is_tautology() or c in seen:
             continue
@@ -208,23 +251,33 @@ def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS) -> list[Clause
 
 
 def clausify_formula(f: Formula, var_supply: NameSupply, sk_supply: NameSupply,
-                     limits: ResourceLimits = DEFAULT_LIMITS) -> list[Clause]:
-    """Run the whole pipeline on one formula."""
-    g = eliminate_connectives(f)
-    g = to_nnf(g)
-    g = standardize_apart(g, var_supply)
-    g = skolemize(g, sk_supply)
-    return clausify(g, limits)
+                     limits: ResourceLimits = DEFAULT_LIMITS,
+                     deadline: Optional[float] = None) -> list[Clause]:
+    """Run the whole pipeline on one formula.
+
+    deadline is a time.monotonic() instant, by default wall_ms from now;
+    past it the pipeline raises DeadlineExceeded.
+    """
+    return clausify_all([f], var_supply, sk_supply, limits, deadline)
 
 
 def clausify_all(formulas: Iterable[Formula], var_supply: NameSupply,
                  sk_supply: NameSupply,
-                 limits: ResourceLimits = DEFAULT_LIMITS) -> list[Clause]:
-    """Clausify several formulas with shared name supplies, deduplicated."""
+                 limits: ResourceLimits = DEFAULT_LIMITS,
+                 deadline: Optional[float] = None) -> list[Clause]:
+    """Clausify several formulas with shared name supplies, deduplicated.
+
+    deadline is as in clausify_formula, one instant for all the formulas.
+    """
+    tick = clock(limits.deadline() if deadline is None else deadline)
     clauses: list[Clause] = []
     seen: set[Clause] = set()
     for f in formulas:
-        for c in clausify_formula(f, var_supply, sk_supply, limits):
+        g = eliminate_connectives(f, tick)
+        g = to_nnf(g, tick)
+        g = standardize_apart(g, var_supply, tick)
+        g = skolemize(g, sk_supply, tick)
+        for c in clausify(g, limits, tick):
             if c not in seen:
                 seen.add(c)
                 clauses.append(c)

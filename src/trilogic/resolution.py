@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fol import (
-    Answered, Atom, Clause, Constant, ExecFailed, ExecError, Function,
-    Inconsistent, Literal, Not, Outcome, Problem, ResourceLimits,
-    DEFAULT_LIMITS, Term, Truth, Variable, Verdict, clause_substitute,
-    substitute_term, term_variables,
+    Answered, Atom, Clause, Constant, DeadlineExceeded, ExecFailed,
+    ExecError, Function, Inconsistent, Literal, Not, Outcome, Problem,
+    ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
+    clause_substitute, substitute_term, term_variables,
 )
 from .normalize import clausify_all, skolem_supply, variable_supply
 
@@ -426,16 +426,21 @@ def resolution_runs(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS
     """Outcome plus the two saturation results (prove-C side, prove-not-C side).
 
     Both saturations share one wall_ms budget, split as in
-    ResourceLimits.deadline.
+    ResourceLimits.deadline; clausification may use all of it.
     """
     first_deadline, deadline = limits.deadline(0.5), limits.deadline()
     var_supply, sk_supply = variable_supply(), skolem_supply()
     try:
-        premises = clausify_all(p.premises, var_supply, sk_supply, limits)
-        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply, limits)
-        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits)
+        premises = clausify_all(p.premises, var_supply, sk_supply, limits,
+                                deadline)
+        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply,
+                                limits, deadline)
+        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits,
+                                deadline)
     except ExecError as e:
         return ExecFailed(str(e)), None, None
+    except DeadlineExceeded:
+        return Answered(Verdict(Truth.UNKNOWN, resource_limited=True)), None, None
 
     proves_c = saturate(premises, neg_goal, limits, first_deadline)
     proves_not_c = saturate(premises, pos_goal, limits, deadline)

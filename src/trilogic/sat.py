@@ -32,18 +32,18 @@ _COMBOS_PER_CHECK = 1024
 
 @dataclass
 class GroundAtomTable:
-    """Bijection between ground atoms and dense propositional indices."""
+    """Bijection between ground atoms and dense 1-based propositional indices.
+
+    index_of is keyed by an atom's plain (predicate, names) tuple; atoms[i]
+    is the Atom of index i + 1, built once when its key is first interned.
+    """
 
     atoms: list[Atom] = field(default_factory=list)
-    index_of: dict[Atom, int] = field(default_factory=dict)
+    index_of: dict[tuple[str, tuple[str, ...]], int] = field(
+        default_factory=dict)
 
-    def intern(self, atom: Atom) -> int:
-        idx = self.index_of.get(atom)
-        if idx is None:
-            idx = len(self.atoms)
-            self.atoms.append(atom)
-            self.index_of[atom] = idx
-        return idx
+    def copy(self) -> GroundAtomTable:
+        return GroundAtomTable(list(self.atoms), dict(self.index_of))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -60,7 +60,8 @@ class PropClauseSet:
 
 def ground(clauses: Iterable[Clause], constants: Iterable[str],
            limits: ResourceLimits = DEFAULT_LIMITS,
-           deadline: Optional[float] = None) -> PropClauseSet:
+           deadline: Optional[float] = None,
+           base: Optional[PropClauseSet] = None) -> PropClauseSet:
     """Instantiate every clause under every assignment of its variables.
 
     Each clause is compiled once into literal templates. Every argument
@@ -70,18 +71,28 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
     time.monotonic() instant, by default wall_ms from now, checked every
     _COMBOS_PER_CHECK assignments of a clause; past it grounding raises
     DeadlineExceeded.
+
+    base is an earlier grounding over the same constants that these
+    clauses extend, as a problem's goal extends its premises. The result
+    numbers its atoms on from a copy of base's table and holds only the
+    instances base lacks; the literal budget counts base's literals too.
     """
     if deadline is None:
         deadline = limits.deadline()
     universe = sorted(set(constants))
     if not universe:
         universe = [DUMMY_CONSTANT]
-    table = GroundAtomTable()
-    index_of: dict[tuple[str, tuple[str, ...]], int] = {}
+    if base is None:
+        table = GroundAtomTable()
+        seen: set[tuple[int, ...]] = set()
+        total_literals = 0
+    else:
+        table = base.table.copy()
+        seen = set(base.clauses)
+        total_literals = sum(map(len, base.clauses))
+    atoms, index_of = table.atoms, table.index_of
     out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
     literal_budget = limits.max_ground_literals
-    total_literals = 0
 
     for clause in clauses:
         # a row holds the variables' values, then the clause's constants
@@ -109,8 +120,9 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
                 key = (predicate, pick(row))
                 idx = index_of.get(key)
                 if idx is None:
-                    atom = Atom(predicate, tuple(Constant(n) for n in key[1]))
-                    idx = index_of[key] = table.intern(atom) + 1
+                    atoms.append(
+                        Atom(predicate, tuple(Constant(n) for n in key[1])))
+                    idx = index_of[key] = len(atoms)
                 s = idx if positive else -idx
                 if -s in signed:
                     break  # a tautology
@@ -144,6 +156,11 @@ def _reject_functions(t: Term) -> None:
         raise ExecError(
             f"unsupported fragment: function term {t.name}/{len(t.args)} "
             "(skolem functions of arity >= 1 need the resolution engine)")
+
+
+def _clause_constants(clauses: Iterable[Clause]) -> set[str]:
+    return {name for c in clauses for lit in c for arg in lit.atom.args
+            for name in term_constants(arg)}
 
 
 def dpll(cs: PropClauseSet, deadline: Optional[float] = None
@@ -331,30 +348,55 @@ def to_dimacs(cs: PropClauseSet) -> str:
 def entail_sat(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
     """Dual satisfiability queries: UNSAT(P and not C) / UNSAT(P and C).
 
+    Each query grounds over the named constants and the skolem constants of
+    the premises and of its own goal. The premises are grounded once, for
+    every query whose goal brings no skolem constant of its own (the usual
+    case); such a query grounds only its goal on top, and its clause set is
+    byte for byte the one it would ground alone. A goal with skolem
+    constants of its own is grounded together with the premises, over
+    them. One universe for both queries would keep the verdicts, but each
+    query's literal budget would then count instances over the other
+    goal's constants. The second goal is grounded only after the first
+    query has returned.
+
     Both queries share one wall_ms budget, split as in
-    ResourceLimits.deadline. A query that runs past its deadline counts as
-    undecided, as a saturation that hits a limit does in resolution_runs.
+    ResourceLimits.deadline; clausification and the shared premise
+    grounding may use all of it. A query that runs past its deadline counts
+    as undecided, as a saturation that hits a limit does in resolution_runs.
     """
     first_deadline, deadline = limits.deadline(0.5), limits.deadline()
     var_supply, sk_supply = variable_supply(), skolem_supply()
     try:
-        premises = clausify_all(p.premises, var_supply, sk_supply, limits)
-        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply, limits)
-        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits)
+        premises = clausify_all(p.premises, var_supply, sk_supply, limits,
+                                deadline)
+        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply,
+                                limits, deadline)
+        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits,
+                                deadline)
     except ExecError as e:
         return ExecFailed(str(e))
+    except DeadlineExceeded:
+        return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
 
-    base = p.constants()
+    constants = p.constants() | _clause_constants(premises)
+    shared: Optional[PropClauseSet] = None  # the premises, once grounded
 
-    def satisfiable(goal: list[Clause], deadline: float) -> Optional[bool]:
-        """SAT or UNSAT; None once past the deadline."""
-        side = premises + goal
-        constants = base | {name for c in side for lit in c
-                            for arg in lit.atom.args
-                            for name in term_constants(arg)}
+    def satisfiable(goal: list[Clause], query_deadline: float
+                    ) -> Optional[bool]:
+        """SAT or UNSAT; None once past the query's deadline."""
+        nonlocal shared
+        own = _clause_constants(goal) - constants
         try:
-            cs = ground(side, constants, limits, deadline)
-            return dpll(cs, deadline) is not None
+            if own:
+                cs = ground(premises + goal, constants | own, limits,
+                            query_deadline)
+            else:
+                if shared is None:
+                    shared = ground(premises, constants, limits, deadline)
+                cs = ground(goal, constants, limits, query_deadline, shared)
+                cs = PropClauseSet(shared.clauses + cs.clauses, cs.atom_count,
+                                   cs.table)
+            return dpll(cs, query_deadline) is not None
         except DeadlineExceeded:
             return None
 

@@ -1,15 +1,21 @@
 """Clausification pipeline: connective elimination, NNF, skolemization, CNF."""
 
+import time
+
 import pytest
 
+from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.fol import (
-    And, Atom, Constant, ExecError, Exists, ForAll, Iff, Implies, Not, Or,
-    ResourceLimits, Variable, Xor, free_variables,
+    And, Answered, Atom, Constant, DeadlineExceeded, ExecError, ExecFailed,
+    Exists, ForAll, Iff, Implies, Not, Or, ResourceLimits, Variable, Xor,
+    free_variables,
 )
 from trilogic.normalize import (
-    clausify_all, clausify_formula, eliminate_connectives, skolem_supply,
-    skolemize, standardize_apart, to_nnf, variable_supply,
+    clausify, clausify_all, clausify_formula, clock, eliminate_connectives,
+    skolem_supply, skolemize, standardize_apart, to_nnf, variable_supply,
 )
+from trilogic.resolution import entail_resolution
+from trilogic.sat import entail_sat
 
 X = Variable("x")
 Y = Variable("y")
@@ -121,3 +127,74 @@ class TestClausify:
         again = cf(ForAll("y", Or((Not(atom("p", Y)), atom("q", Y),
                                    atom("r", A)))))
         assert again == first
+
+
+def iff_chain(links):
+    """p(A) <-> (p(A) <-> ...) with links + 1 atoms."""
+    f = atom("p", A)
+    for _ in range(links):
+        f = Iff(atom("p", A), f)
+    return f
+
+
+# texts whose clausification grows exponentially in their length
+EXPLOSIVE_TEXTS = {
+    "prover9 <-> chain of 16": (
+        parse_prover9,
+        "Premises:\np(A)\nConclusion:\n" + " <-> ".join(["p(A)"] * 17)
+        + "\n"),
+    "z3 == chain of 150": (
+        parse_z3, "P(A)\nreturn " + " == ".join(["P(A)"] * 151) + "\n"),
+    # 2^16 clauses of 16 literals each, under max_cnf_clauses
+    "z3 Or of 16 Ands": (
+        parse_z3, "a0(A)\nreturn Or("
+        + ", ".join(f"And(a{i}(A), b{i}(A))" for i in range(16)) + ")\n"),
+}
+
+
+class TestDeadline:
+    def test_past_deadline_raises_in_each_walk(self):
+        past = time.monotonic() - 1
+        f = iff_chain(12)
+        g = eliminate_connectives(f)
+        nnf = to_nnf(g)
+        for walk in (lambda tick: to_nnf(g, tick),
+                     lambda tick: standardize_apart(nnf, variable_supply(),
+                                                    tick),
+                     lambda tick: skolemize(nnf, skolem_supply(), tick),
+                     # 2^11 clauses of 11 literals
+                     lambda tick: clausify(Or(tuple(
+                         And((atom(f"a{i}", A), atom(f"b{i}", A)))
+                         for i in range(11))), tick=tick)):
+            with pytest.raises(DeadlineExceeded):
+                walk(clock(past))
+        with pytest.raises(DeadlineExceeded):
+            clausify_formula(f, variable_supply(), skolem_supply(),
+                             deadline=past)
+
+    def test_clock_reads_once_per_1024_ticks(self):
+        tick = clock(time.monotonic() - 1)
+        for _ in range(1023):
+            tick()
+        with pytest.raises(DeadlineExceeded):
+            tick()
+
+    def test_small_formula_never_reads_the_clock(self):
+        f = Iff(atom("p", A), atom("q", A))
+        assert len(clausify_formula(f, variable_supply(), skolem_supply(),
+                                    deadline=time.monotonic() - 1)) == 2
+
+    @pytest.mark.parametrize("engine", [entail_resolution, entail_sat])
+    @pytest.mark.parametrize("name", sorted(EXPLOSIVE_TEXTS))
+    def test_engines_stop_on_time(self, name, engine):
+        parse, text = EXPLOSIVE_TEXTS[name]
+        problem = parse(text)
+        start = time.monotonic()
+        out = engine(problem, ResourceLimits(wall_ms=500))
+        elapsed = time.monotonic() - start
+        if isinstance(out, Answered):
+            assert out.verdict.resource_limited
+        else:
+            assert out == ExecFailed("clause explosion")
+        # the budget, with room for a loaded host
+        assert elapsed < 1.0

@@ -7,13 +7,16 @@ import time
 import pytest
 
 from trilogic.fol import (
-    Atom, Clause, Constant, DEFAULT_LIMITS, DeadlineExceeded, ExecError,
-    Function, Literal, ResourceLimits, Truth, Variable, WorldAssumption,
+    Answered, Atom, Clause, Constant, DEFAULT_LIMITS, DeadlineExceeded,
+    ExecError, ExecFailed, Function, Inconsistent, Literal, Not,
+    ResourceLimits, Truth, Variable, Verdict, WorldAssumption, term_constants,
 )
-from trilogic.dialects import parse_z3
+from trilogic.dialects import parse_prover9, parse_z3
+from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.sat import (
     GroundAtomTable, PropClauseSet, dpll, entail_sat, ground, to_dimacs,
 )
+from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
 X = Variable("x")
 A = Constant("A")
@@ -52,6 +55,23 @@ class TestGround:
         with pytest.raises(DeadlineExceeded):
             ground([Clause((lit("p", X),))], ["A"], DEFAULT_LIMITS,
                    deadline=time.monotonic() - 1)
+
+    def test_extends_a_base_grounding(self):
+        premises = [Clause((lit("p", X, pos=False), lit("q", X))),
+                    Clause((lit("p", A),))]
+        # the second goal clause repeats a premise instance
+        goal = [Clause((lit("q", X, pos=False), lit("r", X))),
+                Clause((lit("p", A),))]
+        base = ground(premises, ["A", "B"])
+        on_top = ground(goal, ["A", "B"], base=base)
+        assert on_top.clauses == [(-2, 5), (-4, 6)]
+        assert on_top.atom_count == 6
+        assert on_top.table.index_of[("r", ("B",))] == 6
+        assert len(base.table) == base.atom_count == 4  # base is untouched
+        both = PropClauseSet(base.clauses + on_top.clauses,
+                             on_top.atom_count, on_top.table)
+        assert to_dimacs(both) == to_dimacs(ground(premises + goal,
+                                                   ["A", "B"]))
 
     def test_budget_enforced(self):
         tight = ResourceLimits(max_generated_clauses=10, max_clause_literals=64,
@@ -220,6 +240,143 @@ def reference_dpll(cs):
     return solve(list(cs.clauses), {})
 
 
+def reference_entail_sat(p, limits=DEFAULT_LIMITS):
+    """entail_sat as it was before the premises were grounded once: each
+    query grounds the premises with its goal, over the named constants and
+    the skolem constants of the premises and of that goal."""
+    first_deadline, deadline = limits.deadline(0.5), limits.deadline()
+    var_supply, sk_supply = variable_supply(), skolem_supply()
+    try:
+        premises = clausify_all(p.premises, var_supply, sk_supply, limits)
+        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply,
+                                limits)
+        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits)
+    except ExecError as e:
+        return ExecFailed(str(e))
+
+    base = p.constants()
+
+    def satisfiable(goal, deadline):
+        side = premises + goal
+        constants = base | {name for c in side for lit in c
+                            for arg in lit.atom.args
+                            for name in term_constants(arg)}
+        try:
+            cs = ground(side, constants, limits, deadline)
+            return dpll(cs, deadline) is not None
+        except DeadlineExceeded:
+            return None
+
+    try:
+        sat_with_neg = satisfiable(neg_goal, first_deadline)
+        sat_with_pos = satisfiable(pos_goal, deadline)
+    except ExecError as e:
+        return ExecFailed(str(e))
+
+    if sat_with_neg is False and sat_with_pos is False:
+        return Inconsistent()
+    if sat_with_neg is False:
+        return Answered(Verdict(Truth.TRUE))
+    if sat_with_pos is False:
+        return Answered(Verdict(Truth.FALSE))
+    if sat_with_neg and sat_with_pos:
+        return Answered(Verdict(Truth.UNKNOWN))
+    return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
+
+
+def pigeonhole_text(pigeons, holes, conclusion="inh(P0, H0)"):
+    """Every pigeon in some hole, no hole shared; z3 text."""
+    ps = [f"P{i}" for i in range(pigeons)]
+    hs = [f"H{j}" for j in range(holes)]
+    lines = ["Or(" + ", ".join(f"inh({p}, {h})" for h in hs) + ")"
+             for p in ps]
+    lines += [f"Not(And(inh({a}, {h}), inh({b}, {h})))" for h in hs
+              for i, a in enumerate(ps) for b in ps[i + 1:]]
+    return "\n".join(lines) + f"\nreturn {conclusion}\n"
+
+
+def closure_text(n, forward):
+    """A chain of n constants under a transitive path rule; z3 text."""
+    cs = [f"C{i}" for i in range(n)]
+    src, dst = (cs[0], cs[-1]) if forward else (cs[-1], cs[0])
+    lines = [f"edge({a}, {b})" for a, b in zip(cs, cs[1:])]
+    lines += ["ForAll([x, y], Implies(edge(x, y), path(x, y)))",
+              "ForAll([x, y, z], Implies(And(path(x, y), edge(y, z)), "
+              "path(x, z)))"]
+    return "\n".join(lines) + f"\nreturn path({src}, {dst})\n"
+
+
+# conclusions whose negation, assertion or both bring skolem constants
+QUANTIFIED_TEXTS = (
+    # the P-and-C goal has one (and in the first, the premises too)
+    "Exists([x], P(x))\nForAll([x], Implies(P(x), Q(x)))\n"
+    "return Exists([x], Q(x))\n",
+    "ForAll([x], Not(P(x)))\nreturn Exists([x], P(x))\n",
+    # the P-and-not-C goal has one (and in the last, the premises too)
+    "P(A)\nForAll([x], Implies(P(x), Q(x)))\nreturn ForAll([x], Q(x))\n",
+    "ForAll([x], P(x))\nreturn ForAll([x], P(x))\n",
+    "Exists([x], And(P(x), Not(Q(x))))\n"
+    "return ForAll([x], Implies(P(x), Q(x)))\n",
+    # both goals have one
+    "P(A)\nForAll([x], Q(x))\n"
+    "return And(Exists([x], Q(x)), ForAll([y], P(y)))\n",
+    "ForAll([x, y], Implies(R(x, y), R(y, x)))\nR(A, B)\n"
+    "return Or(Exists([x], R(x, A)), ForAll([y], R(B, y)))\n",
+)
+
+
+class TestSharedPremises:
+    """entail_sat against reference_entail_sat, outcome for outcome."""
+
+    BUDGETS = (ResourceLimits(wall_ms=60_000),
+               ResourceLimits(wall_ms=60_000, max_ground_literals=30),
+               ResourceLimits(wall_ms=60_000, max_ground_literals=300))
+
+    def problems(self):
+        for fragment in (HORN, FULL_FOL):
+            cfg = GenConfig(fragment=fragment, seed=23)
+            for gp in generate_suite(cfg, 60, (2, 3, 5)):
+                yield parse_z3(gp.texts["z3"])
+                yield parse_prover9(gp.texts["prover9"])
+        for text in QUANTIFIED_TEXTS:
+            yield parse_z3(text)
+        for pigeons, holes in ((4, 3), (3, 3), (5, 4)):
+            yield parse_z3(pigeonhole_text(pigeons, holes))
+        for n in (4, 6):
+            yield parse_z3(closure_text(n, True))
+            yield parse_z3(closure_text(n, False))
+
+    def test_matches_reference(self):
+        kinds = set()
+        for problem in self.problems():
+            for limits in self.BUDGETS:
+                want = reference_entail_sat(problem, limits)
+                assert entail_sat(problem, limits) == want, problem
+                kinds.add(str(want))
+        assert kinds == {"True", "False", "Unknown", "Inconsistent",
+                         "ExecError: grounding budget exceeded"}
+
+    @pytest.mark.parametrize("conclusion, goal_literals", [
+        # P and not C: -q(A) | -q(B), -q(A) | -r(A); P and C: q(A), q(B) | r(A)
+        ("And(q(A), Or(q(B), r(A)))", 4),
+        # P and not C: -q(A), -q(B) | -r(A); P and C: q(A) | q(B), q(A) | r(A)
+        ("Or(q(A), And(q(B), r(A)))", 4),
+    ])
+    def test_budget_is_premises_plus_one_goal(self, conclusion, goal_literals):
+        # premise instances: p(A); -p(A) | s(A); -p(B) | s(B)
+        problem = parse_z3("p(A)\nForAll([x], Implies(p(x), s(x)))\n"
+                           f"return {conclusion}\n")
+        premise_literals = 5
+        fits = ResourceLimits(
+            max_ground_literals=premise_literals + goal_literals)
+        over = ResourceLimits(
+            max_ground_literals=premise_literals + goal_literals - 1)
+        for run in (entail_sat, reference_entail_sat):
+            assert run(problem, fits) == Answered(Verdict(Truth.UNKNOWN))
+            assert run(problem, over) == ExecFailed(
+                "grounding budget exceeded")
+
+
 class TestEntailSat:
     def run(self, text, assumption=WorldAssumption.OWA):
         return entail_sat(parse_z3(text, assumption))
@@ -256,14 +413,7 @@ class TestEntailSat:
         # both sides: the conclusion is unrelated to the pigeons (with
         # inh(P0, H0) the C side leaves 8 pigeons in 7 holes, which can end
         # in time and answer False)
-        pigeons = [f"P{i}" for i in range(9)]
-        holes = [f"H{j}" for j in range(8)]
-        lines = ["Or(" + ", ".join(f"inh({p}, {h})" for h in holes) + ")"
-                 for p in pigeons]
-        lines += [f"Not(And(inh({a}, {h}), inh({b}, {h})))" for h in holes
-                  for i, a in enumerate(pigeons) for b in pigeons[i + 1:]]
-        lines.append("return q(A)")
-        problem = parse_z3("\n".join(lines) + "\n")
+        problem = parse_z3(pigeonhole_text(9, 8, "q(A)"))
         start = time.monotonic()
         out = entail_sat(problem, ResourceLimits(wall_ms=2000))
         elapsed = time.monotonic() - start
@@ -283,3 +433,18 @@ class TestEntailSat:
         out = entail_sat(parse_z3(text), limits)
         assert out.verdict.value is Truth.FALSE
         assert not out.verdict.resource_limited
+
+    def test_second_query_past_its_deadline_keeps_first_answer(self):
+        # P and not C is UNSAT at once; grounding P and C needs 8^7
+        # instances, far past the budget, so the answer is still True
+        facts = "".join(f"p(A{i})\n" for i in range(7))
+        xs = ", ".join(f"x{i}" for i in range(7))
+        text = (f"q(B)\n{facts}"
+                f"return Or(q(B), ForAll([{xs}], r({xs})))\n")
+        limits = ResourceLimits(wall_ms=400, max_ground_literals=10 ** 8)
+        start = time.monotonic()
+        out = entail_sat(parse_z3(text), limits)
+        assert out.verdict.value is Truth.TRUE
+        assert not out.verdict.resource_limited
+        # the budget, with room for a loaded host
+        assert time.monotonic() - start < 0.8
