@@ -28,7 +28,7 @@ from .harness import (
     run_translation,
 )
 from .resolution import Proved, render_trace, resolution_runs
-from .dialects import parse_prover9, parse_z3
+from .dialects import DIALECTS, parse_prover9, parse_z3
 from .testkit import (
     DEFAULT_ENGINES, FRAGMENTS, GenConfig, differential_check,
     generate_suite,
@@ -248,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="answer one problem file")
     solve.add_argument("file")
-    solve.add_argument("--dialect", choices=["prover9", "z3", "pyke"],
-                       required=True)
+    solve.add_argument("--dialect", choices=DIALECTS, required=True)
     solve.add_argument("--engine", choices=list(ENGINES), required=True)
     solve.add_argument("--assumption", choices=["OWA", "CWA"], default="OWA")
     solve.add_argument("--trace", action="store_true",
@@ -259,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="run a dataset through one engine")
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--translations", required=True)
-    ev.add_argument("--dialect", choices=["prover9", "z3", "pyke"],
-                    required=True)
+    ev.add_argument("--dialect", choices=DIALECTS, required=True)
     ev.add_argument("--engine", choices=list(ENGINES), required=True)
     ev.add_argument("--md", default=None, help="markdown report path")
     ev.add_argument("--csv", default=None, help="CSV report path")

@@ -8,111 +8,28 @@ variables, everything else in term position is a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fol import (
     And, Atom, Constant, Formula, ForAll, Exists, Function, Iff, Implies,
     Not, Or, ParseError, Problem, SourceSpan, Term, Variable, WorldAssumption,
-    Xor, MAX_NESTING_DEPTH, too_deep,
+    Xor,
+)
+from ._lex import (
+    NAME, PUNCTUATION, Cursor, Token, end_span, lexer, section_lines,
 )
 
-_UNICODE_OPS = {
-    "∀": "forall",   # for-all quantifier
-    "∃": "exists",   # exists quantifier
-    "¬": "not",
-    "∧": "and",
-    "∨": "or",
-    "⊕": "xor",
-    "→": "implies",
-    "↔": "iff",
-}
-_KEYWORDS = {"all": "forall", "exists": "exists"}
+_tokenize = lexer([
+    ("<->|↔", "iff"),
+    ("->|→", "implies"),
+    ("-|¬", "not"),
+    ("&|∧", "and"),
+    (r"\||∨", "or"),
+    (r"\^|⊕", "xor"),
+    ("∀", "forall"),
+    ("∃", "exists"),
+    *PUNCTUATION,
+    (NAME, {"all": "forall", "exists": "exists"}),
+])
 _SECTIONS = ("predicates", "premises", "conclusion")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, max(1, len(self.text)))
-
-
-def _strip_comment(raw: str) -> str:
-    cut = len(raw)
-    for marker in (":::", "#"):
-        pos = raw.find(marker)
-        if pos != -1:
-            cut = min(cut, pos)
-    return raw[:cut]
-
-
-def _tokenize(content: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(content)
-    while i < n:
-        ch = content[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _UNICODE_OPS:
-            tokens.append(_Token(_UNICODE_OPS[ch], ch, line_no, col))
-            i += 1
-            continue
-        if content.startswith("<->", i):
-            tokens.append(_Token("iff", "<->", line_no, col))
-            i += 3
-            continue
-        if content.startswith("->", i):
-            tokens.append(_Token("implies", "->", line_no, col))
-            i += 2
-            continue
-        if ch == "-":
-            tokens.append(_Token("not", "-", line_no, col))
-            i += 1
-            continue
-        if ch == "&":
-            tokens.append(_Token("and", "&", line_no, col))
-            i += 1
-            continue
-        if ch == "|":
-            tokens.append(_Token("or", "|", line_no, col))
-            i += 1
-            continue
-        if ch == "^":
-            tokens.append(_Token("xor", "^", line_no, col))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", "(", line_no, col))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ")", line_no, col))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("comma", ",", line_no, col))
-            i += 1
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (content[j].isalnum() or content[j] == "_"):
-                j += 1
-            word = content[i:j]
-            tokens.append(_Token(_KEYWORDS.get(word, "ident"), word, line_no, col))
-            i = j
-            continue
-        if ch == "_":
-            raise ParseError("reserved identifier starting with '_'",
-                             SourceSpan(line_no, col))
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line_no, col))
-    return tokens
 
 
 class _ArityTable:
@@ -122,7 +39,7 @@ class _ArityTable:
         self.declared: dict[str, int] = {}
         self.inferred: dict[str, int] = {}
 
-    def declare(self, name: str, arity: int, tok: _Token) -> None:
+    def declare(self, name: str, arity: int, tok: Token) -> None:
         known = self.declared.get(name)
         if known is not None and known != arity:
             raise ParseError(
@@ -130,7 +47,7 @@ class _ArityTable:
                 tok.span())
         self.declared[name] = arity
 
-    def check_use(self, name: str, arity: int, tok: _Token) -> None:
+    def check_use(self, name: str, arity: int, tok: Token) -> None:
         if name in self.declared:
             if self.declared[name] != arity:
                 raise ParseError(
@@ -146,57 +63,23 @@ class _ArityTable:
                 tok.span())
 
 
-class _FormulaParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int,
+class _FormulaParser(Cursor):
+    def __init__(self, tokens: list[Token], line_no: int, line_len: int,
                  arities: _ArityTable) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = line_len
+        super().__init__(tokens, line_no, line_len)
         self.arities = arities
         self.scope: list[str] = []
-        self.depth = 0
-
-    def deeper(self, tok: _Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING_DEPTH:
-            raise too_deep(tok.span())
-
-    def peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            if tok is None:
-                raise ParseError(f"expected {what}",
-                                 SourceSpan(self.line_no, max(1, self.line_len)))
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.span())
-        return self.advance()
 
     def parse(self) -> Formula:
         f = self.implication()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.span())
+        self.done()
         return f
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        tok = self.peek()
-        if tok is None or tok.kind not in ("implies", "iff"):
+        tok = self.accept("implies") or self.accept("iff")
+        if tok is None:
             return left
-        self.advance()
         self.deeper(tok)
         right = self.implication()
         self.depth -= 1
@@ -206,10 +89,9 @@ class _FormulaParser:
         node = self.conjunction()
         merged_or = False
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("or", "xor"):
+            tok = self.accept("or") or self.accept("xor")
+            if tok is None:
                 return node
-            self.advance()
             right = self.conjunction()
             if tok.kind == "or":
                 if merged_or and isinstance(node, Or):
@@ -223,11 +105,7 @@ class _FormulaParser:
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "and":
-                break
-            self.advance()
+        while self.accept("and"):
             parts.append(self.unary())
         if len(parts) == 1:
             return parts[0]
@@ -236,8 +114,7 @@ class _FormulaParser:
     def unary(self) -> Formula:
         tok = self.peek()
         if tok is None:
-            raise ParseError("expected a formula",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
+            raise self.end_of_line("a formula")
         if tok.kind == "ident":
             return self.atom()
         if tok.kind not in ("not", "forall", "exists", "lparen"):
@@ -264,19 +141,12 @@ class _FormulaParser:
     def atom(self) -> Formula:
         name_tok = self.advance()
         name = name_tok.text
-        tok = self.peek()
-        if tok is None or tok.kind != "lparen":
+        if not self.accept("lparen"):
             self.arities.check_use(name, 0, name_tok)
             return Atom(name)
-        self.advance()
         args = [self.term()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.advance()
-                args.append(self.term())
-            else:
-                break
+        while self.accept("comma"):
+            args.append(self.term())
         self.expect("rparen", "')'")
         self.arities.check_use(name, len(args), name_tok)
         return Atom(name, tuple(args))
@@ -291,13 +161,8 @@ class _FormulaParser:
             self.advance()
             self.deeper(nxt)
             args = [self.term()]
-            while True:
-                nxt = self.peek()
-                if nxt is not None and nxt.kind == "comma":
-                    self.advance()
-                    args.append(self.term())
-                else:
-                    break
+            while self.accept("comma"):
+                args.append(self.term())
             self.expect("rparen", "')'")
             self.depth -= 1
             return Function(tok.text, tuple(args))
@@ -306,21 +171,10 @@ class _FormulaParser:
         return Constant(tok.text)
 
 
-def _section_header(content: str) -> str | None:
-    word = content.strip()
-    if word.endswith(":"):
-        word = word[:-1].rstrip()
-    low = word.lower()
-    if low in _SECTIONS and " " not in word:
-        return low
-    return None
-
-
-def _parse_declaration(tokens: list[_Token], line_no: int, line_len: int,
+def _parse_declaration(tokens: list[Token], line_no: int, line_len: int,
                        arities: _ArityTable) -> None:
-    if not tokens or tokens[0].kind != "ident":
-        span = tokens[0].span() if tokens else SourceSpan(line_no, 1)
-        raise ParseError("expected a predicate declaration", span)
+    if tokens[0].kind != "ident":  # a content line has a token
+        raise ParseError("expected a predicate declaration", tokens[0].span())
     name_tok = tokens[0]
     if len(tokens) == 1:
         arities.declare(name_tok.text, 0, name_tok)
@@ -363,31 +217,15 @@ def parse_prover9(text: str,
     Raises ParseError with a source span on malformed input: untranslated
     prose, unknown characters, arity clashes, or a missing conclusion.
     """
-    lines = text.split("\n")
     arities = _ArityTable()
     premises: list[Formula] = []
     conclusion: Formula | None = None
-    section: str | None = None
-    last_line = max(1, len(lines))
-
-    for line_no, raw in enumerate(lines, start=1):
-        content = _strip_comment(raw)
-        if not content.strip():
-            continue
-        header = _section_header(content)
-        if header is not None:
-            section = header
-            continue
-        if section is None:
-            col = len(content) - len(content.lstrip()) + 1
-            raise ParseError("content before any section header",
-                             SourceSpan(line_no, col))
+    for section, line_no, raw, content in section_lines(text, _SECTIONS):
         tokens = _tokenize(content, line_no)
         if section == "predicates":
             _parse_declaration(tokens, line_no, len(raw), arities)
             continue
-        parser = _FormulaParser(tokens, line_no, len(raw), arities)
-        formula = parser.parse()
+        formula = _FormulaParser(tokens, line_no, len(raw), arities).parse()
         if section == "premises":
             premises.append(formula)
         else:
@@ -397,6 +235,6 @@ def parse_prover9(text: str,
             conclusion = formula
 
     if conclusion is None:
-        raise ParseError("missing Conclusion section", SourceSpan(last_line, 1))
+        raise ParseError("missing Conclusion section", end_span(text))
     return Problem(tuple(premises), conclusion, assumption=assumption,
                    id=problem_id, dialect="prover9")

@@ -10,11 +10,15 @@ rule base is compiled, mirroring an engine that only type-checks on load.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..fol import (
     MAX_NESTING_DEPTH, Constant, ParseError, SourceSpan, Term, Variable,
     too_deep,
+)
+from ._lex import (
+    NAME, PUNCTUATION, Cursor, Reject, Token, end_span, lexer, section_lines,
 )
 
 _CONNECTIVE_WORDS = ("Xor", "Exists", "ForAll", "Or", "And", "Not",
@@ -48,125 +52,25 @@ class PykeProgram:
     query: tuple[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, max(1, len(self.text)))
-
-
-def _strip_comment(raw: str) -> str:
-    cut = len(raw)
-    for marker in (":::", "#"):
-        pos = raw.find(marker)
-        if pos != -1:
-            cut = min(cut, pos)
-    return raw[:cut]
+_CONNECTIVE = Reject("unsupported connective {!r}")
+_tokenize = lexer([
+    ("[" + re.escape(_CONNECTIVE_CHARS) + "]", _CONNECTIVE),
+    (">>>", "arrow"),
+    ("&&", "andand"),
+    *PUNCTUATION,
+    (r"\$\w+", "var"),
+    (r"\$", Reject("'$' must introduce a variable name")),
+    (NAME, dict.fromkeys(_CONNECTIVE_WORDS, _CONNECTIVE)),
+])
 
 
-def _tokenize(content: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(content)
-    while i < n:
-        ch = content[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _CONNECTIVE_CHARS:
-            raise ParseError(f"unsupported connective {ch!r}",
-                             SourceSpan(line_no, col))
-        if content.startswith(">>>", i):
-            tokens.append(_Token("arrow", ">>>", line_no, col))
-            i += 3
-            continue
-        if content.startswith("&&", i):
-            tokens.append(_Token("andand", "&&", line_no, col))
-            i += 2
-            continue
-        if ch in "&>":
-            raise ParseError(f"unexpected character {ch!r}",
-                             SourceSpan(line_no, col))
-        if ch in "(),":
-            kinds = {"(": "lparen", ")": "rparen", ",": "comma"}
-            tokens.append(_Token(kinds[ch], ch, line_no, col))
-            i += 1
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and (content[j].isalnum() or content[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("'$' must introduce a variable name",
-                                 SourceSpan(line_no, col))
-            tokens.append(_Token("var", content[i:j], line_no, col))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (content[j].isalnum() or content[j] == "_"):
-                j += 1
-            word = content[i:j]
-            if word in _CONNECTIVE_WORDS:
-                raise ParseError(f"unsupported connective '{word}'",
-                                 SourceSpan(line_no, col))
-            tokens.append(_Token("ident", word, line_no, col))
-            i = j
-            continue
-        if ch == "_":
-            raise ParseError("reserved identifier starting with '_'",
-                             SourceSpan(line_no, col))
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line_no, col))
-    return tokens
-
-
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = line_len
-
-    def peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.span())
-        return self.advance()
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.span())
-
-    def raw_call(self) -> tuple[_Token, list[_Token]]:
+class _LineParser(Cursor):
+    def raw_call(self) -> tuple[Token, list[Token]]:
         """Parse name(arg, ..., arg) into the name token and arg tokens."""
         name = self.expect("ident", "a predicate name")
         self.expect("lparen", "'('")
-        args = []
-        tok = self.peek()
-        if tok is not None and tok.kind == "rparen":
-            self.advance()
+        args: list[Token] = []
+        if self.accept("rparen"):
             return name, args
         while True:
             tok = self.advance()
@@ -174,12 +78,9 @@ class _LineParser:
                 raise ParseError(f"expected an argument, found {tok.text!r}",
                                  tok.span())
             args.append(tok)
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.advance()
-                continue
-            self.expect("rparen", "')'")
-            return name, args
+            if not self.accept("comma"):
+                self.expect("rparen", "')'")
+                return name, args
 
     def literal(self) -> PykeLiteral:
         """A rule or fact literal; the last argument is its truth slot."""
@@ -233,38 +134,28 @@ def _parse_fact(parser: _LineParser) -> tuple[str, tuple[str, ...], bool]:
 def _parse_rule(parser: _LineParser) -> PykeRule:
     # the engine's join nests one level per body literal
     body = [parser.literal()]
-    while True:
-        tok = parser.peek()
-        if tok is not None and tok.kind == "andand":
-            parser.advance()
-            if len(body) == MAX_NESTING_DEPTH:
-                raise too_deep(tok.span())
-            body.append(parser.literal())
-        else:
-            break
-    arrow = parser.expect("arrow", "'>>>'")
+    while tok := parser.accept("andand"):
+        if len(body) == MAX_NESTING_DEPTH:
+            raise too_deep(tok.span())
+        body.append(parser.literal())
+    parser.expect("arrow", "'>>>'")
     head_start = parser.peek()
     head = parser.literal()
     # Tolerate a single stray ')' after the head; some emitters add one.
-    tok = parser.peek()
-    if tok is not None and tok.kind == "rparen" and parser.pos == len(parser.tokens) - 1:
-        parser.advance()
+    if parser.pos == len(parser.tokens) - 1:
+        parser.accept("rparen")
     parser.done()
     bound = {t.name for lit in body for t in lit.args if isinstance(t, Variable)}
     for term in head.args:
         if isinstance(term, Variable) and term.name not in bound:
-            span = head_start.span() if head_start is not None else arrow.span()
             raise ParseError(
                 f"head variable '${term.name}' not bound in the rule body",
-                span)
+                head_start.span())
     return PykeRule(tuple(body), head)
 
 
 def _parse_query(parser: _LineParser) -> tuple[str, tuple[str, ...]]:
-    tok = parser.peek()
-    if tok is not None and tok.kind == "ident" \
-            and (parser.pos + 1 == len(parser.tokens)):
-        parser.advance()
+    if len(parser.tokens) == 1 and (tok := parser.accept("ident")):
         return tok.text, ()
     name, args = parser.raw_call()
     parser.done()
@@ -285,27 +176,11 @@ def parse_pyke(text: str) -> PykeProgram:
     may also sit inside Facts), and Query. Raises ParseError with a source
     span on malformed or out-of-fragment input.
     """
-    lines = text.split("\n")
     declarations: list[tuple[str, int]] = []
     facts: list[tuple[str, tuple[str, ...], bool]] = []
     rules: list[PykeRule] = []
     query: tuple[str, tuple[str, ...]] | None = None
-    section: str | None = None
-    last_line = max(1, len(lines))
-
-    for line_no, raw in enumerate(lines, start=1):
-        content = _strip_comment(raw)
-        stripped = content.strip()
-        if not stripped:
-            continue
-        header = stripped[:-1].rstrip() if stripped.endswith(":") else stripped
-        if header.lower() in _SECTIONS and " " not in header:
-            section = header.lower()
-            continue
-        if section is None:
-            col = len(content) - len(content.lstrip()) + 1
-            raise ParseError("content before any section header",
-                             SourceSpan(line_no, col))
+    for section, line_no, raw, content in section_lines(text, _SECTIONS):
         tokens = _tokenize(content, line_no)
         parser = _LineParser(tokens, line_no, len(raw))
         has_arrow = any(t.kind == "arrow" for t in tokens)
@@ -325,5 +200,5 @@ def parse_pyke(text: str) -> PykeProgram:
             query = _parse_query(parser)
 
     if query is None:
-        raise ParseError("missing Query section", SourceSpan(last_line, 1))
+        raise ParseError("missing Query section", end_span(text))
     return PykeProgram(tuple(declarations), tuple(facts), tuple(rules), query)

@@ -11,126 +11,46 @@ structurally, so an unknown callee is a parse error rather than a NameError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..fol import (
     And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, Not, Or,
     ParseError, Problem, SourceSpan, Term, Variable, WorldAssumption, Xor,
-    MAX_NESTING_DEPTH, too_deep,
+)
+from ._lex import (
+    NAME, PUNCTUATION, Cursor, Reject, Token, content_lines, end_span,
+    indent_span, lexer,
 )
 
 _DEF_LINE = re.compile(r"^def\s+[A-Za-z_]\w*\s*\(\s*\)\s*:\s*$")
 _OPERATORS = ("And", "Or", "Not", "Xor", "Implies", "ForAll", "Exists")
 _BOOLEANS = ("True", "False")
+_tokenize = lexer([
+    ("==", "iff"),
+    ("=", Reject("assignment is not supported")),
+    (r"\[", "lbracket"),
+    (r"\]", "rbracket"),
+    *PUNCTUATION,
+    (NAME, {}),
+])
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _LineParser(Cursor):
+    end_message = "unbalanced brackets"
 
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, max(1, len(self.text)))
-
-
-def _strip_comment(raw: str) -> str:
-    pos = raw.find("#")
-    if pos == -1:
-        return raw
-    return raw[:pos]
-
-
-def _tokenize(content: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(content)
-    while i < n:
-        ch = content[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if content.startswith("==", i):
-            tokens.append(_Token("iff", "==", line_no, col))
-            i += 2
-            continue
-        if ch == "=":
-            raise ParseError("assignment is not supported",
-                             SourceSpan(line_no, col))
-        if ch in "()[],":
-            kinds = {"(": "lparen", ")": "rparen",
-                     "[": "lbracket", "]": "rbracket", ",": "comma"}
-            tokens.append(_Token(kinds[ch], ch, line_no, col))
-            i += 1
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (content[j].isalnum() or content[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", content[i:j], line_no, col))
-            i = j
-            continue
-        if ch == "_":
-            raise ParseError("reserved identifier starting with '_'",
-                             SourceSpan(line_no, col))
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line_no, col))
-    return tokens
-
-
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int,
+    def __init__(self, tokens: list[Token], line_no: int, line_len: int,
                  arities: dict[str, int]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = line_len
+        super().__init__(tokens, line_no, line_len)
         self.arities = arities
         self.scope: list[str] = []
-        self.depth = 0
-
-    def deeper(self, tok: _Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING_DEPTH:
-            raise too_deep(tok.span())
-
-    def peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unbalanced brackets",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unbalanced brackets",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.span())
-        return self.advance()
 
     def parse(self) -> Formula:
         f = self.expression()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.span())
+        self.done()
         return f
 
     def expression(self) -> Formula:
         units = [self.unit()]
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "iff":
-                break
-            self.advance()
+        while self.accept("iff"):
             units.append(self.unit())
         node = units[-1]
         for left in reversed(units[:-1]):
@@ -140,8 +60,7 @@ class _LineParser:
     def unit(self) -> Formula:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unbalanced brackets",
-                             SourceSpan(self.line_no, max(1, self.line_len)))
+            raise self.end_of_line()
         if tok.kind == "lparen":
             self.advance()
             self.deeper(tok)
@@ -177,18 +96,13 @@ class _LineParser:
             return self.operator_call(name_tok)
         return self.atom_call(name_tok)
 
-    def operator_call(self, name_tok: _Token) -> Formula:
+    def operator_call(self, name_tok: Token) -> Formula:
         name = name_tok.text
         self.expect("lparen", "'('")
         self.deeper(name_tok)
         args = [self.expression()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.advance()
-                args.append(self.expression())
-            else:
-                break
+        while self.accept("comma"):
+            args.append(self.expression())
         self.expect("rparen", "')'")
         self.depth -= 1
         if name == "Not":
@@ -207,18 +121,13 @@ class _LineParser:
         cls = And if name == "And" else Or
         return cls(tuple(args))
 
-    def quantifier_call(self, name_tok: _Token) -> Formula:
+    def quantifier_call(self, name_tok: Token) -> Formula:
         self.expect("lparen", "'('")
         self.deeper(name_tok)
         self.expect("lbracket", "'['")
         variables = [self.expect("ident", "a variable name")]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.advance()
-                variables.append(self.expect("ident", "a variable name"))
-            else:
-                break
+        while self.accept("comma"):
+            variables.append(self.expect("ident", "a variable name"))
         self.expect("rbracket", "']'")
         self.expect("comma", "','")
         for v in variables:
@@ -234,22 +143,17 @@ class _LineParser:
             body = cls(v.text, body)
         return body
 
-    def atom_call(self, name_tok: _Token) -> Formula:
+    def atom_call(self, name_tok: Token) -> Formula:
         name = name_tok.text
         self.expect("lparen", "'('")
         args = [self.term(name_tok)]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "comma":
-                self.advance()
-                args.append(self.term(name_tok))
-            else:
-                break
+        while self.accept("comma"):
+            args.append(self.term(name_tok))
         self.expect("rparen", "')'")
         self.check_arity(name, len(args), name_tok)
         return Atom(name, tuple(args))
 
-    def term(self, callee: _Token) -> Term:
+    def term(self, callee: Token) -> Term:
         tok = self.peek()
         if tok is not None and tok.kind == "lbracket":
             # A bracketed list marks a quantifier-style call, so the callee
@@ -266,7 +170,7 @@ class _LineParser:
             return Variable(tok.text)
         return Constant(tok.text)
 
-    def check_arity(self, name: str, arity: int, tok: _Token) -> None:
+    def check_arity(self, name: str, arity: int, tok: Token) -> None:
         known = self.arities.get(name)
         if known is None:
             self.arities[name] = arity
@@ -284,42 +188,30 @@ def parse_z3(text: str,
     Every non-comment line is one assertion; the final line must be
     `return <expr>` and names the conclusion.
     """
-    lines = text.split("\n")
     arities: dict[str, int] = {}
     premises: list[Formula] = []
     conclusion: Formula | None = None
-    saw_content = False
-    last_line = max(1, len(lines))
-
-    for line_no, raw in enumerate(lines, start=1):
-        content = _strip_comment(raw)
-        stripped = content.strip()
-        if not stripped:
+    for index, (line_no, raw, content) in enumerate(
+            content_lines(text, ("#",))):
+        if index == 0 and _DEF_LINE.match(content.strip()):
             continue
-        if not saw_content and _DEF_LINE.match(stripped):
-            saw_content = True
-            continue
-        saw_content = True
         if conclusion is not None:
-            col = len(content) - len(content.lstrip()) + 1
             raise ParseError("content after the return line",
-                             SourceSpan(line_no, col))
+                             indent_span(line_no, content))
         tokens = _tokenize(content, line_no)
-        is_return = bool(tokens) and tokens[0].kind == "ident" \
-            and tokens[0].text == "return"
+        is_return = tokens[0].text == "return"  # a content line has a token
         if is_return:
             tokens = tokens[1:]
             if not tokens:
                 raise ParseError("return without an expression",
                                  SourceSpan(line_no, max(1, len(raw))))
-        parser = _LineParser(tokens, line_no, len(raw), arities)
-        formula = parser.parse()
+        formula = _LineParser(tokens, line_no, len(raw), arities).parse()
         if is_return:
             conclusion = formula
         else:
             premises.append(formula)
 
     if conclusion is None:
-        raise ParseError("missing return line", SourceSpan(last_line, 1))
+        raise ParseError("missing return line", end_span(text))
     return Problem(tuple(premises), conclusion, assumption=assumption,
                    id=problem_id, dialect="z3")

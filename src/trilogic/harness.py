@@ -35,12 +35,12 @@ from .sat import entail_sat
 
 log = logging.getLogger(__name__)
 
-ENGINES = ("resolution", "sat", "chaining")
 ENGINE_DIALECTS: dict[str, tuple[str, ...]] = {
     "resolution": ("prover9", "z3"),
     "sat": ("prover9", "z3"),
     "chaining": ("pyke",),
 }
+ENGINES = tuple(ENGINE_DIALECTS)
 
 
 class FigureCategory(enum.Enum):

@@ -1,15 +1,25 @@
 """Dialect front ends: three concrete syntaxes onto one model."""
 
+import hashlib
+import itertools
+import re
+import sys
+from dataclasses import dataclass
+from functools import lru_cache
+
 import pytest
 
 from trilogic.dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
+from trilogic.dialects import prover9, pyke, z3
+from trilogic.dialects._lex import NAME
 from trilogic.fol import (
     MAX_NESTING_DEPTH, Atom, Constant, Exists, ForAll, Iff, Implies, Not, Or,
-    ParseError, Truth, Variable, WorldAssumption, Xor, pretty,
+    ParseError, SourceSpan, Truth, Variable, WorldAssumption, Xor, pretty,
 )
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 
 from conftest import read_fixture
+from hostile import base_texts, mutants
 
 
 def p9_err(text):
@@ -332,3 +342,416 @@ class TestNestingCap:
     def test_span_points_where_the_cap_was_hit(self):
         err = p9_err("Premises:\np(A)\nConclusion:\n" + "-" * 3000 + "p(A)\n")
         assert (err.span.line, err.span.column) == (4, MAX_NESTING_DEPTH + 1)
+
+
+def _rule_body(n):
+    return " && ".join(["p($x, True)"] * n)
+
+
+# (dialect, text) -> (message, line, column, length): one row per raise site
+RAISE_SITES = [
+    ("prover9", "Premises:\n_p(A)\nConclusion:\nq(A)\n",
+     "reserved identifier starting with '_'", 2, 1, 1),
+    ("prover9", "Premises:\np(A) @ q(A)\nConclusion:\nq(A)\n",
+     "unexpected character '@'", 2, 6, 1),
+    ("prover9", "Premises:\np(A) ² q(A)\nConclusion:\nq(A)\n",
+     "unexpected character '²'", 2, 6, 1),
+    ("prover9", "Predicates:\np(x)\np(x, y)\nConclusion:\np(A)\n",
+     "conflicting declaration for 'p': 1 vs 2", 3, 1, 1),
+    ("prover9", "Predicates:\np(x)\nPremises:\np(A, B)\nConclusion:\np(A)\n",
+     "arity mismatch for predicate 'p': declared 1, used with 2", 4, 1, 1),
+    ("prover9", "Premises:\np(A)\np(A, B)\nConclusion:\nq(A)\n",
+     "inconsistent arity for predicate 'p': 1 vs 2", 3, 1, 1),
+    ("prover9", "Conclusion:\n" + "-" * 201 + "p(A)\n",
+     "nested deeper than 200 levels", 2, 201, 1),
+    ("prover9", "Conclusion:\np(A\n", "expected ')'", 2, 3, 1),
+    ("prover9", "Conclusion:\np(A q)\n", "expected ')', found 'q'", 2, 5, 1),
+    ("prover9", "Conclusion:\np(A) q(A)\n", "unexpected token 'q'", 2, 6, 1),
+    ("prover9", "Conclusion:\np(A) &\n", "expected a formula", 2, 6, 1),
+    ("prover9", "Conclusion:\n& p(A)\n", "unexpected token '&'", 2, 1, 1),
+    ("prover9", "Conclusion:\nall (p(A))\n",
+     "expected a quantified variable name, found '('", 2, 5, 1),
+    ("prover9", "Conclusion:\nall x p(x(A))\n",
+     "variable 'x' applied as a function", 2, 9, 1),
+    ("prover9", "Conclusion:\np(&)\n", "expected a term, found '&'", 2, 3, 1),
+    ("prover9", "Predicates:\n(x)\nConclusion:\np(A)\n",
+     "expected a predicate declaration", 2, 1, 1),
+    ("prover9", "Predicates:\np x\nConclusion:\np(A)\n",
+     "expected '(' in declaration, found 'x'", 2, 3, 1),
+    ("prover9", "Predicates:\np(x, &)\nConclusion:\np(A)\n",
+     "expected a placeholder name, found '&'", 2, 6, 1),
+    ("prover9", "Predicates:\np(x) y\nConclusion:\np(A)\n",
+     "unexpected token 'y'", 2, 6, 1),
+    ("prover9", "Predicates:\np(x y)\nConclusion:\np(A)\n",
+     "unexpected token 'y' in declaration", 2, 5, 1),
+    ("prover9", "Predicates:\np(x\nConclusion:\np(A)\n",
+     "unbalanced parentheses in declaration", 2, 3, 1),
+    ("prover9", "  p(A)\nPremises:\nq(A)\nConclusion:\nr(A)\n",
+     "content before any section header", 1, 3, 1),
+    ("prover9", "Premises:\np(A)\nConclusion:\nq(A)\nConclusion:\nr(A)\n",
+     "multiple conclusion formulas", 6, 1, 1),
+    ("prover9", "Premises:\np(A)\n", "missing Conclusion section", 3, 1, 1),
+    ("z3", "_p(A)\nreturn p(A)\n",
+     "reserved identifier starting with '_'", 1, 1, 1),
+    ("z3", "p(A) @\nreturn p(A)\n", "unexpected character '@'", 1, 6, 1),
+    ("z3", "x = P(A)\nreturn P(A)\n", "assignment is not supported", 1, 3, 1),
+    ("z3", "return " + "Not(" * 201 + "p(A)" + ")" * 201 + "\n",
+     "nested deeper than 200 levels", 1, 808, 3),
+    ("z3", "P(A)\nreturn And(P(A)\n", "unbalanced brackets", 2, 15, 1),
+    ("z3", "return And(P(A) P(B))\n", "expected ')', found 'P'", 1, 17, 1),
+    ("z3", "return P(A) Q(A)\n", "unexpected token 'Q'", 1, 13, 1),
+    ("z3", "return P(A) ==\n", "unbalanced brackets", 1, 14, 1),
+    ("z3", "return [x]\n", "unexpected '['", 1, 8, 1),
+    ("z3", "return , P(A)\n", "unexpected token ','", 1, 8, 1),
+    ("z3", "return And\n", "operator 'And' needs arguments", 1, 8, 3),
+    ("z3", "True\nreturn P(A)\n", "boolean literal is not supported", 1, 1, 4),
+    ("z3", "return P(True)\n", "boolean literal is not supported", 1, 10, 4),
+    ("z3", "return ForAll([x], x)\n", "variable 'x' used as a formula", 1, 20, 1),
+    ("z3", "return Not(P(A), Q(A))\n", "Not takes exactly 1 argument", 1, 8, 3),
+    ("z3", "return Implies(P(A))\n",
+     "Implies takes exactly 2 arguments", 1, 8, 7),
+    ("z3", "return And(P(A))\n", "And takes at least 2 arguments", 1, 8, 3),
+    ("z3", "return ForAll(x, P(x))\n", "expected '[', found 'x'", 1, 15, 1),
+    ("z3", "return ForAll([x] P(x))\n", "expected ',', found 'P'", 1, 19, 1),
+    ("z3", "return ForAll([x, ], P(x))\n",
+     "expected a variable name, found ']'", 1, 19, 1),
+    ("z3", "Exist([x], P(x))\nreturn P(A)\n", "unknown operator 'Exist'", 1, 1, 5),
+    ("z3", "P(Q(A))\nreturn P(A)\n",
+     "function application in term position is not supported", 1, 3, 1),
+    ("z3", "return P(,)\n", "expected a term, found ','", 1, 10, 1),
+    ("z3", "P(A)\nP(A, B)\nreturn P(A)\n",
+     "inconsistent arity for predicate 'P': 1 vs 2", 2, 1, 1),
+    ("z3", "P(A)\nreturn Q(A)\n  P(B)\n", "content after the return line", 3, 3, 1),
+    ("z3", "P(A)\nreturn  # nothing\n", "return without an expression", 2, 17, 1),
+    ("z3", "P(A)\n", "missing return line", 2, 1, 1),
+    ("pyke", "Facts:\n_p(A, True)\nQuery:\np(A)\n",
+     "reserved identifier starting with '_'", 2, 1, 1),
+    ("pyke", "Facts:\np(A, True) @\nQuery:\np(A)\n",
+     "unexpected character '@'", 2, 12, 1),
+    ("pyke", "Facts:\np(A, True) & q(A, True)\nQuery:\np(A)\n",
+     "unexpected character '&'", 2, 12, 1),
+    ("pyke", "Facts:\np(A, True)\nQuery:\np($, A)\n",
+     "'$' must introduce a variable name", 4, 3, 1),
+    ("pyke", "Facts:\np(A, True) | q(A, True)\nQuery:\np(A)\n",
+     "unsupported connective '|'", 2, 12, 1),
+    ("pyke", "Facts:\np(A, True)\nQuery:\nXor(p(A))\n",
+     "unsupported connective 'Xor'", 4, 1, 1),
+    ("pyke", "Facts:\np(A,\nQuery:\np(A)\n", "unexpected end of line", 2, 4, 1),
+    ("pyke", "Facts:\np\nQuery:\np(A)\n", "expected '('", 2, 1, 1),
+    ("pyke", "Facts:\np A\nQuery:\np(A)\n", "expected '(', found 'A'", 2, 3, 1),
+    ("pyke", "Facts:\np(A, True) q\nQuery:\np(A)\n", "unexpected token 'q'", 2, 12, 1),
+    ("pyke", "Facts:\np(A, &&)\nQuery:\np(A)\n",
+     "expected an argument, found '&&'", 2, 6, 2),
+    ("pyke", "Facts:\np(A)\nQuery:\np(A)\n",
+     "literal 'p' needs a final True/False slot", 2, 1, 1),
+    ("pyke", "Facts:\np(True, True)\nQuery:\np(A)\n",
+     "truth value in argument position", 2, 3, 4),
+    ("pyke", "Facts:\np(bool, True)\nQuery:\np(A)\n",
+     "'bool' is only valid in declarations", 2, 3, 4),
+    ("pyke", "Predicates:\np($x)\nQuery:\np(A)\n",
+     "declaration of 'p' needs a final 'bool' slot", 2, 1, 1),
+    ("pyke", "Predicates:\np(True, bool)\nQuery:\np(A)\n",
+     "unexpected 'True' in declaration", 2, 3, 4),
+    ("pyke", "Facts:\np($x, True)\nQuery:\np(A)\n", "variable '$x' in a fact", 2, 1, 1),
+    ("pyke", "Rules:\np($x, True) q($x, True)\nQuery:\np(A)\n",
+     "expected a rule (missing '>>>')", 2, 1, 1),
+    ("pyke", "Rules:\np($x, True) q($x, True) >>> r($x, True)\nQuery:\np(A)\n",
+     "expected '>>>', found 'q'", 2, 13, 1),
+    ("pyke", "Rules:\np($x, True) >>> q($y, True)\nQuery:\np(A)\n",
+     "head variable '$y' not bound in the rule body", 2, 17, 1),
+    ("pyke", f"Rules:\n{_rule_body(201)} >>> q($x, True)\nQuery:\nq(A)\n",
+     "nested deeper than 200 levels", 2, 2998, 2),
+    ("pyke", "Facts:\np(A, True)\nQuery:\np(A, True)\n",
+     "the query takes no truth value", 4, 6, 4),
+    ("pyke", "Facts:\np(A, True)\nQuery:\np($x)\n",
+     "variable '$x' in the query", 4, 3, 2),
+    ("pyke", "p(A, True)\nFacts:\nQuery:\np(A)\n",
+     "content before any section header", 1, 1, 1),
+    ("pyke", "Facts:\np(A, True)\nQuery:\np(A)\np(B)\n", "multiple query lines", 5, 1, 1),
+    ("pyke", "Facts:\np(A, True)\n", "missing Query section", 3, 1, 1),
+]
+
+PARSERS = {"prover9": parse_prover9, "z3": parse_z3, "pyke": parse_pyke}
+
+
+@pytest.mark.parametrize("dialect,text,message,line,column,length", RAISE_SITES)
+def test_raise_site_message_and_span(dialect, text, message, line, column,
+                                     length):
+    with pytest.raises(ParseError) as info:
+        PARSERS[dialect](text)
+    span = info.value.span
+    assert (info.value.message, span.line, span.column, span.length) == \
+        (message, line, column, length)
+
+
+def parse_digest(texts):
+    """SHA-256 over each text with its parse result or (message, span)."""
+    digest = hashlib.sha256()
+    for dialect, text in texts:
+        try:
+            result = repr(PARSERS[dialect](text))
+        except ParseError as e:
+            result = repr((e.message, e.span))
+        digest.update(f"{dialect}\0{text}\0{result}\n".encode())
+    return digest.hexdigest()
+
+
+# parse_digest of the corpus below, recorded before the three parsers
+# moved onto the shared lexer
+CORPUS_DIGEST = ("ddfa8dafcbc5785e09fd724f2a51ff73"
+                 "d89733efbecf3765714a56d133200db0")
+
+
+def test_mutated_corpus_parses_as_recorded():
+    texts = list(base_texts(6, 20)) + mutants(6, 20, 40)
+    assert len(texts) == 3280
+    assert parse_digest(texts) == CORPUS_DIGEST
+
+
+# --- the three tokenizers as they were before the shared lexer ---
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col, max(1, len(self.text)))
+
+
+_UNICODE_OPS = {
+    "∀": "forall",   # for-all quantifier
+    "∃": "exists",   # exists quantifier
+    "¬": "not",
+    "∧": "and",
+    "∨": "or",
+    "⊕": "xor",
+    "→": "implies",
+    "↔": "iff",
+}
+_KEYWORDS = {"all": "forall", "exists": "exists"}
+_CONNECTIVE_WORDS = ("Xor", "Exists", "ForAll", "Or", "And", "Not",
+                     "Implies", "Iff")
+_CONNECTIVE_CHARS = "|^∨⊕∧¬→↔∀∃"
+
+
+def reference_prover9_tokenize(content: str, line_no: int) -> list[RefToken]:
+    tokens: list[RefToken] = []
+    i = 0
+    n = len(content)
+    while i < n:
+        ch = content[i]
+        col = i + 1
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _UNICODE_OPS:
+            tokens.append(RefToken(_UNICODE_OPS[ch], ch, line_no, col))
+            i += 1
+            continue
+        if content.startswith("<->", i):
+            tokens.append(RefToken("iff", "<->", line_no, col))
+            i += 3
+            continue
+        if content.startswith("->", i):
+            tokens.append(RefToken("implies", "->", line_no, col))
+            i += 2
+            continue
+        if ch == "-":
+            tokens.append(RefToken("not", "-", line_no, col))
+            i += 1
+            continue
+        if ch == "&":
+            tokens.append(RefToken("and", "&", line_no, col))
+            i += 1
+            continue
+        if ch == "|":
+            tokens.append(RefToken("or", "|", line_no, col))
+            i += 1
+            continue
+        if ch == "^":
+            tokens.append(RefToken("xor", "^", line_no, col))
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(RefToken("lparen", "(", line_no, col))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(RefToken("rparen", ")", line_no, col))
+            i += 1
+            continue
+        if ch == ",":
+            tokens.append(RefToken("comma", ",", line_no, col))
+            i += 1
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (content[j].isalnum() or content[j] == "_"):
+                j += 1
+            word = content[i:j]
+            tokens.append(RefToken(_KEYWORDS.get(word, "ident"), word, line_no, col))
+            i = j
+            continue
+        if ch == "_":
+            raise ParseError("reserved identifier starting with '_'",
+                             SourceSpan(line_no, col))
+        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line_no, col))
+    return tokens
+
+
+def reference_z3_tokenize(content: str, line_no: int) -> list[RefToken]:
+    tokens: list[RefToken] = []
+    i = 0
+    n = len(content)
+    while i < n:
+        ch = content[i]
+        col = i + 1
+        if ch.isspace():
+            i += 1
+            continue
+        if content.startswith("==", i):
+            tokens.append(RefToken("iff", "==", line_no, col))
+            i += 2
+            continue
+        if ch == "=":
+            raise ParseError("assignment is not supported",
+                             SourceSpan(line_no, col))
+        if ch in "()[],":
+            kinds = {"(": "lparen", ")": "rparen",
+                     "[": "lbracket", "]": "rbracket", ",": "comma"}
+            tokens.append(RefToken(kinds[ch], ch, line_no, col))
+            i += 1
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (content[j].isalnum() or content[j] == "_"):
+                j += 1
+            tokens.append(RefToken("ident", content[i:j], line_no, col))
+            i = j
+            continue
+        if ch == "_":
+            raise ParseError("reserved identifier starting with '_'",
+                             SourceSpan(line_no, col))
+        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line_no, col))
+    return tokens
+
+
+def reference_pyke_tokenize(content: str, line_no: int) -> list[RefToken]:
+    tokens: list[RefToken] = []
+    i = 0
+    n = len(content)
+    while i < n:
+        ch = content[i]
+        col = i + 1
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _CONNECTIVE_CHARS:
+            raise ParseError(f"unsupported connective {ch!r}",
+                             SourceSpan(line_no, col))
+        if content.startswith(">>>", i):
+            tokens.append(RefToken("arrow", ">>>", line_no, col))
+            i += 3
+            continue
+        if content.startswith("&&", i):
+            tokens.append(RefToken("andand", "&&", line_no, col))
+            i += 2
+            continue
+        if ch in "&>":
+            raise ParseError(f"unexpected character {ch!r}",
+                             SourceSpan(line_no, col))
+        if ch in "(),":
+            kinds = {"(": "lparen", ")": "rparen", ",": "comma"}
+            tokens.append(RefToken(kinds[ch], ch, line_no, col))
+            i += 1
+            continue
+        if ch == "$":
+            j = i + 1
+            while j < n and (content[j].isalnum() or content[j] == "_"):
+                j += 1
+            if j == i + 1:
+                raise ParseError("'$' must introduce a variable name",
+                                 SourceSpan(line_no, col))
+            tokens.append(RefToken("var", content[i:j], line_no, col))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (content[j].isalnum() or content[j] == "_"):
+                j += 1
+            word = content[i:j]
+            if word in _CONNECTIVE_WORDS:
+                raise ParseError(f"unsupported connective '{word}'",
+                                 SourceSpan(line_no, col))
+            tokens.append(RefToken("ident", word, line_no, col))
+            i = j
+            continue
+        if ch == "_":
+            raise ParseError("reserved identifier starting with '_'",
+                             SourceSpan(line_no, col))
+        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line_no, col))
+    return tokens
+
+
+TOKENIZERS = [
+    (reference_prover9_tokenize, prover9._tokenize),
+    (reference_z3_tokenize, z3._tokenize),
+    (reference_pyke_tokenize, pyke._tokenize),
+]
+
+
+def lex_result(tokenize, content):
+    """Each token with its span, or the (message, span) it raised."""
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.span())
+                for t in tokenize(content, 3)]
+    except ParseError as e:
+        return e.message, e.span
+
+
+@lru_cache(maxsize=None)
+def code_point_classes():
+    """The first code point of each class that str.isspace, isalpha and
+    isalnum and the lexer's patterns all treat alike."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    keys = bytearray(len(everything))
+    for bit, test in enumerate((str.isspace, str.isalpha, str.isalnum)):
+        for ch in filter(test, everything):
+            keys[ord(ch)] |= 1 << bit
+    patterns = (r"\s", r"\w", r"\d", NAME[:NAME.index("]") + 1])
+    for bit, pattern in enumerate(patterns, start=3):
+        for m in re.finditer(pattern, everything):
+            keys[m.start()] |= 1 << bit
+    return tuple(chr(keys.index(k)) for k in sorted(set(keys)))
+
+
+OPERATOR_CHARS = "".join(_UNICODE_OPS) + _CONNECTIVE_CHARS
+
+
+def lexer_inputs():
+    chars = sorted(set(map(chr, range(128))) | set(OPERATOR_CHARS)
+                   | set(code_point_classes()))
+    for ch in chars:
+        yield from (ch, f"A{ch}B", f" p({ch}x) {ch}")
+    for a, b in itertools.product(chars, repeat=2):
+        yield a + b
+    for triple in itertools.product("-<>=&$_ (x", repeat=3):
+        yield "".join(triple)
+
+
+def test_code_point_classes_include_the_trap():
+    # a non-decimal numeral is a word character but not a letter
+    assert "²" in code_point_classes()
+    assert re.fullmatch(NAME, "²") and not "²".isalpha()
+
+
+@pytest.mark.parametrize("reference,tokenize", TOKENIZERS,
+                         ids=["prover9", "z3", "pyke"])
+def test_tokenizer_matches_reference(reference, tokenize):
+    for content in lexer_inputs():
+        assert lex_result(tokenize, content) == \
+            lex_result(reference, content), content
