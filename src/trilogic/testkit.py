@@ -11,7 +11,9 @@ ones could, which is why the counting errs wide.
 
 Truth tables are bit-parallel: a column of 2^n assignment bits per ground
 atom, held as a Python int, with blocking over the highest-indexed atoms to
-bound the working-set size.
+bound the working-set size. Only free atoms are enumerated: a ground literal
+premise fixes its atom, and an atom that no occurrence can name is left out.
+The max_atoms limit still counts every ground atom.
 """
 
 from __future__ import annotations
@@ -91,12 +93,22 @@ def oracle_universe(p: Problem) -> list[str]:
     return universe
 
 
-def _collect_arities(p: Problem) -> list[tuple[str, int]]:
+def _collect_atoms(p: Problem) -> tuple[list[tuple[str, int]],
+                                        dict[str, set[tuple]]]:
+    """Predicate arities, and per predicate the argument patterns of its
+    occurrences: a constant's name, or None for a variable.
+
+    Raises ExecError on a function term.
+    """
     arities: dict[str, int] = {}
+    patterns: dict[str, set[tuple]] = {}
 
     def walk(f: Formula) -> None:
         if isinstance(f, Atom):
             arities.setdefault(f.predicate, len(f.args))
+            patterns.setdefault(f.predicate, set()).add(tuple(
+                None if isinstance(a, Variable) else _term_name(a, {})
+                for a in f.args))
         elif isinstance(f, Not):
             walk(f.body)
         elif isinstance(f, (And, Or)):
@@ -111,7 +123,7 @@ def _collect_arities(p: Problem) -> list[tuple[str, int]]:
     for f in p.premises:
         walk(f)
     walk(p.conclusion)
-    return sorted(arities.items())
+    return sorted(arities.items()), patterns
 
 
 def _tiled_column(i: int, block_len: int) -> int:
@@ -190,37 +202,52 @@ class _Evaluator:
 def enumerate_models(p: Problem, max_atoms: int = ORACLE_MAX_ATOMS) -> Outcome:
     """Exact entailment verdict by finite model enumeration.
 
-    Raises ExecError when the ground atom count exceeds max_atoms.
+    Raises ExecError on a function term, and when the ground atom count
+    (every atom, enumerated or not) exceeds max_atoms.
     """
+    arities, patterns = _collect_atoms(p)
     universe = oracle_universe(p)
-    arities = _collect_arities(p)
-    atom_keys: list[tuple[str, tuple[str, ...]]] = []
-    for pred, arity in arities:
-        for combo in itertools.product(universe, repeat=arity):
-            atom_keys.append((pred, combo))
+    atom_keys = [(pred, combo) for pred, arity in arities
+                 for combo in itertools.product(universe, repeat=arity)]
     n = len(atom_keys)
     if n > max_atoms:
         raise ExecError(f"oracle limit: {n} ground atoms exceeds {max_atoms}")
 
-    low = min(n, _BLOCK_ATOMS)
+    # a ground literal premise fixes its atom; the rest are evaluated
+    fixed: dict[tuple[str, tuple[str, ...]], bool] = {}
+    premises = []
+    for premise in p.premises:
+        atom = premise.body if isinstance(premise, Not) else premise
+        if isinstance(atom, Atom) and all(isinstance(a, Constant)
+                                          for a in atom.args):
+            key = (atom.predicate, tuple(a.name for a in atom.args))
+            value = atom is premise
+            if fixed.setdefault(key, value) is not value:
+                return Inconsistent()
+        else:
+            premises.append(premise)
+    # an atom no occurrence can name is never read, so it is left out
+    free = [key for key in atom_keys if key not in fixed
+            and any(all(a is None or a == c for a, c in zip(args, key[1]))
+                    for args in patterns[key[0]])]
+
+    low = min(len(free), _BLOCK_ATOMS)
     block_len = 1 << low
     full = (1 << block_len) - 1
-    low_columns = [_tiled_column(i, block_len) for i in range(low)]
-    high = n - low
+    columns = {key: full if value else 0 for key, value in fixed.items()}
+    for i, key in enumerate(free[:low]):
+        columns[key] = _tiled_column(i, block_len)
+    high = free[low:]
+    ev = _Evaluator(universe, full, columns)
 
     any_premise = False
     any_with_neg = False
     any_with_pos = False
-    for combo in range(1 << high):
-        columns = {}
-        for i, key in enumerate(atom_keys):
-            if i < low:
-                columns[key] = low_columns[i]
-            else:
-                columns[key] = full if (combo >> (i - low)) & 1 else 0
-        ev = _Evaluator(universe, full, columns)
+    for combo in range(1 << len(high)):
+        for i, key in enumerate(high):
+            columns[key] = full if (combo >> i) & 1 else 0
         mask = full
-        for premise in p.premises:
+        for premise in premises:
             mask &= ev.eval(premise, {})
             if not mask:
                 break
@@ -436,7 +463,7 @@ def _generate_full_fol(cfg: GenConfig, rng: random.Random, shrink: int
 def _render_prover9(p: Problem) -> str:
     lines = ["Predicates"]
     placeholders = ("x", "y", "z")
-    for pred, arity in _collect_arities(p):
+    for pred, arity in _collect_atoms(p)[0]:
         if arity == 0:
             lines.append(pred)
         else:

@@ -1,24 +1,151 @@
 """Testkit: model-enumeration oracle, seeded generator, differential runner."""
 
 import dataclasses
+import hashlib
+import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 
+from trilogic import testkit
 from trilogic.dialects import parse_prover9, parse_pyke, parse_z3
 from trilogic.fol import (
-    Answered, DEFAULT_LIMITS, ExecError, Truth, Verdict, WorldAssumption,
+    And, Answered, Atom, DEFAULT_LIMITS, ExecError, Iff, Implies,
+    Inconsistent, Not, Or, Outcome, Problem, Truth, Verdict,
+    WorldAssumption, Xor,
 )
 from trilogic.testkit import (
-    DEFAULT_ENGINES, DiffReport, GenConfig, GeneratedProblem,
-    differential_check, enumerate_models, generate_problem, generate_suite,
-    oracle_universe,
+    DEFAULT_ENGINES, FULL_FOL, HORN, ORACLE_MAX_ATOMS, DiffReport, GenConfig,
+    GeneratedProblem, differential_check, enumerate_models, generate_problem,
+    generate_suite, oracle_universe, _BLOCK_ATOMS, _Evaluator, _tiled_column,
 )
 
 
 def p9(text):
     return parse_prover9(text)
+
+
+# --- the oracle before atom reduction, kept as a reference ---
+
+
+def reference_collect_arities(p: Problem) -> list[tuple[str, int]]:
+    arities: dict[str, int] = {}
+
+    def walk(f) -> None:
+        if isinstance(f, Atom):
+            arities.setdefault(f.predicate, len(f.args))
+        elif isinstance(f, Not):
+            walk(f.body)
+        elif isinstance(f, (And, Or)):
+            for part in f.parts:
+                walk(part)
+        elif isinstance(f, (Xor, Iff, Implies)):
+            walk(f.left)
+            walk(f.right)
+        else:
+            walk(f.body)
+
+    for f in p.premises:
+        walk(f)
+    walk(p.conclusion)
+    return sorted(arities.items())
+
+
+def reference_enumerate_models(p: Problem,
+                               max_atoms: int = ORACLE_MAX_ATOMS) -> Outcome:
+    """Exact entailment verdict by finite model enumeration.
+
+    Raises ExecError when the ground atom count exceeds max_atoms.
+    """
+    universe = oracle_universe(p)
+    arities = reference_collect_arities(p)
+    atom_keys: list[tuple[str, tuple[str, ...]]] = []
+    for pred, arity in arities:
+        for combo in itertools.product(universe, repeat=arity):
+            atom_keys.append((pred, combo))
+    n = len(atom_keys)
+    if n > max_atoms:
+        raise ExecError(f"oracle limit: {n} ground atoms exceeds {max_atoms}")
+
+    low = min(n, _BLOCK_ATOMS)
+    block_len = 1 << low
+    full = (1 << block_len) - 1
+    low_columns = [_tiled_column(i, block_len) for i in range(low)]
+    high = n - low
+
+    any_premise = False
+    any_with_neg = False
+    any_with_pos = False
+    for combo in range(1 << high):
+        columns = {}
+        for i, key in enumerate(atom_keys):
+            if i < low:
+                columns[key] = low_columns[i]
+            else:
+                columns[key] = full if (combo >> (i - low)) & 1 else 0
+        ev = _Evaluator(universe, full, columns)
+        mask = full
+        for premise in p.premises:
+            mask &= ev.eval(premise, {})
+            if not mask:
+                break
+        if not mask:
+            continue
+        any_premise = True
+        conclusion = ev.eval(p.conclusion, {})
+        if mask & (full ^ conclusion):
+            any_with_neg = True
+        if mask & conclusion:
+            any_with_pos = True
+        if any_with_neg and any_with_pos:
+            break
+
+    if not any_premise:
+        return Inconsistent()
+    if not any_with_neg:
+        return Answered(Verdict(Truth.TRUE))
+    if not any_with_pos:
+        return Answered(Verdict(Truth.FALSE))
+    return Answered(Verdict(Truth.UNKNOWN))
+
+
+def oracle_result(oracle, problem, **kw):
+    """The outcome, or the ExecError message, as a comparable string."""
+    try:
+        return str(oracle(problem, **kw))
+    except ExecError as e:
+        return f"ExecError: {e}"
+
+
+# the generator configs of the benchmark's eval-batch workload
+EVAL_BATCH_SUITES = (
+    (GenConfig(fragment=HORN, assumption=WorldAssumption.OWA, seed=1),
+     (1, 2, 3)),
+    (GenConfig(fragment=HORN, assumption=WorldAssumption.CWA, seed=2),
+     (1, 2, 3)),
+    (GenConfig(fragment=FULL_FOL, assumption=WorldAssumption.OWA, seed=3),
+     (2, 3)),
+    (GenConfig(fragment=FULL_FOL, assumption=WorldAssumption.CWA, seed=4),
+     (2, 3)),
+)
+
+
+def drawn_problems(suites, n, monkeypatch):
+    """Every problem the generator hands the oracle while drawing n
+    problems per (config, depths)."""
+    seen = []
+
+    def recording(problem):
+        seen.append(problem)
+        return enumerate_models(problem)
+
+    with monkeypatch.context() as m:
+        m.setattr(testkit, "enumerate_models", recording)
+        for cfg, depths in suites:
+            generate_suite(cfg, n, depths)
+    return seen
 
 
 class TestOracle:
@@ -71,6 +198,67 @@ class TestOracle:
             out = enumerate_models(shuffled)
             assert isinstance(out, Answered)
             assert out.verdict.value is gp.gold
+
+
+class TestAgainstReference:
+    def test_generated_draws_agree(self, monkeypatch):
+        suites = [(GenConfig(fragment=fragment, assumption=world, seed=seed),
+                   (2, 3, 5))
+                  for fragment in (HORN, FULL_FOL)
+                  for world in WorldAssumption
+                  for seed in (23, 101, 907)]
+        draws = drawn_problems(suites, 12, monkeypatch)
+        draws += drawn_problems(EVAL_BATCH_SUITES, 15, monkeypatch)
+        kinds = Counter()
+        for problem in draws:
+            got = oracle_result(enumerate_models, problem)
+            assert got == oracle_result(reference_enumerate_models, problem)
+            kinds[got.split(":")[0]] += 1
+        assert set(kinds) == {"True", "False", "Unknown", "Inconsistent",
+                              "ExecError"}
+
+    @pytest.mark.parametrize("text", [
+        # zero-arity atoms
+        "Premises:\nr\nr -> s\nConclusion:\ns\n",
+        "Premises:\nr -> s\nConclusion:\n-s\n",
+        # a pair of opposite ground literals
+        "Premises:\np(A)\nall x (p(x) -> q(x))\n-p(A)\nConclusion:\nq(A)\n",
+        # every atom fixed or unreferenced: nothing left to enumerate
+        "Premises:\np(A)\n-q(B)\nConclusion:\np(A)\n",
+        "Premises:\np(A)\n-q(B)\nConclusion:\nq(B)\n",
+        # a predicate that occurs only with constant arguments
+        "Premises:\nall x (p(x) -> q(x))\nr(A, B) | p(B)\n-r(A, B)\n"
+        "Conclusion:\nq(B)\n",
+        "Premises:\nr(A, B) | r(B, A)\nall x (p(x))\n"
+        "Conclusion:\nr(B, A)\n",
+        # a negated ground literal premise
+        "Premises:\n-p(A)\nall x (-p(x) -> q(x))\nConclusion:\nq(A)\n",
+        "Premises:\n-p(A)\nexists x (p(x))\nConclusion:\n"
+        "exists y (-p(y))\n",
+    ])
+    def test_reduction_edge_cases(self, text):
+        problem = p9(text)
+        assert (oracle_result(enumerate_models, problem)
+                == oracle_result(reference_enumerate_models, problem))
+
+    def test_limit_counts_every_atom(self):
+        # six ground atoms, only p(B), r(A) and r(B) left to enumerate
+        problem = p9("Premises:\np(A)\n-q(A)\nall x (p(x) -> r(x))\n"
+                     "Conclusion:\nr(B)\n")
+        want = "ExecError: oracle limit: 6 ground atoms exceeds 4"
+        assert oracle_result(enumerate_models, problem, max_atoms=4) == want
+        assert oracle_result(reference_enumerate_models, problem,
+                             max_atoms=4) == want
+
+    @pytest.mark.parametrize("text", [
+        "Premises:\nq(f(A))\np(A)\n-p(A)\nConclusion:\nq(B)\n",
+        "Premises:\np(A)\n-p(A)\nq(f(A))\nConclusion:\nq(B)\n",
+        "Premises:\np(A)\nConclusion:\nq(f(A))\n",
+    ])
+    def test_function_terms_rejected_in_any_order(self, text):
+        with pytest.raises(ExecError,
+                           match="function terms are outside the oracle"):
+            enumerate_models(p9(text))
 
 
 class TestOracleUniverse:
@@ -167,6 +355,20 @@ class TestGenerator:
         expected = 3000 / 2
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 6.635
+
+    def test_output_digest(self):
+        # recorded before the oracle enumerated only the atoms that matter;
+        # pins every id, gold label, tag and text of `trilogic gen`
+        suites = [(cfg, depths, 50) for cfg, depths in EVAL_BATCH_SUITES]
+        suites.append((GenConfig(seed=101, fragment=FULL_FOL), (2, 3, 5), 60))
+        h = hashlib.sha256()
+        for cfg, depths, n in suites:
+            for gp in generate_suite(cfg, n, depths):
+                h.update(json.dumps([gp.id, gp.gold.value,
+                                     sorted(gp.tags.items()),
+                                     sorted(gp.texts.items())]).encode())
+        assert h.hexdigest() == ("8af6f172fbb661a723b6762c1e2310f0"
+                                 "c310145e3a2e92ba3b7b676448e04663")
 
     def test_full_fol_labels_stay_balanced(self):
         # df=2 critical value at p=0.01 is 9.210
