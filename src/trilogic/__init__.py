@@ -26,6 +26,7 @@ from .harness import (
     TranslationRecord, apply_world_assumption, classify_outcome,
     compute_metrics, evaluate, fetch_translations, load_dataset,
     load_translations, pearson, render_report, run_translation,
+    solve_translation,
 )
 from .normalize import clausify, clausify_all, clausify_formula, to_nnf
 from .resolution import (

@@ -19,16 +19,15 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .fol import (
-    Answered, ExecError, ParseError, ParseFailed, ResourceLimits,
-    DEFAULT_LIMITS, Truth, WorldAssumption,
+    Answered, ExecError, ResourceLimits, DEFAULT_LIMITS, Truth,
+    WorldAssumption,
 )
 from .harness import (
-    ENGINES, ENGINE_DIALECTS, apply_world_assumption, compute_metrics,
-    evaluate, load_dataset, load_translations, render_report,
-    run_translation,
+    ENGINES, apply_world_assumption, check_pair, compute_metrics, evaluate,
+    load_dataset, load_translations, render_report, solve_translation,
 )
-from .resolution import Proved, render_trace, resolution_runs
-from .dialects import DIALECTS, parse_prover9, parse_z3
+from .resolution import render_trace
+from .dialects import DIALECTS
 from .testkit import (
     DEFAULT_ENGINES, FRAGMENTS, GenConfig, differential_check,
     generate_suite,
@@ -78,38 +77,19 @@ def _parse_depths(value: Optional[str]) -> Optional[list[int]]:
 
 
 def cmd_solve(args: argparse.Namespace, limits: ResourceLimits) -> int:
-    if args.dialect not in ENGINE_DIALECTS[args.engine]:
-        print(f"error: engine {args.engine!r} does not accept dialect "
-              f"{args.dialect!r}", file=sys.stderr)
-        return 2
     try:
+        check_pair(args.engine, args.dialect)
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    trace_text: Optional[str] = None
-    if args.engine == "resolution" and args.trace:
-        try:
-            problem = parse_prover9(text) if args.dialect == "prover9" \
-                else parse_z3(text)
-        except ParseError as e:
-            outcome = ParseFailed(e.message, e.span)
-        else:
-            outcome, proved_pos, proved_neg = resolution_runs(problem, limits)
-            proof = proved_pos if isinstance(proved_pos, Proved) else \
-                proved_neg if isinstance(proved_neg, Proved) else None
-            if proof is not None:
-                trace_text = render_trace(proof)
-    else:
-        outcome = run_translation(text, args.dialect, args.engine, limits)
-
+    outcome, proof = solve_translation(text, args.dialect, args.engine, limits)
     outcome = apply_world_assumption(outcome,
                                      WorldAssumption(args.assumption))
     if isinstance(outcome, Answered):
         print(outcome.verdict.value.value)
-        if trace_text is not None:
-            print(trace_text)
+        if args.trace and proof is not None:
+            print(render_trace(proof))
         return 0
     print(str(outcome))
     return 1
@@ -252,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--engine", choices=list(ENGINES), required=True)
     solve.add_argument("--assumption", choices=["OWA", "CWA"], default="OWA")
     solve.add_argument("--trace", action="store_true",
-                       help="print the refutation trace when one exists")
+                       help="print the refutation trace (resolution only)")
     solve.set_defaults(func=cmd_solve)
 
     ev = sub.add_parser("eval", help="run a dataset through one engine")

@@ -30,7 +30,8 @@ from .fol import (
     ResourceLimits, DEFAULT_LIMITS, SourceSpan, Truth, Verdict,
     WorldAssumption,
 )
-from .resolution import entail_resolution
+# entail_resolution is not called here; perfbench/tracer.py wraps it
+from .resolution import Proved, entail_resolution, resolution_runs
 from .sat import entail_sat
 
 log = logging.getLogger(__name__)
@@ -187,22 +188,43 @@ def load_translations(path: str | Path) -> list[TranslationRecord]:
     return records
 
 
-def run_translation(text: str, dialect: str, engine: str,
-                    limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
-    """Parse one translation and run one engine; never raises ParseError."""
-    if dialect not in ENGINE_DIALECTS.get(engine, ()):
-        raise ValueError(f"engine {engine!r} does not accept dialect "
-                         f"{dialect!r}")
+def check_pair(engine: str, dialect: str) -> None:
+    """ValueError unless engine is known and reads dialect."""
+    if engine not in ENGINE_DIALECTS:
+        raise ValueError(f"unknown engine {engine!r}")
+    if dialect not in ENGINE_DIALECTS[engine]:
+        raise ValueError(
+            f"engine {engine!r} does not accept dialect {dialect!r}")
+
+
+def solve_translation(text: str, dialect: str, engine: str,
+                      limits: ResourceLimits = DEFAULT_LIMITS
+                      ) -> tuple[Outcome, Proved | None]:
+    """Parse one translation and run one engine; never raises ParseError.
+
+    The proof is the refutation behind a resolution True or False answer;
+    every other outcome and engine gives None.
+    """
+    check_pair(engine, dialect)
     try:
         if engine == "chaining":
-            return entail_chaining(parse_pyke(text), limits)
+            return entail_chaining(parse_pyke(text), limits), None
         problem = parse_prover9(text) if dialect == "prover9" \
             else parse_z3(text)
     except ParseError as e:
-        return ParseFailed(e.message, e.span)
-    if engine == "resolution":
-        return entail_resolution(problem, limits)
-    return entail_sat(problem, limits)
+        return ParseFailed(e.message, e.span), None
+    if engine == "sat":
+        return entail_sat(problem, limits), None
+    outcome, *runs = resolution_runs(problem, limits)
+    # one proof backs a True or False answer; two mean Inconsistent
+    proofs = [run for run in runs if isinstance(run, Proved)]
+    return outcome, proofs[0] if len(proofs) == 1 else None
+
+
+def run_translation(text: str, dialect: str, engine: str,
+                    limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
+    """solve_translation without the proof."""
+    return solve_translation(text, dialect, engine, limits)[0]
 
 
 def classify_outcome(outcome: Outcome, correct: bool) -> FigureCategory:
@@ -218,9 +240,13 @@ def classify_outcome(outcome: Outcome, correct: bool) -> FigureCategory:
 
 def apply_world_assumption(outcome: Outcome,
                            assumption: WorldAssumption) -> Outcome:
-    """Closed-world reading: an Unknown answer becomes a definite False."""
-    if assumption is WorldAssumption.CWA and isinstance(outcome, Answered) \
-            and outcome.verdict.value is Truth.UNKNOWN:
+    """Closed-world reading: a complete search's Unknown becomes False.
+
+    A resource-limited Unknown stays as it is: a search that was cut
+    short is no evidence that the conclusion is false.
+    """
+    if assumption is WorldAssumption.CWA \
+            and outcome == Answered(Verdict(Truth.UNKNOWN)):
         return Answered(Verdict(Truth.FALSE))
     return outcome
 
@@ -235,11 +261,7 @@ def evaluate(records: Sequence[DatasetRecord],
     Results are sorted by record id before returning, so the worker count
     never changes the output.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if dialect not in ENGINE_DIALECTS[engine]:
-        raise ValueError(
-            f"engine {engine!r} does not accept dialect {dialect!r}")
+    check_pair(engine, dialect)
     by_id = {t.id: t for t in translations if t.dialect == dialect}
 
     def solve_one(record: DatasetRecord) -> RunRecord:

@@ -24,14 +24,16 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .chaining import entail_chaining
-from .dialects import parse_prover9, parse_pyke, parse_z3
 from .fol import (
     And, Answered, Atom, Constant, ExecError, Exists, ForAll, Formula,
     Iff, Implies, Inconsistent, Not, Or, Outcome, Problem,
     ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
     WorldAssumption, Xor, pretty,
 )
+from .harness import run_translation
+# not called here; kept importable because perfbench/tracer.py wraps them
+from .chaining import entail_chaining
+from .dialects import parse_prover9, parse_pyke, parse_z3
 from .resolution import entail_resolution
 from .sat import entail_sat
 
@@ -625,24 +627,18 @@ def generate_suite(cfg: GenConfig, n: int,
 
 Engine = Callable[[GeneratedProblem, ResourceLimits], Outcome]
 
-
-def _engine_resolution(gp: GeneratedProblem, limits: ResourceLimits) -> Outcome:
-    return entail_resolution(parse_prover9(gp.texts["prover9"]), limits)
-
-
-def _engine_sat(gp: GeneratedProblem, limits: ResourceLimits) -> Outcome:
-    return entail_sat(parse_z3(gp.texts["z3"]), limits)
+# the dialect each engine reads in a differential check
+_DIFF_DIALECTS = {"resolution": "prover9", "sat": "z3", "chaining": "pyke"}
 
 
-def _engine_chaining(gp: GeneratedProblem, limits: ResourceLimits) -> Outcome:
-    return entail_chaining(parse_pyke(gp.texts["pyke"]), limits)
+def _diff_engine(engine: str, dialect: str) -> Engine:
+    def run(gp: GeneratedProblem, limits: ResourceLimits) -> Outcome:
+        return run_translation(gp.texts[dialect], dialect, engine, limits)
+    return run
 
 
 DEFAULT_ENGINES: dict[str, Engine] = {
-    "resolution": _engine_resolution,
-    "sat": _engine_sat,
-    "chaining": _engine_chaining,
-}
+    e: _diff_engine(e, d) for e, d in _DIFF_DIALECTS.items()}
 
 
 @dataclass(frozen=True)

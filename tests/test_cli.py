@@ -61,6 +61,36 @@ class TestSolve:
         assert any(l.startswith("clause ") for l in lines)
         assert any("$false" in l for l in lines)
 
+    def test_trace_on_z3_text(self, capsys):
+        code, out, _ = run(capsys, "solve", DATA_DIR / "anne.z3",
+                           "--dialect", "z3", "--engine", "resolution",
+                           "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "True"
+        assert "clause 15: -white(Anne)" in lines
+        assert lines[-1].endswith("=> $false")
+
+    def test_trace_of_false_answer_refutes_conclusion(self, capsys, tmp_path):
+        f = tmp_path / "f.p9"
+        f.write_text("Premises:\np(A)\n-q(A)\nConclusion:\nq(A)\n")
+        code, out, _ = run(capsys, "solve", f, "--dialect", "prover9",
+                           "--engine", "resolution", "--trace")
+        assert (code, out) == (0, "False\nclause 2: -q(A)\nclause 3: q(A)\n"
+                                  "step 4: resolve(2, 3) with {} => $false\n")
+
+    def test_trace_on_parse_error(self, capsys):
+        code, out, _ = run(capsys, "solve", DATA_DIR / "exist_typo.z3",
+                           "--dialect", "z3", "--engine", "resolution",
+                           "--trace")
+        assert code == 1
+        assert out == "ParseError: unknown operator 'Exist' (line 4, column 1)\n"
+
+    def test_trace_with_sat_prints_verdict_only(self, capsys):
+        code, out, _ = run(capsys, "solve", DATA_DIR / "anne.z3",
+                           "--dialect", "z3", "--engine", "sat", "--trace")
+        assert (code, out) == (0, "True\n")
+
     def test_cwa_flag_firms_up_unknown(self, capsys, tmp_path):
         f = tmp_path / "c.p9"
         f.write_text("Premises:\np(A)\nConclusion:\nq(A)\n")
@@ -73,6 +103,14 @@ class TestSolve:
                            "--dialect", "pyke", "--engine", "resolution")
         assert code == 2
         assert "does not accept dialect" in err
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "latin1.p9"
+        f.write_bytes(b"Premises:\np(Ren\xe9e)\nConclusion:\nq(A)\n")
+        code, _, err = run(capsys, "solve", f,
+                           "--dialect", "prover9", "--engine", "resolution")
+        assert code == 2
+        assert "error:" in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", tmp_path / "nope.p9",

@@ -187,6 +187,12 @@ class TestWorldAssumption:
         out = ExecFailed("boom")
         assert apply_world_assumption(out, WorldAssumption.CWA) is out
 
+    def test_cwa_leaves_resource_limited_unknown(self):
+        # a cut search proved nothing either way, so it is no evidence
+        # that the conclusion is false
+        out = Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
+        assert apply_world_assumption(out, WorldAssumption.CWA) is out
+
 
 def micro_runs(jobs=1):
     records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")

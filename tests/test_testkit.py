@@ -13,7 +13,7 @@ from trilogic import testkit
 from trilogic.dialects import parse_prover9, parse_pyke, parse_z3
 from trilogic.fol import (
     And, Answered, Atom, DEFAULT_LIMITS, ExecError, Iff, Implies,
-    Inconsistent, Not, Or, Outcome, Problem, Truth, Verdict,
+    Inconsistent, Not, Or, Outcome, ParseFailed, Problem, Truth, Verdict,
     WorldAssumption, Xor,
 )
 from trilogic.testkit import (
@@ -400,3 +400,24 @@ class TestDifferential:
 
     def test_engine_names(self):
         assert sorted(DEFAULT_ENGINES) == ["chaining", "resolution", "sat"]
+
+    def test_broken_text_is_parse_failure(self):
+        gp = generate_problem(GenConfig(seed=21))
+        gp = dataclasses.replace(gp, texts={**gp.texts, "prover9": BROKEN_P9})
+        out = DEFAULT_ENGINES["resolution"](gp, DEFAULT_LIMITS)
+        assert isinstance(out, ParseFailed)
+
+    def test_broken_text_is_reported_as_mismatch(self):
+        def breaks_text(gp, limits):
+            broken = dataclasses.replace(
+                gp, texts={**gp.texts, "prover9": BROKEN_P9})
+            return DEFAULT_ENGINES["resolution"](broken, limits)
+
+        report = differential_check(3, GenConfig(seed=21),
+                                    engines={"resolution": breaks_text})
+        assert len(report.mismatches) == 3
+        assert all(m.got.startswith("ParseError: ")
+                   for m in report.mismatches)
+
+
+BROKEN_P9 = "Premises:\np(A\nConclusion:\nq(A)\n"
