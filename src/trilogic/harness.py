@@ -5,19 +5,17 @@ four chart categories: answered-and-right, answered-and-wrong, failed to
 parse, failed at runtime (contradictions land here too). Executable rate
 counts the first two; accuracy counts only the first, over all records, so
 accuracy can never exceed executable rate.
+
+The HTTP client, logging, the thread pool and statistics are imported
+inside the functions that use them, so a process that only solves never
+loads them (tests/test_footprint.py checks this).
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import json
-import logging
-import statistics
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -33,8 +31,6 @@ from .fol import (
 # entail_resolution is not called here; perfbench/tracer.py wraps it
 from .resolution import Proved, entail_resolution, resolution_runs
 from .sat import entail_sat
-
-log = logging.getLogger(__name__)
 
 ENGINE_DIALECTS: dict[str, tuple[str, ...]] = {
     "resolution": ("prover9", "z3"),
@@ -284,6 +280,7 @@ def evaluate(records: Sequence[DatasetRecord],
                          wall_ms, limited, record.tags)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(solve_one, records))
     else:
@@ -336,6 +333,7 @@ def compute_metrics(runs: Sequence[RunRecord],
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample correlation coefficient; ValueError on degenerate input."""
+    import statistics
     try:
         return statistics.correlation(list(xs), list(ys))
     except statistics.StatisticsError as e:
@@ -424,6 +422,8 @@ def fetch_translations(config: Mapping[str, object],
     the cache file immediately, and failures degrade to per-record absence
     rather than aborting the batch.
     """
+    import logging
+    log = logging.getLogger("trilogic.harness")
     provider = config.get("provider")
     if provider == "file":
         wanted = {r.id for r in records}
@@ -437,6 +437,9 @@ def fetch_translations(config: Mapping[str, object],
         return out
     if provider != "http":
         raise ValueError(f"unknown provider {provider!r}")
+    import copy
+    import urllib.error
+    import urllib.request
 
     url = str(config["url"])
     method = str(config.get("method", "POST"))

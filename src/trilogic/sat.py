@@ -17,10 +17,9 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .fol import (
-    Answered, Atom, Clause, Constant, DeadlineExceeded, ExecError,
-    ExecFailed, Function, Inconsistent, Not, Outcome, Problem,
-    ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
-    term_constants,
+    Answered, Clause, DeadlineExceeded, ExecError, ExecFailed, Function,
+    Inconsistent, Not, Outcome, Problem, ResourceLimits, DEFAULT_LIMITS,
+    Term, Truth, Variable, Verdict, term_constants,
 )
 from .normalize import clausify_all, skolem_supply, variable_supply
 
@@ -34,19 +33,18 @@ _COMBOS_PER_CHECK = 1024
 class GroundAtomTable:
     """Bijection between ground atoms and dense 1-based propositional indices.
 
-    index_of is keyed by an atom's plain (predicate, names) tuple; atoms[i]
-    is the Atom of index i + 1, built once when its key is first interned.
+    index_of is keyed by an atom's plain (predicate, names) tuple, in the
+    order the indices were handed out.
     """
 
-    atoms: list[Atom] = field(default_factory=list)
     index_of: dict[tuple[str, tuple[str, ...]], int] = field(
         default_factory=dict)
 
     def copy(self) -> GroundAtomTable:
-        return GroundAtomTable(list(self.atoms), dict(self.index_of))
+        return GroundAtomTable(dict(self.index_of))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.index_of)
 
 
 @dataclass
@@ -66,11 +64,10 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
 
     Each clause is compiled once into literal templates. Every argument
     reads either a variable's slot in the assignment or one of the clause's
-    constants. Atoms are interned by their plain (predicate, names) key, and
-    an Atom is built only the first time its key appears. deadline is a
-    time.monotonic() instant, by default wall_ms from now, checked every
-    _COMBOS_PER_CHECK assignments of a clause; past it grounding raises
-    DeadlineExceeded.
+    constants. Atoms are interned by their plain (predicate, names) key.
+    deadline is a time.monotonic() instant, by default wall_ms from now,
+    checked every _COMBOS_PER_CHECK assignments of a clause; past it
+    grounding raises DeadlineExceeded.
 
     base is an earlier grounding over the same constants that these
     clauses extend, as a problem's goal extends its premises. The result
@@ -90,7 +87,7 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
         table = base.table.copy()
         seen = set(base.clauses)
         total_literals = sum(map(len, base.clauses))
-    atoms, index_of = table.atoms, table.index_of
+    index_of = table.index_of
     out: list[tuple[int, ...]] = []
     literal_budget = limits.max_ground_literals
 
@@ -120,9 +117,7 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
                 key = (predicate, pick(row))
                 idx = index_of.get(key)
                 if idx is None:
-                    atoms.append(
-                        Atom(predicate, tuple(Constant(n) for n in key[1])))
-                    idx = index_of[key] = len(atoms)
+                    idx = index_of[key] = len(index_of) + 1
                 s = idx if positive else -idx
                 if -s in signed:
                     break  # a tautology
@@ -339,7 +334,8 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None
 
 def to_dimacs(cs: PropClauseSet) -> str:
     """DIMACS CNF dump with atom names in comments."""
-    lines = [f"c {i + 1} {atom}" for i, atom in enumerate(cs.table.atoms)]
+    lines = [f"c {i} {pred}({', '.join(names)})" if names else f"c {i} {pred}"
+             for (pred, names), i in cs.table.index_of.items()]
     lines.append(f"p cnf {cs.atom_count} {len(cs.clauses)}")
     lines.extend(" ".join(str(l) for l in c) + " 0" for c in cs.clauses)
     return "\n".join(lines)

@@ -38,7 +38,9 @@ from .resolution import entail_resolution
 from .sat import entail_sat
 
 ORACLE_MAX_ATOMS = 24
-_BLOCK_ATOMS = 20
+# low atoms per block: 2^16-bit (8 kB) columns stay in cache, and the
+# early exits fire per block; 16 beat 20, 14 and 12 on set-up time
+_BLOCK_ATOMS = 16
 _WITNESS_PREFIX = "_w"
 
 HORN = "horn"

@@ -90,6 +90,25 @@ class TestDimacs:
         assert "p cnf 2 2" in lines
         assert lines[-1] == "-2 0"
 
+    def test_zero_arity_and_binary_atom_bytes(self):
+        # recorded before the atom table dropped its Atom list
+        y = Variable("y")
+        premises = [Clause((lit("rain", pos=False), lit("r", X, A))),
+                    Clause((lit("rain"),)),
+                    Clause((lit("r", X, y, pos=False), lit("r", y, X)))]
+        goal = [Clause((lit("wet", pos=False), lit("r", A, X)))]
+        base = ground(premises, ["A", "B"])
+        on_top = ground(goal, ["A", "B"], base=base)
+        both = PropClauseSet(base.clauses + on_top.clauses,
+                             on_top.atom_count, on_top.table)
+        atoms = ("c 1 r(A, A)\nc 2 rain\nc 3 r(B, A)\nc 4 r(A, B)\n"
+                 "c 5 r(B, B)\n")
+        assert to_dimacs(base) == (
+            atoms + "p cnf 5 5\n1 -2 0\n-2 3 0\n2 0\n3 -4 0\n-3 4 0")
+        assert to_dimacs(both) == (
+            atoms + "c 6 wet\np cnf 6 7\n1 -2 0\n-2 3 0\n2 0\n3 -4 0\n"
+            "-3 4 0\n1 -6 0\n4 -6 0")
+
 
 class TestDpll:
     def test_satisfiable_returns_total_model(self):

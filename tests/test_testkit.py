@@ -261,6 +261,43 @@ class TestAgainstReference:
             enumerate_models(p9(text))
 
 
+@pytest.fixture(scope="module")
+def reference_draws():
+    """The draws of TestAgainstReference, with their ground atom counts."""
+    suites = [(GenConfig(fragment=fragment, assumption=world, seed=seed),
+               (2, 3, 5))
+              for fragment in (HORN, FULL_FOL)
+              for world in WorldAssumption
+              for seed in (23, 101, 907)]
+    with pytest.MonkeyPatch.context() as m:
+        draws = drawn_problems(suites, 12, m)
+        draws += drawn_problems(EVAL_BATCH_SUITES, 15, m)
+    return [(problem, sum(len(oracle_universe(problem)) ** arity
+                          for _, arity in reference_collect_arities(problem)))
+            for problem in draws]
+
+
+class TestBlockSizes:
+    # at most 2**12 high assignments per problem, so small blocks stay fast
+    MAX_HIGH_ATOMS = 12
+
+    @pytest.mark.parametrize("block", [1, 3, _BLOCK_ATOMS])
+    def test_agrees_with_reference(self, block, reference_draws,
+                                   monkeypatch):
+        monkeypatch.setattr(testkit, "_BLOCK_ATOMS", block)
+        kinds = Counter()
+        for problem, atoms in reference_draws:
+            if block + self.MAX_HIGH_ATOMS < atoms <= ORACLE_MAX_ATOMS:
+                continue
+            got = oracle_result(enumerate_models, problem)
+            assert got == oracle_result(reference_enumerate_models, problem)
+            kinds[got.split(":")[0]] += 1
+        assert set(kinds) == {"True", "False", "Unknown", "Inconsistent",
+                              "ExecError"}
+        if block == _BLOCK_ATOMS:
+            assert sum(kinds.values()) == len(reference_draws)
+
+
 class TestOracleUniverse:
     def test_named_constants_plus_conclusion_witness(self):
         p = p9("Premises:\np(A)\nConclusion:\nall x (p(x))\n")
