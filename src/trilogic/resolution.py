@@ -8,6 +8,11 @@ queued ahead of premise clauses, so goal-directed inferences happen first,
 but premises do get selected too: otherwise a contradiction sitting
 entirely inside the premises could never surface, and the dual-run wrapper
 relies on exactly that to report Inconsistent.
+
+Subsumption deletes both ways under one rule (`deletes`): a new clause that
+a kept clause deletes is dropped, and a kept new clause deletes every kept
+clause it subsumes, so that clause is never selected or offered as a
+partner again.
 """
 
 from __future__ import annotations
@@ -213,6 +218,18 @@ def subsumes(c1: Clause, c2: Clause) -> bool:
     return backtrack(0, {})
 
 
+def deletes(c1: Clause, c2: Clause) -> bool:
+    """The subsumption deletion rule of saturate: c1 subsumes c2 and has no
+    more literals than c2.
+
+    The length bound keeps a clause from deleting its own factors:
+    p(x) | p(y) subsumes its factor p(y), yet the factor is what a
+    refutation needs, so the factor deletes p(x) | p(y) and not the other
+    way round.
+    """
+    return len(c1) <= len(c2) and subsumes(c1, c2)
+
+
 def _freeze_sub(sub: dict[str, Term]) -> tuple[tuple[str, Term], ...]:
     return tuple(sorted(sub.items()))
 
@@ -270,14 +287,21 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     max_clause_literals literals is not complete, so it ends in
     LimitReached.
 
+    A new clause that a kept clause `deletes` is dropped. A kept new clause
+    deletes every kept clause it `deletes`: a deleted clause leaves its
+    by_keys group, is skipped as a partner in usable and when it comes off
+    the sos heap, but stays in clauses and steps, so a proof that used it
+    before the deletion still builds and replays.
+
     Three indexes skip only work that yields nothing, so clause ids, proofs
-    and the points where limits fire are those of the plain loop:
+    and the points where limits fire are those of the plain loop that scans
+    every clause:
     - partners: (predicate, sign) -> positions in usable. A given clause
       meets only usable clauses with a complementary literal, in usable
       order.
-    - by_keys: the kept clauses grouped by their (predicate, sign) sets.
-      A clause can subsume another only if its set is a subset of the
-      other's, so only those groups are tried.
+    - by_keys: the live kept clauses grouped by their (predicate, sign)
+      sets. A clause can subsume another only if its set is a subset of
+      the other's, so only those groups are tried, in both directions.
     - sos is a heap on (literals, arrival): lightest first, FIFO on ties.
     """
     if deadline is None:
@@ -325,6 +349,7 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     by_keys: defaultdict[frozenset, list[int]] = defaultdict(list)
     for i in queued:
         by_keys[keys[i]].append(i)
+    deleted: set[int] = set()
     generated = 0
     dropped = False
 
@@ -332,6 +357,8 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         if time.monotonic() > deadline:
             return LimitReached("wall clock budget")
         given_id = heapq.heappop(sos)[2]
+        if given_id in deleted:
+            continue
         given = clauses[given_id]
         for key in keys[given_id]:
             partners[key].append(len(usable))
@@ -342,6 +369,8 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
             positions.update(partners.get((predicate, not positive), ()))
         new: list[tuple[Clause, ProofStep]] = []
         for partner_id in (usable[p] for p in sorted(positions)):
+            if partner_id in deleted:
+                continue
             for r in resolvents(given, clauses[partner_id]):
                 step = ProofStep(0, "resolve", (given_id, partner_id),
                                  r.left_literal, r.right_literal, r.unifier, r.clause)
@@ -359,7 +388,7 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
                 dropped = True
                 continue
             clause_keys = _keys(clause)
-            if any(subsumes(clauses[k], clause)
+            if any(deletes(clauses[k], clause)
                    for group, members in by_keys.items() if group <= clause_keys
                    for k in members):
                 continue
@@ -371,6 +400,12 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
             if clause.is_empty():
                 return build_proof(cid)
             keys[cid] = clause_keys
+            for group, members in by_keys.items():
+                if clause_keys <= group:
+                    doomed = {k for k in members if deletes(clause, clauses[k])}
+                    if doomed:
+                        deleted |= doomed
+                        members[:] = [k for k in members if k not in doomed]
             by_keys[clause_keys].append(cid)
             heapq.heappush(sos, (len(clause), next(arrival), cid))
     if dropped:

@@ -6,10 +6,11 @@ import pytest
 
 from trilogic import resolution
 from trilogic.fol import (
-    DEFAULT_LIMITS, Atom, Clause, Constant, Function, Literal, Not,
-    ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
+    DEFAULT_LIMITS, Atom, Clause, Constant, Function, Inconsistent, Literal,
+    Not, ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
 )
 from trilogic.dialects import parse_prover9
+from trilogic.harness import run_translation
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.resolution import (
     LimitReached, Proved, ProofStep, Saturated, entail_resolution, factor,
@@ -94,6 +95,85 @@ def reference_saturate(premise_clauses, goal_clauses, limits=DEFAULT_LIMITS):
     return LimitReached("clause literal limit") if dropped else Saturated()
 
 
+def backward_reference_saturate(premise_clauses, goal_clauses,
+                                limits=DEFAULT_LIMITS):
+    """reference_saturate with saturate's deletion rule in both directions:
+    C deletes D only if C has no more literals than D and subsumes it. A new
+    clause that a kept clause deletes is dropped; a kept new clause takes
+    every clause it deletes out of usable and sos. No wall clock."""
+    clauses, steps = {}, {}
+    premise_ids, goal_ids = [], []
+    seen = set()
+    for ids, source in ((premise_ids, premise_clauses), (goal_ids, goal_clauses)):
+        for c in source:
+            if c not in seen:
+                seen.add(c)
+                clauses[len(clauses) + 1] = c
+                ids.append(len(clauses))
+
+    def build_proof(empty_id):
+        wanted, stack = set(), [empty_id]
+        while stack:
+            i = stack.pop()
+            if i not in wanted:
+                wanted.add(i)
+                stack.extend(steps[i].parents if i in steps else ())
+        return Proved(tuple(steps[i] for i in sorted(wanted) if i in steps),
+                      tuple((i, clauses[i]) for i in sorted(wanted) if i not in steps))
+
+    def deletes(c, d):
+        return len(c) <= len(d) and subsumes(c, d)
+
+    usable, sos = [], goal_ids + premise_ids
+    for i in sos:
+        if clauses[i].is_empty():
+            return build_proof(i)
+    generated, dropped = 0, False
+    while sos:
+        best = min(range(len(sos)), key=lambda k: (len(clauses[sos[k]]), k))
+        given_id = sos.pop(best)
+        given = clauses[given_id]
+        usable.append(given_id)
+        new = []
+        for partner_id in usable:
+            for r in resolvents(given, clauses[partner_id]):
+                new.append((r.clause, ProofStep(0, "resolve", (given_id, partner_id),
+                                                r.left_literal, r.right_literal,
+                                                r.unifier, r.clause)))
+        for fa in factors(given):
+            new.append((fa.clause, ProofStep(0, "factor", (given_id,), fa.first,
+                                             fa.second, fa.unifier, fa.clause)))
+        for clause, step in new:
+            generated += 1
+            if generated > limits.max_generated_clauses:
+                return LimitReached("generated clause budget")
+            if len(clause) > limits.max_clause_literals:
+                dropped = True
+                continue
+            if any(deletes(clauses[k], clause) for k in (*usable, *sos)):
+                continue
+            cid = len(clauses) + 1
+            clauses[cid] = clause
+            steps[cid] = ProofStep(cid, step.rule, step.parents, step.left_literal,
+                                   step.right_literal, step.unifier, clause)
+            if clause.is_empty():
+                return build_proof(cid)
+            usable = [k for k in usable if not deletes(clause, clauses[k])]
+            sos = [k for k in sos if not deletes(clause, clauses[k])]
+            sos.append(cid)
+    return LimitReached("clause literal limit") if dropped else Saturated()
+
+
+def both_goal_sides(problem):
+    """Premise clauses and the goal clauses of the two resolution_runs
+    sides: prove C (not-C as goal), prove not-C (C as goal)."""
+    var_supply, sk_supply = variable_supply(), skolem_supply()
+    premises = clausify_all(problem.premises, var_supply, sk_supply)
+    neg_goal = clausify_all([Not(problem.conclusion)], var_supply, sk_supply)
+    pos_goal = clausify_all([problem.conclusion], var_supply, sk_supply)
+    return premises, (neg_goal, pos_goal)
+
+
 class TestUnify:
     def test_variable_against_constant(self):
         assert unify(at("p", X, A), at("p", B, Y)) == {"x": B, "y": A}
@@ -176,8 +256,10 @@ class TestSaturate:
 
 
     def test_prefilter_offers_two_literals_mapped_onto_one(self, monkeypatch):
-        # p(x) | p(y) subsumes the derived p(A) by mapping both literals onto
-        # it, so the key-set filter must still try that pair
+        # p(x) | p(y) subsumes its factor p(y), and any p(A), by mapping both
+        # literals onto one, but a clause deletes only clauses at least as
+        # long as itself: the factor is tried against its parent and deletes
+        # it, never the other way round
         tried = []
 
         def spy(c1, c2):
@@ -190,7 +272,9 @@ class TestSaturate:
                     Clause((lit("q", X, pos=False), lit("p", X)))]
         goal = [Clause((lit("r", A, pos=False),))]
         assert isinstance(saturate(premises, goal), Saturated)
-        assert ("p(x) | p(y)", "p(A)", True) in tried
+        assert ("p(y)", "p(x) | p(y)", True) in tried
+        assert not [t for t in tried
+                    if t[0] == "p(x) | p(y)" and t[1] in ("p(y)", "p(A)")]
 
     def test_dropped_clause_means_limit_not_saturation(self):
         premises = [Clause((lit("p", A), lit("q", A), lit("r", A))),
@@ -211,8 +295,84 @@ class TestSaturate:
         assert isinstance(got, Proved) and replay_trace(got)
 
 
+class TestBackwardDeletion:
+    # p(A), derived from q(A) and -q(x) | p(x) in the third round, deletes
+    # p(A) | r(A), usable since the second round, and p(A) | s(A) | u(A),
+    # still waiting; -r(x) | -s(x) | t(x) would meet both
+    PREMISES = [Clause((lit("q", A),)),
+                Clause((lit("p", A), lit("r", A))),
+                Clause((lit("q", X, pos=False), lit("p", X))),
+                Clause((lit("p", A), lit("s", A), lit("u", A))),
+                Clause((lit("r", X, pos=False), lit("s", X, pos=False),
+                        lit("t", X)))]
+
+    def spied(self, monkeypatch):
+        given, offered = [], []
+
+        def spy_factors(c):
+            given.append(str(c))
+            return factors(c)
+
+        def spy_resolvents(c1, c2):
+            offered.append((str(c1), str(c2)))
+            return resolvents(c1, c2)
+
+        monkeypatch.setattr(resolution, "factors", spy_factors)
+        monkeypatch.setattr(resolution, "resolvents", spy_resolvents)
+        assert isinstance(saturate(self.PREMISES, []), Saturated)
+        return given, offered
+
+    def test_deleted_waiting_clause_is_never_given(self, monkeypatch):
+        given, _ = self.spied(monkeypatch)
+        assert "p(A)" in given and "-r(x) | -s(x) | t(x)" in given
+        assert "p(A) | s(A) | u(A)" not in given
+
+    def test_deleted_usable_clause_is_never_a_partner_again(self, monkeypatch):
+        given, offered = self.spied(monkeypatch)
+        assert "p(A) | r(A)" in given
+        assert not [pair for pair in offered if "p(A) | r(A)" in pair]
+
+    def test_proof_through_a_deleted_clause_replays(self, monkeypatch):
+        # p(A) | q(A) meets -p(A) and gives q(A), which deletes it; q(A)
+        # then meets -q(A)
+        tried = []
+
+        def spy(c1, c2):
+            got = subsumes(c1, c2)
+            tried.append((str(c1), str(c2), got))
+            return got
+
+        monkeypatch.setattr(resolution, "subsumes", spy)
+        premises = [Clause((lit("p", A), lit("q", A))),
+                    Clause((lit("q", A, pos=False),))]
+        goal = [Clause((lit("p", A, pos=False),))]
+        got = saturate(premises, goal)
+        assert ("q(A)", "p(A) | q(A)", True) in tried
+        assert isinstance(got, Proved)
+        assert "p(A) | q(A)" in [str(c) for _, c in got.inputs]
+        assert replay_trace(got)
+
+    FACTOR_TEXTS = {
+        "prover9": ("Premises:\nall x all y (p(x) | p(y))\n"
+                    "all u all v (-p(u) | -p(v))\nConclusion:\nq(A)\n"),
+        "z3": ("def solution():\n    ForAll([x, y], Or(p(x), p(y)))\n"
+               "    ForAll([u, v], Or(Not(p(u)), Not(p(v))))\n"
+               "    return q(A)\n"),
+    }
+
+    @pytest.mark.parametrize("dialect", ["prover9", "z3"])
+    def test_factor_outlives_its_parent(self, dialect):
+        # p(x) | p(y) may not delete its factor p(y), so the contradiction
+        # surfaces in resolution as it does in sat
+        text = self.FACTOR_TEXTS[dialect]
+        assert run_translation(text, dialect, "sat") == Inconsistent()
+        assert run_translation(text, dialect, "resolution") == Inconsistent()
+
+
 class TestIndexedLoop:
-    """saturate against the plain loop kept above as reference_saturate."""
+    """saturate against the plain loops kept above: backward_reference_saturate
+    step for step, and reference_saturate, which deletes forward only, by
+    result type."""
 
     @pytest.mark.parametrize("fragment", [HORN, FULL_FOL])
     def test_matches_reference_on_generated_problems(self, fragment):
@@ -220,15 +380,10 @@ class TestIndexedLoop:
         budgets = (ResourceLimits(wall_ms=60_000),
                    ResourceLimits(wall_ms=60_000, max_generated_clauses=40))
         for gp in generate_suite(GenConfig(fragment=fragment, seed=23), 60, (2, 3, 5)):
-            problem = parse_prover9(gp.texts["prover9"])
-            var_supply, sk_supply = variable_supply(), skolem_supply()
-            premises = clausify_all(problem.premises, var_supply, sk_supply)
-            neg_goal = clausify_all([Not(problem.conclusion)], var_supply, sk_supply)
-            pos_goal = clausify_all([problem.conclusion], var_supply, sk_supply)
-            # both sides of resolution_runs: prove C, prove not-C
-            for goal in (neg_goal, pos_goal):
+            premises, goals = both_goal_sides(parse_prover9(gp.texts["prover9"]))
+            for goal in goals:
                 for limits in budgets:
-                    want = reference_saturate(premises, goal, limits)
+                    want = backward_reference_saturate(premises, goal, limits)
                     got = saturate(premises, goal, limits)
                     assert type(got) is type(want), gp.id
                     if isinstance(want, Proved):
@@ -238,6 +393,17 @@ class TestIndexedLoop:
                         assert got == want, gp.id
                     kinds.add(type(want).__name__)
         assert kinds == {"Proved", "Saturated", "LimitReached"}
+
+    @pytest.mark.parametrize("fragment", [HORN, FULL_FOL])
+    @pytest.mark.parametrize("seed", [23, 101, 907])
+    def test_forward_only_loop_gives_the_same_results(self, fragment, seed):
+        limits = ResourceLimits(wall_ms=60_000)
+        for gp in generate_suite(GenConfig(fragment=fragment, seed=seed), 40):
+            premises, goals = both_goal_sides(parse_prover9(gp.texts["prover9"]))
+            for goal in goals:
+                want = reference_saturate(premises, goal, limits)
+                got = saturate(premises, goal, limits)
+                assert type(got) is type(want), gp.id
 
 
 class TestTrace:
