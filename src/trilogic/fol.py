@@ -583,13 +583,8 @@ class ResourceLimits:
                 raise ValueError("limits must be strictly positive")
 
     def deadline(self, share: float = 1.0) -> float:
-        """The time.monotonic() instant share of wall_ms from now.
-
-        A problem's two dual runs take one budget: the first stops at half
-        of it, the second at all of it, so a first run that never ends
-        cannot starve the second, and one that ends early hands its
-        leftover time on.
-        """
+        """The time.monotonic() instant share of wall_ms from now; see
+        resolution.dual_run for how its two runs share one budget."""
         return time.monotonic() + share * self.wall_ms / 1000.0
 
 

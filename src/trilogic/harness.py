@@ -117,32 +117,35 @@ def _parse_assumption(value: object, where: str) -> WorldAssumption:
     raise ValueError(f"{where}: bad assumption {value!r}")
 
 
-def _jsonl_objects(path: str | Path) -> Iterable[tuple[int, dict]]:
+def _jsonl_records(path: str | Path, keys: tuple[str, ...]
+                   ) -> Iterable[tuple[str, dict]]:
+    """Each line's object and its "line N" label, once the object holds
+    an id that is a nonempty string and every one of keys."""
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
+        where = f"line {line_no}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
-            raise ValueError(f"line {line_no}: invalid JSON ({e.msg})") from e
+            raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
         if not isinstance(obj, dict):
-            raise ValueError(f"line {line_no}: expected a JSON object")
-        yield line_no, obj
+            raise ValueError(f"{where}: expected a JSON object")
+        for key in ("id", *keys):
+            if key not in obj:
+                raise ValueError(f"{where}: missing {key!r}")
+        if not isinstance(obj["id"], str) or not obj["id"]:
+            raise ValueError(f"{where}: id must be a nonempty string")
+        yield where, obj
 
 
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Read dataset JSONL; every error message names its line."""
     records: list[DatasetRecord] = []
     seen: set[str] = set()
-    for line_no, obj in _jsonl_objects(path):
-        where = f"line {line_no}"
-        for key in ("id", "gold", "assumption"):
-            if key not in obj:
-                raise ValueError(f"{where}: missing {key!r}")
+    for where, obj in _jsonl_records(path, ("gold", "assumption")):
         rid = obj["id"]
-        if not isinstance(rid, str) or not rid:
-            raise ValueError(f"{where}: id must be a nonempty string")
         if rid in seen:
             raise ValueError(f"{where}: duplicate id {rid!r}")
         seen.add(rid)
@@ -162,25 +165,22 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
 
 
 def load_translations(path: str | Path) -> list[TranslationRecord]:
+    """Read translations JSONL; every error message names its line."""
     records: list[TranslationRecord] = []
     seen: set[tuple[str, str]] = set()
-    for line_no, obj in _jsonl_objects(path):
-        where = f"line {line_no}"
-        for key in ("id", "dialect", "text"):
-            if key not in obj:
-                raise ValueError(f"{where}: missing {key!r}")
-        dialect = obj["dialect"]
+    for where, obj in _jsonl_records(path, ("dialect", "text")):
+        rid, dialect = obj["id"], obj["dialect"]
         if dialect not in DIALECTS:
             raise ValueError(f"{where}: unknown dialect {dialect!r}")
-        key2 = (obj["id"], dialect)
-        if key2 in seen:
-            raise ValueError(
-                f"{where}: duplicate translation for id {obj['id']!r} "
-                f"dialect {dialect!r}")
-        seen.add(key2)
+        for key in ("text", "provider"):
+            if not isinstance(obj.get(key, ""), str):
+                raise ValueError(f"{where}: {key} must be a string")
+        if (rid, dialect) in seen:
+            raise ValueError(f"{where}: duplicate translation for id {rid!r} "
+                             f"dialect {dialect!r}")
+        seen.add((rid, dialect))
         records.append(TranslationRecord(
-            str(obj["id"]), dialect, str(obj["text"]),
-            str(obj.get("provider", "unknown"))))
+            rid, dialect, obj["text"], obj.get("provider", "unknown")))
     return records
 
 
@@ -428,6 +428,8 @@ def fetch_translations(config: Mapping[str, object],
     if provider == "file":
         wanted = {r.id for r in records}
         only = config.get("dialect")
+        if only is not None and only not in DIALECTS:
+            raise ValueError(f"unknown dialect {only!r}")
         out = [t for t in load_translations(str(config["path"]))
                if t.id in wanted and (only is None or t.dialect == only)]
         missing = wanted - {t.id for t in out}

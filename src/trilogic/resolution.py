@@ -1,4 +1,5 @@
-"""Given-clause resolution prover and the dual-run entailment wrapper.
+"""Given-clause resolution prover, and dual_run, the entailment driver that
+resolution and sat share.
 
 The saturation loop keeps two clause lists: `usable` holds clauses already
 selected, `sos` holds clauses waiting their turn. Each round moves the
@@ -6,8 +7,8 @@ lightest sos clause over and resolves it against every usable clause
 (including itself) that holds a complementary literal. Goal clauses are
 queued ahead of premise clauses, so goal-directed inferences happen first,
 but premises do get selected too: otherwise a contradiction sitting
-entirely inside the premises could never surface, and the dual-run wrapper
-relies on exactly that to report Inconsistent.
+entirely inside the premises could never surface, and dual_run relies on
+exactly that to report Inconsistent.
 
 Subsumption deletes both ways under one rule (`deletes`): a new clause that
 a kept clause deletes is dropped, and a kept new clause deletes every kept
@@ -22,7 +23,7 @@ import itertools
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .fol import (
     Answered, Atom, Clause, Constant, DeadlineExceeded, ExecFailed,
@@ -455,41 +456,69 @@ def replay_trace(proof: Proved) -> bool:
 # ---------------------------------------------------------------------------
 # Entailment
 
+# an engine's refute(goal clauses, run deadline), which prepare(problem,
+# premise clauses, limits, problem deadline) sets up for one problem
+Refute = Callable[[list[Clause], float], ProofResult]
 
-def resolution_runs(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS
-                    ) -> tuple[Outcome, Optional[ProofResult], Optional[ProofResult]]:
-    """Outcome plus the two saturation results (prove-C side, prove-not-C side).
 
-    Both saturations share one wall_ms budget, split as in
-    ResourceLimits.deadline; clausification may use all of it.
+def dual_run(p: Problem,
+             prepare: Callable[[Problem, list[Clause], ResourceLimits, float],
+                               Refute],
+             limits: ResourceLimits = DEFAULT_LIMITS
+             ) -> tuple[Outcome, Optional[ProofResult], Optional[ProofResult]]:
+    """Decide p as Logic-LM drives Prover9: refute P and not C, then P and C.
+
+    The one entailment driver of resolution and sat. The premises and both
+    goals are clausified once, under the problem's deadline. The runs share
+    one wall_ms budget: the first stops at half of it, the second at all of
+    it, so a first run that never ends cannot starve the second, and one
+    that ends early hands its leftover time on. A run is refuted (Proved),
+    open (Saturated) or undecided (LimitReached, or DeadlineExceeded
+    raised). Both refuted is Inconsistent, one refuted True (P and not C)
+    or False (P and C), both open Unknown, the rest a resource-limited
+    Unknown. An ExecError is ExecFailed, and a DeadlineExceeded while
+    clausifying a resource-limited Unknown, both with no runs.
     """
     first_deadline, deadline = limits.deadline(0.5), limits.deadline()
     var_supply, sk_supply = variable_supply(), skolem_supply()
     try:
-        premises = clausify_all(p.premises, var_supply, sk_supply, limits,
-                                deadline)
-        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply,
-                                limits, deadline)
-        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits,
-                                deadline)
+        premises, neg_goal, pos_goal = (
+            clausify_all(formulas, var_supply, sk_supply, limits, deadline)
+            for formulas in (p.premises, [Not(p.conclusion)], [p.conclusion]))
+        refute = prepare(p, premises, limits, deadline)
+        runs: list[ProofResult] = []
+        for goal, run_deadline in ((neg_goal, first_deadline),
+                                   (pos_goal, deadline)):
+            try:
+                runs.append(refute(goal, run_deadline))
+            except DeadlineExceeded:
+                runs.append(LimitReached("wall clock budget"))
     except ExecError as e:
         return ExecFailed(str(e)), None, None
     except DeadlineExceeded:
         return Answered(Verdict(Truth.UNKNOWN, resource_limited=True)), None, None
 
-    proves_c = saturate(premises, neg_goal, limits, first_deadline)
-    proves_not_c = saturate(premises, pos_goal, limits, deadline)
-    if isinstance(proves_c, Proved) and isinstance(proves_not_c, Proved):
-        return Inconsistent(), proves_c, proves_not_c
-    if isinstance(proves_c, Proved):
-        return Answered(Verdict(Truth.TRUE)), proves_c, proves_not_c
-    if isinstance(proves_not_c, Proved):
-        return Answered(Verdict(Truth.FALSE)), proves_c, proves_not_c
-    if isinstance(proves_c, Saturated) and isinstance(proves_not_c, Saturated):
-        return Answered(Verdict(Truth.UNKNOWN)), proves_c, proves_not_c
-    return Answered(Verdict(Truth.UNKNOWN, resource_limited=True)), proves_c, proves_not_c
+    proves_c, proves_not_c = (isinstance(run, Proved) for run in runs)
+    if proves_c and proves_not_c:
+        return Inconsistent(), *runs
+    if proves_c or proves_not_c:
+        return Answered(Verdict(Truth.TRUE if proves_c else Truth.FALSE)), *runs
+    limited = not all(isinstance(run, Saturated) for run in runs)
+    return Answered(Verdict(Truth.UNKNOWN, resource_limited=limited)), *runs
+
+
+def resolution_runs(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS
+                    ) -> tuple[Outcome, Optional[ProofResult], Optional[ProofResult]]:
+    """dual_run by saturation: the outcome plus both saturation results
+    (prove-C side, prove-not-C side)."""
+    return dual_run(p, _prepare_saturation, limits)
+
+
+def _prepare_saturation(p: Problem, premises: list[Clause],
+                        limits: ResourceLimits, deadline: float) -> Refute:
+    return lambda goal, run_deadline: saturate(premises, goal, limits,
+                                               run_deadline)
 
 
 def entail_resolution(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
-    outcome, _, _ = resolution_runs(p, limits)
-    return outcome
+    return resolution_runs(p, limits)[0]

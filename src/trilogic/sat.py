@@ -5,7 +5,8 @@ skolem constants the clausifier introduced, plus one dummy constant when a
 problem names nobody at all). This finite-domain reading matches the
 benchmark fragments, where every individual is named up front; problems
 that need skolem functions of arity one or more are out of this engine's
-fragment and must go to the resolution engine instead.
+fragment and must go to the resolution engine instead. The two runs per
+problem, their budgets and the verdict are resolution.dual_run's.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .fol import (
-    Answered, Clause, DeadlineExceeded, ExecError, ExecFailed, Function,
-    Inconsistent, Not, Outcome, Problem, ResourceLimits, DEFAULT_LIMITS,
-    Term, Truth, Variable, Verdict, term_constants,
+    Clause, DeadlineExceeded, ExecError, Function, Outcome, Problem,
+    ResourceLimits, DEFAULT_LIMITS, Term, Variable, term_constants,
 )
-from .normalize import clausify_all, skolem_supply, variable_supply
+# clausify_all is not called here; perfbench/tracer.py wraps it
+from .normalize import clausify_all
+from .resolution import ProofResult, Proved, Refute, Saturated, dual_run
 
 DUMMY_CONSTANT = "_c0"
 
@@ -342,72 +344,41 @@ def to_dimacs(cs: PropClauseSet) -> str:
 
 
 def entail_sat(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
-    """Dual satisfiability queries: UNSAT(P and not C) / UNSAT(P and C).
+    """dual_run by satisfiability: UNSAT(P and not C) / UNSAT(P and C)."""
+    return dual_run(p, _prepare_grounding, limits)[0]
 
-    Each query grounds over the named constants and the skolem constants of
-    the premises and of its own goal. The premises are grounded once, for
-    every query whose goal brings no skolem constant of its own (the usual
-    case); such a query grounds only its goal on top, and its clause set is
-    byte for byte the one it would ground alone. A goal with skolem
-    constants of its own is grounded together with the premises, over
-    them. One universe for both queries would keep the verdicts, but each
-    query's literal budget would then count instances over the other
-    goal's constants. The second goal is grounded only after the first
-    query has returned.
 
-    Both queries share one wall_ms budget, split as in
-    ResourceLimits.deadline; clausification and the shared premise
-    grounding may use all of it. A query that runs past its deadline counts
-    as undecided, as a saturation that hits a limit does in resolution_runs.
+def _prepare_grounding(p: Problem, premises: list[Clause],
+                       limits: ResourceLimits, deadline: float) -> Refute:
+    """A refute that grounds and searches; UNSAT is a refutation that
+    records no steps, and a model leaves the goal open.
+
+    Each run grounds over the named constants and the skolem constants of
+    the premises and of its own goal. The premises are grounded once, at
+    the first run whose goal brings no skolem constant of its own (the
+    usual case), under the problem's deadline; such a run grounds only its
+    goal on top, and its clause set is byte for byte the one it would
+    ground alone. A goal with skolem constants of its own is grounded
+    together with the premises, over them. One universe for both runs
+    would keep the verdicts, but each run's literal budget would then
+    count instances over the other goal's constants.
     """
-    first_deadline, deadline = limits.deadline(0.5), limits.deadline()
-    var_supply, sk_supply = variable_supply(), skolem_supply()
-    try:
-        premises = clausify_all(p.premises, var_supply, sk_supply, limits,
-                                deadline)
-        neg_goal = clausify_all([Not(p.conclusion)], var_supply, sk_supply,
-                                limits, deadline)
-        pos_goal = clausify_all([p.conclusion], var_supply, sk_supply, limits,
-                                deadline)
-    except ExecError as e:
-        return ExecFailed(str(e))
-    except DeadlineExceeded:
-        return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
-
     constants = p.constants() | _clause_constants(premises)
     shared: Optional[PropClauseSet] = None  # the premises, once grounded
 
-    def satisfiable(goal: list[Clause], query_deadline: float
-                    ) -> Optional[bool]:
-        """SAT or UNSAT; None once past the query's deadline."""
+    def refute(goal: list[Clause], run_deadline: float) -> ProofResult:
         nonlocal shared
         own = _clause_constants(goal) - constants
-        try:
-            if own:
-                cs = ground(premises + goal, constants | own, limits,
-                            query_deadline)
-            else:
-                if shared is None:
-                    shared = ground(premises, constants, limits, deadline)
-                cs = ground(goal, constants, limits, query_deadline, shared)
-                cs = PropClauseSet(shared.clauses + cs.clauses, cs.atom_count,
-                                   cs.table)
-            return dpll(cs, query_deadline) is not None
-        except DeadlineExceeded:
-            return None
+        if own:
+            cs = ground(premises + goal, constants | own, limits, run_deadline)
+        else:
+            if shared is None:
+                shared = ground(premises, constants, limits, deadline)
+            cs = ground(goal, constants, limits, run_deadline, shared)
+            cs = PropClauseSet(shared.clauses + cs.clauses, cs.atom_count,
+                               cs.table)
+        if dpll(cs, run_deadline) is None:
+            return Proved((), ())
+        return Saturated()
 
-    try:
-        sat_with_neg = satisfiable(neg_goal, first_deadline)
-        sat_with_pos = satisfiable(pos_goal, deadline)
-    except ExecError as e:
-        return ExecFailed(str(e))
-
-    if sat_with_neg is False and sat_with_pos is False:
-        return Inconsistent()
-    if sat_with_neg is False:
-        return Answered(Verdict(Truth.TRUE))
-    if sat_with_pos is False:
-        return Answered(Verdict(Truth.FALSE))
-    if sat_with_neg and sat_with_pos:
-        return Answered(Verdict(Truth.UNKNOWN))
-    return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
+    return refute

@@ -98,6 +98,55 @@ class TestLoadTranslations:
                         {"id": "a", "dialect": "prover9", "text": "y"}])
         assert len(load_translations(p)) == 2
 
+    def test_integer_id_names_line(self, tmp_path):
+        # an integer id once loaded as the string "5" and dodged the
+        # duplicate check against a later "5"
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [{"id": "a", "dialect": "z3", "text": "x"},
+                        {"id": 5, "dialect": "z3", "text": "a"},
+                        {"id": "5", "dialect": "z3", "text": "b"}])
+        with pytest.raises(ValueError,
+                           match="^line 2: id must be a nonempty string$"):
+            load_translations(p)
+
+    @pytest.mark.parametrize("bad", [{"id": ""}, {"id": None},
+                                     {"id": ["a"]}])
+    def test_bad_id_names_line(self, tmp_path, bad):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [{"id": "a", "dialect": "z3", "text": "x"},
+                        {"dialect": "z3", "text": "x", **bad}])
+        with pytest.raises(ValueError,
+                           match="^line 2: id must be a nonempty string$"):
+            load_translations(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("text", ["b"]), ("text", 3), ("text", None),
+        ("provider", 7), ("provider", None)])
+    def test_non_string_field_names_line(self, tmp_path, key, value):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [{"id": "a", "dialect": "z3", "text": "x"},
+                        {"id": "b", "dialect": "z3", "text": "y",
+                         key: value}])
+        with pytest.raises(ValueError,
+                           match=f"^line 2: {key} must be a string$"):
+            load_translations(p)
+
+    def test_fields_stored_as_given(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [{"id": "5", "dialect": "z3", "text": "a",
+                         "provider": "model-x"},
+                        {"id": "6", "dialect": "z3", "text": "b"}])
+        assert load_translations(p) == [
+            TranslationRecord("5", "z3", "a", "model-x"),
+            TranslationRecord("6", "z3", "b", "unknown")]
+
+    def test_unhashable_dialect_names_line(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [{"id": "a", "dialect": ["z3"], "text": "x"}])
+        with pytest.raises(ValueError,
+                           match=r"^line 1: unknown dialect \['z3'\]$"):
+            load_translations(p)
+
 
 class TestRunTranslation:
     def test_parse_error_becomes_parse_failed(self):
@@ -350,6 +399,24 @@ class TestFetchFile:
     def test_unknown_provider(self):
         with pytest.raises(ValueError, match="unknown provider"):
             fetch_translations({"provider": "carrier-pigeon"}, [])
+
+    def test_unknown_dialect_rejected(self):
+        # a misspelt dialect used to filter every translation out
+        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")
+        with pytest.raises(ValueError, match="unknown dialect 'Prover9'"):
+            fetch_translations(
+                {"provider": "file", "dialect": "Prover9",
+                 "path": str(DATA_DIR / "micro" / "translations_prover9.jsonl")},
+                records)
+
+    def test_dialect_filter(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [{"id": "m1", "dialect": "prover9", "text": "x"},
+                        {"id": "m1", "dialect": "z3", "text": "y"}])
+        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")[:1]
+        out = fetch_translations(
+            {"provider": "file", "dialect": "z3", "path": str(p)}, records)
+        assert [(t.id, t.dialect) for t in out] == [("m1", "z3")]
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):

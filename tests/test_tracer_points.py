@@ -50,3 +50,20 @@ def test_run_translation_is_traced(tracer, engine, dialect):
         t.uninstall()
     assert t.counts["dialects.parse_calls"] == 1
     assert t.counts[SEARCH_COUNTER[engine]] >= 1
+
+
+@pytest.mark.parametrize("engine,dialect", [
+    (e, d) for e, dialects in ENGINE_DIALECTS.items() for d in dialects])
+def test_clausification_is_traced(tracer, engine, dialect):
+    # dual_run clausifies the premises and both goals through
+    # resolution.clausify_all, which the tracer rebinds; a driver that
+    # called normalize.clausify_all directly would count 0 here
+    text = read_fixture(TEXTS[dialect])
+    t = tracer.Tracer()
+    t.install()
+    try:
+        harness.run_translation(text, dialect, engine)
+    finally:
+        t.uninstall()
+    want = 0 if engine == "chaining" else 3
+    assert t.counts["normalize.clausify_calls"] == want
