@@ -30,9 +30,8 @@ from .harness import (
 )
 from .normalize import clausify, clausify_all, clausify_formula, to_nnf
 from .resolution import (
-    LimitReached, ProofStep, Proved, Saturated, entail_resolution, factor,
-    render_trace, replay_trace, resolution_runs, resolve, saturate, subsumes,
-    unify,
+    LimitReached, ProofStep, Proved, Saturated, entail_resolution,
+    render_trace, replay_trace, resolution_runs, saturate, subsumes, unify,
 )
 from .sat import dpll, entail_sat, ground, to_dimacs
 from .testkit import (

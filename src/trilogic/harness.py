@@ -152,12 +152,13 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
         tags = obj.get("tags", {})
         if not isinstance(tags, dict):
             raise ValueError(f"{where}: tags must be an object")
+        for key, value in tags.items():
+            if not isinstance(value, str):
+                raise ValueError(f"{where}: tag {key!r} must be a string")
         gold = _parse_truth(obj["gold"], where)
         assumption = _parse_assumption(obj["assumption"], where)
         try:
-            record = DatasetRecord(
-                rid, gold, assumption,
-                {str(k): str(v) for k, v in tags.items()})
+            record = DatasetRecord(rid, gold, assumption, tags)
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
         records.append(record)

@@ -3,12 +3,18 @@ resolution and sat share.
 
 The saturation loop keeps two clause lists: `usable` holds clauses already
 selected, `sos` holds clauses waiting their turn. Each round moves the
-lightest sos clause over and resolves it against every usable clause
-(including itself) that holds a complementary literal. Goal clauses are
-queued ahead of premise clauses, so goal-directed inferences happen first,
-but premises do get selected too: otherwise a contradiction sitting
-entirely inside the premises could never surface, and dual_run relies on
-exactly that to report Inconsistent.
+lightest sos clause over, resolves it against every usable clause
+(including itself) on eligible literals, and factors it. Resolution uses a
+fixed selection function (`eligible`): a clause with a negative literal
+resolves only on its selected literal, the first negative one; a clause
+with none resolves on every literal. Factoring is unrestricted: every
+unifiable same-sign pair. Selection keeps resolution refutationally
+complete, with subsumption as the redundancy criterion, and it cuts the k!
+orders in which a rule with k negative literals could meet its partners
+down to one. Goal clauses are queued ahead of premise clauses, so
+goal-directed inferences happen first, but premises do get selected too:
+otherwise a contradiction sitting entirely inside the premises could never
+surface, and dual_run relies on exactly that to report Inconsistent.
 
 Subsumption deletes both ways under one rule (`deletes`): a new clause that
 a kept clause deletes is dropped, and a kept new clause deletes every kept
@@ -105,12 +111,8 @@ def _match(pattern: Atom, target: Atom, sub: dict[str, Term]) -> Optional[dict[s
 # Inference rules
 
 
-def rename_apart(left: Clause, right: Clause) -> Clause:
-    """Rename right's variables away from left's, deterministically.
-
-    Trace replay recomputes this renaming, so it must be a pure function
-    of the two clauses.
-    """
+def _renaming(left: Clause, right: Clause) -> dict[str, Term]:
+    """The variable renaming that rename_apart applies to right."""
     left_vars = left.variables
     taken = left_vars | right.variables
     ren: dict[str, Term] = {}
@@ -121,9 +123,26 @@ def rename_apart(left: Clause, right: Clause) -> Clause:
                 k += 1
             ren[v] = Variable(f"_r{k}")
             k += 1
-    if not ren:
-        return right
-    return clause_substitute(right, ren)
+    return ren
+
+
+def rename_apart(left: Clause, right: Clause) -> Clause:
+    """Rename right's variables away from left's, deterministically.
+
+    Trace replay recomputes this renaming, so it must be a pure function
+    of the two clauses.
+    """
+    ren = _renaming(left, right)
+    return clause_substitute(right, ren) if ren else right
+
+
+def eligible(c: Clause) -> tuple[Literal, ...]:
+    """The literals resolution may resolve c on: its selected literal, the
+    first negative one in Clause order, if it has one; else all of them."""
+    for l in c:
+        if not l.positive:
+            return (l,)
+    return c.literals
 
 
 @dataclass(frozen=True)
@@ -135,12 +154,24 @@ class Resolvent:
 
 
 def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
-    """All binary resolvents of c1 and c2, tautologies dropped."""
-    c2r = rename_apart(c1, c2)
+    """The binary resolvents of c1 and c2 on eligible literals, tautologies
+    dropped.
+
+    c2's eligible literals are picked on c2 as stored and then renamed:
+    the renamed copy is sorted anew, so its first negative literal may be
+    another one.
+    """
+    ren = _renaming(c1, c2)
+    c2r = clause_substitute(c2, ren) if ren else c2
+    picked = eligible(c2)
+    if len(picked) == len(c2):
+        picked = c2r.literals
+    elif ren:
+        picked = clause_substitute(picked, ren).literals
     out: list[Resolvent] = []
-    for l1 in c1:
+    for l1 in eligible(c1):
         for l2 in c2r:
-            if l1.positive == l2.positive:
+            if l1.positive == l2.positive or l2 not in picked:
                 continue
             sub = unify(l1.atom, l2.atom)
             if sub is None:
@@ -150,17 +181,6 @@ def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
             if clause.is_tautology():
                 continue
             out.append(Resolvent(clause, l1, l2, _freeze_sub(sub)))
-    return out
-
-
-def resolve(c1: Clause, c2: Clause) -> list[Clause]:
-    """The clauses derivable from c1 and c2 in one resolution step."""
-    out: list[Clause] = []
-    seen: set[Clause] = set()
-    for r in resolvents(c1, c2):
-        if r.clause not in seen:
-            seen.add(r.clause)
-            out.append(r.clause)
     return out
 
 
@@ -187,16 +207,6 @@ def factors(c: Clause) -> list[Factor]:
             if clause.is_tautology():
                 continue
             out.append(Factor(clause, lits[i], lits[j], _freeze_sub(sub)))
-    return out
-
-
-def factor(c: Clause) -> list[Clause]:
-    out: list[Clause] = []
-    seen: set[Clause] = set()
-    for f in factors(c):
-        if f.clause not in seen:
-            seen.add(f.clause)
-            out.append(f.clause)
     return out
 
 
@@ -274,8 +284,8 @@ class LimitReached:
 ProofResult = Proved | Saturated | LimitReached
 
 
-def _keys(c: Clause) -> frozenset[tuple[str, bool]]:
-    return frozenset((l.atom.predicate, l.positive) for l in c)
+def _keys(literals: Iterable[Literal]) -> frozenset[tuple[str, bool]]:
+    return frozenset((l.atom.predicate, l.positive) for l in literals)
 
 
 def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
@@ -294,12 +304,16 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     the sos heap, but stays in clauses and steps, so a proof that used it
     before the deletion still builds and replays.
 
+    A given clause resolves only on its eligible literals (its selected
+    negative literal, or all of them if it has none) and is factored on
+    every same-sign pair.
+
     Three indexes skip only work that yields nothing, so clause ids, proofs
     and the points where limits fire are those of the plain loop that scans
-    every clause:
-    - partners: (predicate, sign) -> positions in usable. A given clause
-      meets only usable clauses with a complementary literal, in usable
-      order.
+    every clause, under the same selection and deletion rule:
+    - partners: (predicate, sign) of an eligible literal -> positions in
+      usable. A given clause meets only usable clauses with an eligible
+      literal complementary to one of its own, in usable order.
     - by_keys: the live kept clauses grouped by their (predicate, sign)
       sets. A clause can subsume another only if its set is a subset of
       the other's, so only those groups are tried, in both directions.
@@ -361,12 +375,13 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         if given_id in deleted:
             continue
         given = clauses[given_id]
-        for key in keys[given_id]:
+        given_keys = _keys(eligible(given))
+        for key in given_keys:
             partners[key].append(len(usable))
         usable.append(given_id)
 
         positions: set[int] = set()
-        for predicate, positive in keys[given_id]:
+        for predicate, positive in given_keys:
             positions.update(partners.get((predicate, not positive), ()))
         new: list[tuple[Clause, ProofStep]] = []
         for partner_id in (usable[p] for p in sorted(positions)):

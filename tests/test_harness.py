@@ -67,6 +67,16 @@ class TestLoadDataset:
                            match="line 1: record 'a': closed-world gold"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("value", [["x"], 3, None, {"a": "b"}, True])
+    def test_non_string_tag_names_line(self, tmp_path, value):
+        p = tmp_path / "d.jsonl"
+        write_jsonl(p, [{"id": "a", "gold": "True", "assumption": "OWA"},
+                        {"id": "b", "gold": "True", "assumption": "OWA",
+                         "tags": {"dataset": value}}])
+        with pytest.raises(ValueError,
+                           match="^line 2: tag 'dataset' must be a string$"):
+            load_dataset(p)
+
     def test_boolean_gold_accepted(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_jsonl(p, [{"id": "a", "gold": True, "assumption": "CWA"}])

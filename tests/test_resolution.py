@@ -6,16 +6,17 @@ import pytest
 
 from trilogic import resolution
 from trilogic.fol import (
-    DEFAULT_LIMITS, Atom, Clause, Constant, Function, Inconsistent, Literal,
-    Not, ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
+    DEFAULT_LIMITS, Answered, Atom, Clause, Constant, Function, Inconsistent,
+    Literal, Not, ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
+    clause_substitute,
 )
 from trilogic.dialects import parse_prover9
 from trilogic.harness import run_translation
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.resolution import (
-    LimitReached, Proved, ProofStep, Saturated, entail_resolution, factor,
-    factors, render_trace, replay_trace, resolution_runs, resolve, resolvents,
-    saturate, subsumes, unify,
+    LimitReached, Proved, ProofStep, Resolvent, Saturated, eligible,
+    entail_resolution, factors, rename_apart, render_trace, replay_trace,
+    resolution_runs, resolvents, saturate, subsumes, unify,
 )
 from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
@@ -33,10 +34,42 @@ def lit(p, *args, pos=True):
     return Literal(pos, at(p, *args))
 
 
+def all_resolvents(c1, c2):
+    """Every binary resolvent of c1 and c2, tautologies dropped: resolution
+    on every complementary pair, with no literal selection."""
+    c2r = rename_apart(c1, c2)
+    out = []
+    for l1 in c1:
+        for l2 in c2r:
+            sub = unify(l1.atom, l2.atom) if l1.positive != l2.positive else None
+            if sub is None:
+                continue
+            rest = [l for l in c1 if l != l1] + [l for l in c2r if l != l2]
+            clause = clause_substitute(rest, sub)
+            if not clause.is_tautology():
+                out.append(Resolvent(clause, l1, l2, tuple(sorted(sub.items()))))
+    return out
+
+
+def selected_resolvents(c1, c2):
+    """all_resolvents on selected literals only: a clause with a negative
+    literal resolves only on its first one, picked on the clause as stored
+    and, for c2, then renamed as rename_apart renames c2."""
+    def first_negative(c):
+        return next((l for l in c if not l.positive), None)
+
+    s1, s2 = first_negative(c1), first_negative(c2)
+    if s2 is not None:
+        s2 = clause_substitute((s2,), resolution._renaming(c1, c2)).literals[0]
+    return [r for r in all_resolvents(c1, c2)
+            if s1 in (None, r.left_literal) and s2 in (None, r.right_literal)]
+
+
 def reference_saturate(premise_clauses, goal_clauses, limits=DEFAULT_LIMITS):
-    """The plain given-clause loop that saturate must match step for step:
-    the lightest sos clause by a scan, every usable clause as a partner and
-    every kept clause tried for subsumption. No wall clock."""
+    """The plain given-clause loop: the lightest sos clause by a scan, every
+    usable clause as a partner, resolution on every complementary pair
+    (all_resolvents) and every kept clause tried for subsumption. No wall
+    clock."""
     clauses, steps = {}, {}
     premise_ids, goal_ids = [], []
     seen = set()
@@ -69,7 +102,7 @@ def reference_saturate(premise_clauses, goal_clauses, limits=DEFAULT_LIMITS):
         usable.append(given_id)
         new = []
         for partner_id in usable:
-            for r in resolvents(given, clauses[partner_id]):
+            for r in all_resolvents(given, clauses[partner_id]):
                 new.append((r.clause, ProofStep(0, "resolve", (given_id, partner_id),
                                                 r.left_literal, r.right_literal,
                                                 r.unifier, r.clause)))
@@ -96,11 +129,12 @@ def reference_saturate(premise_clauses, goal_clauses, limits=DEFAULT_LIMITS):
 
 
 def backward_reference_saturate(premise_clauses, goal_clauses,
-                                limits=DEFAULT_LIMITS):
+                                limits=DEFAULT_LIMITS, resolve=all_resolvents):
     """reference_saturate with saturate's deletion rule in both directions:
     C deletes D only if C has no more literals than D and subsumes it. A new
     clause that a kept clause deletes is dropped; a kept new clause takes
-    every clause it deletes out of usable and sos. No wall clock."""
+    every clause it deletes out of usable and sos. resolve gives the
+    resolvents of the given clause and a partner. No wall clock."""
     clauses, steps = {}, {}
     premise_ids, goal_ids = [], []
     seen = set()
@@ -136,7 +170,7 @@ def backward_reference_saturate(premise_clauses, goal_clauses,
         usable.append(given_id)
         new = []
         for partner_id in usable:
-            for r in resolvents(given, clauses[partner_id]):
+            for r in resolve(given, clauses[partner_id]):
                 new.append((r.clause, ProofStep(0, "resolve", (given_id, partner_id),
                                                 r.left_literal, r.right_literal,
                                                 r.unifier, r.clause)))
@@ -162,6 +196,15 @@ def backward_reference_saturate(premise_clauses, goal_clauses,
             sos = [k for k in sos if not deletes(clause, clauses[k])]
             sos.append(cid)
     return LimitReached("clause literal limit") if dropped else Saturated()
+
+
+def selection_reference_saturate(premise_clauses, goal_clauses,
+                                 limits=DEFAULT_LIMITS):
+    """backward_reference_saturate under literal selection, written out
+    independently of resolution.eligible: the plain loop that saturate must
+    match step for step."""
+    return backward_reference_saturate(premise_clauses, goal_clauses, limits,
+                                       selected_resolvents)
 
 
 def both_goal_sides(problem):
@@ -196,25 +239,27 @@ class TestResolve:
     def test_ground_resolvent(self):
         c1 = Clause((lit("p", X, pos=False), lit("q", X)))
         c2 = Clause((lit("p", A),))
-        assert [str(c) for c in resolve(c1, c2)] == ["q(A)"]
+        assert [str(r.clause) for r in resolvents(c1, c2)] == ["q(A)"]
 
     def test_shared_names_are_renamed_apart(self):
         c1 = Clause((lit("p", X, pos=False), lit("q", X)))
         c2 = Clause((lit("p", X), lit("r", X)))
-        assert [str(c) for c in resolve(c1, c2)] == ["q(_r0) | r(_r0)"]
+        got = [str(r.clause) for r in resolvents(c1, c2)]
+        assert got == ["q(_r0) | r(_r0)"]
 
     def test_complementary_units_give_empty_clause(self):
-        got = resolve(Clause((lit("p", A),)), Clause((lit("p", A, pos=False),)))
-        assert len(got) == 1 and got[0].is_empty()
+        got = resolvents(Clause((lit("p", A),)),
+                         Clause((lit("p", A, pos=False),)))
+        assert len(got) == 1 and got[0].clause.is_empty()
 
 
 class TestFactor:
     def test_unifiable_duplicates_collapse(self):
         c = Clause((lit("p", X), lit("p", A)))
-        assert [str(f) for f in factor(c)] == ["p(A)"]
+        assert [str(f.clause) for f in factors(c)] == ["p(A)"]
 
     def test_no_factor_for_distinct_predicates(self):
-        assert factor(Clause((lit("p", X), lit("q", X)))) == []
+        assert factors(Clause((lit("p", X), lit("q", X)))) == []
 
 
 class TestSubsumes:
@@ -370,20 +415,20 @@ class TestBackwardDeletion:
 
 
 class TestIndexedLoop:
-    """saturate against the plain loops kept above: backward_reference_saturate
-    step for step, and reference_saturate, which deletes forward only, by
-    result type."""
+    """saturate against the plain loops kept above: selection_reference_saturate
+    step for step, and reference_saturate, which neither selects nor deletes
+    backward, by result type."""
 
     @pytest.mark.parametrize("fragment", [HORN, FULL_FOL])
     def test_matches_reference_on_generated_problems(self, fragment):
         kinds = set()
         budgets = (ResourceLimits(wall_ms=60_000),
-                   ResourceLimits(wall_ms=60_000, max_generated_clauses=40))
+                   ResourceLimits(wall_ms=60_000, max_generated_clauses=10))
         for gp in generate_suite(GenConfig(fragment=fragment, seed=23), 60, (2, 3, 5)):
             premises, goals = both_goal_sides(parse_prover9(gp.texts["prover9"]))
             for goal in goals:
                 for limits in budgets:
-                    want = backward_reference_saturate(premises, goal, limits)
+                    want = selection_reference_saturate(premises, goal, limits)
                     got = saturate(premises, goal, limits)
                     assert type(got) is type(want), gp.id
                     if isinstance(want, Proved):
@@ -404,6 +449,75 @@ class TestIndexedLoop:
                 want = reference_saturate(premises, goal, limits)
                 got = saturate(premises, goal, limits)
                 assert type(got) is type(want), gp.id
+
+
+class TestSelection:
+    def test_first_negative_literal_is_selected(self):
+        c = Clause((lit("r", X, pos=False), lit("p", X), lit("q", X, pos=False)))
+        assert eligible(c) == (lit("q", X, pos=False),)
+
+    def test_clause_without_negative_literal_is_all_eligible(self):
+        c = Clause((lit("q", X), lit("p", A)))
+        assert eligible(c) == c.literals
+
+    def test_only_the_selected_literal_resolves(self):
+        rule = Clause((lit("a", X, pos=False), lit("b", X, pos=False),
+                       lit("c", X)))
+        b_fact = Clause((lit("b", A),))
+        assert resolvents(rule, b_fact) == resolvents(b_fact, rule) == []
+        got = resolvents(rule, Clause((lit("a", A),)))
+        assert [str(r.clause) for r in got] == ["-b(A) | c(A)"]
+
+    def test_selection_is_made_before_renaming(self):
+        # renaming y to _r0 sorts -p(_r0) ahead of -p(x) in the copy, but the
+        # stored clause selects -p(x)
+        c1 = Clause((lit("p", A), lit("r", Y)))
+        c2 = Clause((lit("p", X, pos=False), lit("p", Y, pos=False)))
+        got = resolvents(c1, c2)
+        assert [str(r.right_literal) for r in got] == ["-p(x)"]
+        assert [str(r.clause) for r in got] == ["-p(_r0) | r(y)"]
+        assert got == selected_resolvents(c1, c2)
+
+    def test_non_horn_set_is_refuted(self):
+        p, q = lit("p", A), lit("q", A)
+        np, nq = lit("p", A, pos=False), lit("q", A, pos=False)
+        premises = [Clause((p, q)), Clause((np, q)), Clause((p, nq)),
+                    Clause((np, nq))]
+        got = saturate(premises, [])
+        assert isinstance(got, Proved) and replay_trace(got)
+
+    def test_partner_of_the_unselected_literal_given_first(self, monkeypatch):
+        # b(A) is given before a(A), yet the rule resolves on -a(x) alone;
+        # -b(A) | c(A) then meets b(A)
+        given = []
+
+        def spy_factors(c):
+            given.append(str(c))
+            return factors(c)
+
+        monkeypatch.setattr(resolution, "factors", spy_factors)
+        rule = Clause((lit("a", X, pos=False), lit("b", X, pos=False),
+                       lit("c", X)))
+        premises = [Clause((lit("b", A),)), Clause((lit("a", A),)), rule]
+        got = saturate(premises, [Clause((lit("c", A, pos=False),))])
+        assert given.index("b(A)") < given.index("a(A)")
+        assert isinstance(got, Proved) and replay_trace(got)
+        rule_id = next(i for i, c in got.inputs if c == rule)
+        assert [(s.parents[0], str(s.left_literal)) for s in got.steps
+                if rule_id in s.parents] == [(rule_id, "-a(x)")]
+
+    @pytest.mark.parametrize("dialect", ["prover9", "z3"])
+    def test_complete_capped_outcome_is_the_default_outcome(self, dialect):
+        capped = ResourceLimits(max_generated_clauses=40)
+        complete = 0
+        for gp in generate_suite(GenConfig(fragment=FULL_FOL, seed=101), 40):
+            text = gp.texts[dialect]
+            got = run_translation(text, dialect, "resolution", capped)
+            if isinstance(got, Answered) and got.verdict.resource_limited:
+                continue
+            complete += 1
+            assert got == run_translation(text, dialect, "resolution"), gp.id
+        assert complete
 
 
 class TestTrace:
