@@ -28,7 +28,7 @@ from .harness import (
     load_translations, pearson, render_report, run_translation,
     solve_translation,
 )
-from .normalize import clausify, clausify_all, clausify_formula, to_nnf
+from .normalize import clausify, clausify_all, to_nnf
 from .resolution import (
     LimitReached, ProofStep, Proved, Saturated, entail_resolution,
     render_trace, replay_trace, resolution_runs, saturate, subsumes, unify,

@@ -134,9 +134,6 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
     except (ValueError, ExecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     labels: Counter[str] = Counter()
     dataset_lines = []
     per_dialect: dict[str, list[str]] = {}
@@ -153,12 +150,18 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
                 "id": gp.id, "dialect": dialect, "text": text,
                 "provider": "generator"}))
 
-    (out_dir / "dataset.jsonl").write_text(
-        "\n".join(dataset_lines) + "\n", encoding="utf-8")
-    for dialect in sorted(per_dialect):
-        path = out_dir / f"translations_{dialect}.jsonl"
-        path.write_text("\n".join(per_dialect[dialect]) + "\n",
-                        encoding="utf-8")
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "dataset.jsonl").write_text(
+            "\n".join(dataset_lines) + "\n", encoding="utf-8")
+        for dialect in sorted(per_dialect):
+            path = out_dir / f"translations_{dialect}.jsonl"
+            path.write_text("\n".join(per_dialect[dialect]) + "\n",
+                            encoding="utf-8")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if "pyke" not in per_dialect:
         print("note: no rule-engine texts for this fragment")
     for label in ("True", "False", "Unknown"):

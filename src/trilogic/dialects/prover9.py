@@ -87,11 +87,16 @@ class _FormulaParser(Cursor):
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
+        outer = self.depth
         merged_or = False
         while True:
             tok = self.accept("or") or self.accept("xor")
             if tok is None:
+                self.depth = outer
                 return node
+            if not (merged_or and tok.kind == "or"):
+                # this link wraps the node built so far one level deeper
+                self.deeper(tok)
             right = self.conjunction()
             if tok.kind == "or":
                 if merged_or and isinstance(node, Or):

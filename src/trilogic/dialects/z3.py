@@ -49,9 +49,13 @@ class _LineParser(Cursor):
         return f
 
     def expression(self) -> Formula:
+        outer = self.depth
         units = [self.unit()]
-        while self.accept("iff"):
+        while (tok := self.accept("iff")) is not None:
+            # each link nests the rest of the chain one level deeper
+            self.deeper(tok)
             units.append(self.unit())
+        self.depth = outer
         node = units[-1]
         for left in reversed(units[:-1]):
             node = Iff(left, node)

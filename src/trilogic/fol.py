@@ -253,53 +253,6 @@ def formula_constants(f: Formula) -> set[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def fresh_name(base: str, taken: set[str]) -> str:
-    """Smallest base_k not in taken (base itself is tried first)."""
-    if base not in taken:
-        return base
-    k = 1
-    while f"{base}_{k}" in taken:
-        k += 1
-    return f"{base}_{k}"
-
-
-def substitute(f: Formula, s: Mapping[str, Term]) -> Formula:
-    """Apply s to the free variables of f, renaming binders to avoid capture."""
-    if not s:
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(substitute_term(a, s) for a in f.args))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, s))
-    if isinstance(f, And):
-        return And(tuple(substitute(p, s) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(p, s) for p in f.parts))
-    if isinstance(f, Xor):
-        return Xor(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, Iff):
-        return Iff(substitute(f.left, s), substitute(f.right, s))
-    if isinstance(f, (ForAll, Exists)):
-        inner = {v: t for v, t in s.items() if v != f.var}
-        relevant = {v: t for v, t in inner.items() if v in free_variables(f.body)}
-        if not relevant:
-            return f
-        var = f.var
-        body = f.body
-        incoming = set()
-        for t in relevant.values():
-            incoming |= term_variables(t)
-        if var in incoming:
-            # the bound variable would capture a substituted term: rename it
-            taken = incoming | free_variables(body) | set(relevant)
-            var = fresh_name(f.var, taken)
-            body = substitute(body, {f.var: Variable(var)})
-        return type(f)(var, substitute(body, relevant))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing (the ASCII round-trip syntax)
 

@@ -1,5 +1,5 @@
-"""Clausification: connective elimination, NNF, standardize-apart,
-skolemization, and distribution to CNF clauses.
+"""Clausification: NNF, standardize-apart with skolemization, and
+distribution to CNF clauses, each formula in two walks and a CNF pass.
 
 Skolemization is structural rather than prenex-based: an existential is
 replaced by a fresh symbol applied to exactly the universal variables
@@ -56,9 +56,9 @@ def clock(deadline: float) -> Callable[[], None]:
 
     Once per _NODES_PER_CHECK ticks it reads the clock, and past deadline
     (a time.monotonic() instant) it raises DeadlineExceeded. The walks
-    visit a tree, and the two sides of an Iff or Xor each appear twice in
-    eliminate_connectives' output, so a chain of them costs time
-    exponential in its length; the tick bounds that time.
+    visit a tree, and to_nnf walks both sides of an Iff or Xor twice,
+    once under each polarity, so a chain of them costs time exponential
+    in its length; the tick bounds that time.
     """
     visits = 0
 
@@ -77,95 +77,52 @@ def _no_tick() -> None:
     pass
 
 
-def eliminate_connectives(f: Formula, tick: Callable[[], None] = _no_tick
-                          ) -> Formula:
-    """Rewrite Implies/Iff/Xor in terms of And/Or/Not."""
-    if isinstance(f, Atom):
-        return f
-    tick()
-    if isinstance(f, Not):
-        return Not(eliminate_connectives(f.body, tick))
-    if isinstance(f, And):
-        return And(tuple(eliminate_connectives(p, tick) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(eliminate_connectives(p, tick) for p in f.parts))
-    if isinstance(f, Implies):
-        return Or((Not(eliminate_connectives(f.left, tick)),
-                   eliminate_connectives(f.right, tick)))
-    if isinstance(f, Iff):
-        a = eliminate_connectives(f.left, tick)
-        b = eliminate_connectives(f.right, tick)
-        return And((Or((Not(a), b)), Or((Not(b), a))))
-    if isinstance(f, Xor):
-        a = eliminate_connectives(f.left, tick)
-        b = eliminate_connectives(f.right, tick)
-        return And((Or((a, b)), Or((Not(a), Not(b)))))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, eliminate_connectives(f.body, tick))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def to_nnf(f: Formula, tick: Callable[[], None] = _no_tick) -> Formula:
-    """Push negations down to atoms. Input must be free of ->, <-> and ^."""
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not) and isinstance(f.body, Atom):
-        return f
-    tick()
-    if isinstance(f, And):
-        return And(tuple(to_nnf(p, tick) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(to_nnf(p, tick) for p in f.parts))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, to_nnf(f.body, tick))
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, Not):
-            return to_nnf(g.body, tick)
-        if isinstance(g, And):
-            return Or(tuple(to_nnf(Not(p), tick) for p in g.parts))
-        if isinstance(g, Or):
-            return And(tuple(to_nnf(Not(p), tick) for p in g.parts))
-        if isinstance(g, ForAll):
-            return Exists(g.var, to_nnf(Not(g.body), tick))
-        if isinstance(g, Exists):
-            return ForAll(g.var, to_nnf(Not(g.body), tick))
-        raise ValueError(f"eliminate connectives before NNF: {g!r}")
-    raise ValueError(f"eliminate connectives before NNF: {f!r}")
+    """Rewrite ->, <-> and ^ and push every negation down to an atom, in
+    one walk: a -> b becomes -a | b, a <-> b becomes (-a | b) & (-b | a)
+    and a ^ b becomes (a | b) & (-a | -b), each its De Morgan dual under a
+    negation."""
 
-
-def standardize_apart(f: Formula, supply: NameSupply,
-                      tick: Callable[[], None] = _no_tick) -> Formula:
-    """Give every binder its own fresh variable name."""
-
-    def walk(f: Formula, ren: dict[str, Term]) -> Formula:
+    def walk(f: Formula, positive: bool) -> Formula:
         if isinstance(f, Atom):
-            if not ren:
-                return f
-            return Atom(f.predicate, tuple(substitute_term(a, ren) for a in f.args))
+            return f if positive else Not(f)
         tick()
         if isinstance(f, Not):
-            return Not(walk(f.body, ren))
+            return walk(f.body, not positive)
+        conj: type[And] | type[Or] = And if positive else Or
+        disj: type[And] | type[Or] = Or if positive else And
         if isinstance(f, And):
-            return And(tuple(walk(p, ren) for p in f.parts))
+            return conj(tuple(walk(p, positive) for p in f.parts))
         if isinstance(f, Or):
-            return Or(tuple(walk(p, ren) for p in f.parts))
-        if isinstance(f, (ForAll, Exists)):
-            new = supply.fresh()
-            inner = dict(ren)
-            inner[f.var] = Variable(new)
-            return type(f)(new, walk(f.body, inner))
+            return disj(tuple(walk(p, positive) for p in f.parts))
+        if isinstance(f, Implies):
+            return disj((walk(f.left, not positive), walk(f.right, positive)))
+        if isinstance(f, Iff):
+            a, b = f.left, f.right
+            return conj((disj((walk(a, not positive), walk(b, positive))),
+                         disj((walk(b, not positive), walk(a, positive)))))
+        if isinstance(f, Xor):
+            a, b = f.left, f.right
+            return conj((disj((walk(a, positive), walk(b, positive))),
+                         disj((walk(a, not positive), walk(b, not positive)))))
+        if isinstance(f, ForAll):
+            return (ForAll if positive else Exists)(f.var, walk(f.body, positive))
+        if isinstance(f, Exists):
+            return (Exists if positive else ForAll)(f.var, walk(f.body, positive))
         raise TypeError(f"not a formula: {f!r}")
 
-    return walk(f, {})
+    return walk(f, True)
 
 
-def skolemize(f: Formula, supply: NameSupply,
+def skolemize(f: Formula, var_supply: NameSupply, sk_supply: NameSupply,
               tick: Callable[[], None] = _no_tick) -> Formula:
-    """Drop existentials from a standardized NNF formula.
+    """Standardize apart and drop existentials from an NNF formula.
 
-    An existential under k universals becomes a fresh k-ary symbol applied
-    to those universal variables; under none it becomes a fresh constant.
+    Every binder gets its own fresh variable name. An existential under k
+    universals becomes a fresh k-ary symbol applied to those universal
+    variables; under none it becomes a fresh constant. An existential
+    draws a variable name before its witness, as every binder does, so
+    the numbering of both supplies follows the binders in tree order.
     """
 
     def walk(f: Formula, univ: tuple[str, ...], sub: dict[str, Term]) -> Formula:
@@ -180,17 +137,15 @@ def skolemize(f: Formula, supply: NameSupply,
             return And(tuple(walk(p, univ, sub) for p in f.parts))
         if isinstance(f, Or):
             return Or(tuple(walk(p, univ, sub) for p in f.parts))
-        if isinstance(f, ForAll):
-            return ForAll(f.var, walk(f.body, univ + (f.var,), sub))
-        if isinstance(f, Exists):
-            name = supply.fresh()
-            witness: Term
-            if univ:
-                witness = Function(name, tuple(Variable(u) for u in univ))
-            else:
-                witness = Constant(name)
+        if isinstance(f, (ForAll, Exists)):
+            new = var_supply.fresh()
             inner = dict(sub)
-            inner[f.var] = witness
+            if isinstance(f, ForAll):
+                inner[f.var] = Variable(new)
+                return ForAll(new, walk(f.body, univ + (new,), inner))
+            name = sk_supply.fresh()
+            inner[f.var] = (Function(name, tuple(Variable(u) for u in univ))
+                            if univ else Constant(name))
             return walk(f.body, univ, inner)
         raise TypeError(f"not a formula: {f!r}")
 
@@ -250,33 +205,21 @@ def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS,
     return clauses
 
 
-def clausify_formula(f: Formula, var_supply: NameSupply, sk_supply: NameSupply,
-                     limits: ResourceLimits = DEFAULT_LIMITS,
-                     deadline: Optional[float] = None) -> list[Clause]:
-    """Run the whole pipeline on one formula.
-
-    deadline is a time.monotonic() instant, by default wall_ms from now;
-    past it the pipeline raises DeadlineExceeded.
-    """
-    return clausify_all([f], var_supply, sk_supply, limits, deadline)
-
-
 def clausify_all(formulas: Iterable[Formula], var_supply: NameSupply,
                  sk_supply: NameSupply,
                  limits: ResourceLimits = DEFAULT_LIMITS,
                  deadline: Optional[float] = None) -> list[Clause]:
     """Clausify several formulas with shared name supplies, deduplicated.
 
-    deadline is as in clausify_formula, one instant for all the formulas.
+    deadline is a time.monotonic() instant, by default wall_ms from now,
+    one instant for all the formulas; past it the pipeline raises
+    DeadlineExceeded.
     """
     tick = clock(limits.deadline() if deadline is None else deadline)
     clauses: list[Clause] = []
     seen: set[Clause] = set()
     for f in formulas:
-        g = eliminate_connectives(f, tick)
-        g = to_nnf(g, tick)
-        g = standardize_apart(g, var_supply, tick)
-        g = skolemize(g, sk_supply, tick)
+        g = skolemize(to_nnf(f, tick), var_supply, sk_supply, tick)
         for c in clausify(g, limits, tick):
             if c not in seen:
                 seen.add(c)

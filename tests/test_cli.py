@@ -222,6 +222,14 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    def test_out_under_a_file_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, "gen", "--n", "2", "--seed", "1",
+                           "--out", blocker / "suite")
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestDiff:
     def test_clean_run_exit_0(self, capsys):

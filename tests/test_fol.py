@@ -5,7 +5,7 @@ import pytest
 from trilogic.fol import (
     And, Atom, Clause, Constant, Exists, ForAll, Function, Iff, Implies,
     Literal, Not, Or, Variable, Xor, formula_constants, free_variables,
-    pretty, substitute, substitute_term,
+    pretty, substitute_term,
 )
 
 
@@ -80,42 +80,6 @@ class TestFreeVariables:
 
 
 class TestSubstitution:
-    def test_ground_replacement(self):
-        f = substitute(atom("p", X), {"x": A})
-        assert f == atom("p", A)
-
-    def test_empty_substitution_is_identity(self):
-        samples = [
-            atom("p", X, A),
-            Not(Or((atom("p", X), atom("q", Y)))),
-            ForAll("x", Exists("y", Implies(atom("r", X, Y), atom("p", X)))),
-            Xor(atom("p", A), Iff(atom("q", A), atom("r", B))),
-        ]
-        for f in samples:
-            assert substitute(f, {}) == f
-
-    def test_substitution_removes_the_variable(self):
-        samples = [
-            atom("r", X, Y),
-            And((atom("p", X), Exists("y", atom("r", X, Y)))),
-            Implies(atom("p", X), ForAll("z", atom("q", Variable("z")))),
-        ]
-        for f in samples:
-            got = free_variables(substitute(f, {"x": A}))
-            assert got == free_variables(f) - {"x"}
-
-    def test_bound_occurrences_untouched(self):
-        f = ForAll("x", atom("p", X))
-        assert substitute(f, {"x": A}) == f
-
-    def test_capture_is_avoided(self):
-        # substituting y := x below ForAll x must rename the binder
-        f = ForAll("x", atom("r", X, Y))
-        g = substitute(f, {"y": X})
-        assert isinstance(g, ForAll)
-        assert g.var != "x"
-        assert free_variables(g) == {"x"}
-
     def test_term_substitution_recurses_into_functions(self):
         t = Function("f", (X, Function("g", (Y,))))
         s = substitute_term(t, {"y": B})

@@ -1,5 +1,7 @@
-"""Clausification pipeline: connective elimination, NNF, skolemization, CNF."""
+"""Clausification pipeline: NNF (connectives rewritten and negations pushed
+in, one walk), standardize-apart with skolemization (one walk), CNF."""
 
+import random
 import time
 
 import pytest
@@ -7,15 +9,16 @@ import pytest
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.fol import (
     And, Answered, Atom, Constant, DeadlineExceeded, ExecError, ExecFailed,
-    Exists, ForAll, Iff, Implies, Not, Or, ResourceLimits, Variable, Xor,
-    free_variables,
+    Exists, ForAll, Function, Iff, Implies, Not, Or, ResourceLimits, Term,
+    Variable, Xor, free_variables, substitute_term,
 )
 from trilogic.normalize import (
-    clausify, clausify_all, clausify_formula, clock, eliminate_connectives,
-    skolem_supply, skolemize, standardize_apart, to_nnf, variable_supply,
+    clausify, clausify_all, clock, skolem_supply, skolemize, to_nnf,
+    variable_supply,
 )
 from trilogic.resolution import entail_resolution
 from trilogic.sat import entail_sat
+from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
 X = Variable("x")
 Y = Variable("y")
@@ -27,22 +30,22 @@ def atom(p, *args):
 
 
 def cf(f, limits=None):
-    args = (f, variable_supply(), skolem_supply())
-    clauses = clausify_formula(*args) if limits is None else clausify_formula(*args, limits)
+    args = ([f], variable_supply(), skolem_supply())
+    clauses = clausify_all(*args) if limits is None else clausify_all(*args, limits)
     return [str(c) for c in clauses]
 
 
 class TestEliminateConnectives:
     def test_implies(self):
-        f = eliminate_connectives(Implies(atom("p", A), atom("q", A)))
+        f = to_nnf(Implies(atom("p", A), atom("q", A)))
         assert f == Or((Not(atom("p", A)), atom("q", A)))
 
     def test_xor_expands_to_two_disjunctions(self):
-        f = eliminate_connectives(Xor(atom("p", A), atom("q", A)))
+        f = to_nnf(Xor(atom("p", A), atom("q", A)))
         assert str(f) == "(p(A) | q(A)) & (-p(A) | -q(A))"
 
     def test_iff_expands_to_two_implications(self):
-        f = eliminate_connectives(Iff(atom("p", A), atom("q", A)))
+        f = to_nnf(Iff(atom("p", A), atom("q", A)))
         assert str(f) == "(-p(A) | q(A)) & (-q(A) | p(A))"
 
 
@@ -66,12 +69,15 @@ class TestNnf:
 class TestStandardizeApart:
     def test_shadowed_binders_get_distinct_names(self):
         f = And((ForAll("x", atom("p", X)), Exists("x", atom("q", X))))
-        g = standardize_apart(f, variable_supply())
-        assert str(g) == "all _v0 (p(_v0)) & exists _v1 (q(_v1))"
+        variables = variable_supply()
+        g = skolemize(f, variables, skolem_supply())
+        # the existential draws _v1 before it takes its witness
+        assert str(g) == "all _v0 (p(_v0)) & q(_sk0)"
+        assert variables.next_index == 2
 
     def test_free_variables_survive(self):
         f = ForAll("x", atom("r", X, Y))
-        g = standardize_apart(f, variable_supply())
+        g = skolemize(f, variable_supply(), skolem_supply())
         assert free_variables(g) == {"y"}
 
 
@@ -84,8 +90,8 @@ class TestSkolemize:
         assert cf(f) == ["r(_v0, _sk0(_v0))"]
 
     def test_skolemize_keeps_universals(self):
-        f = skolemize(standardize_apart(ForAll("x", atom("p", X)),
-                                        variable_supply()), skolem_supply())
+        f = skolemize(ForAll("x", atom("p", X)), variable_supply(),
+                      skolem_supply())
         assert isinstance(f, ForAll)
 
 
@@ -129,6 +135,202 @@ class TestClausify:
         assert again == first
 
 
+# The four-walk clausification that to_nnf and skolemize merge, one rewrite
+# per walk, kept as the reference they must match clause for clause and
+# name for name: Clause orders literals by their text and resolution selects
+# the first negative literal, so a renumbered variable can change a proof.
+
+def reference_eliminate_connectives(f):
+    """Rewrite Implies/Iff/Xor in terms of And/Or/Not."""
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Not):
+        return Not(reference_eliminate_connectives(f.body))
+    if isinstance(f, And):
+        return And(tuple(reference_eliminate_connectives(p) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(reference_eliminate_connectives(p) for p in f.parts))
+    if isinstance(f, Implies):
+        return Or((Not(reference_eliminate_connectives(f.left)),
+                   reference_eliminate_connectives(f.right)))
+    if isinstance(f, Iff):
+        a = reference_eliminate_connectives(f.left)
+        b = reference_eliminate_connectives(f.right)
+        return And((Or((Not(a), b)), Or((Not(b), a))))
+    if isinstance(f, Xor):
+        a = reference_eliminate_connectives(f.left)
+        b = reference_eliminate_connectives(f.right)
+        return And((Or((a, b)), Or((Not(a), Not(b)))))
+    if isinstance(f, (ForAll, Exists)):
+        return type(f)(f.var, reference_eliminate_connectives(f.body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_to_nnf(f):
+    """Push negations down to atoms. Input must be free of ->, <-> and ^."""
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Not) and isinstance(f.body, Atom):
+        return f
+    if isinstance(f, And):
+        return And(tuple(reference_to_nnf(p) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(reference_to_nnf(p) for p in f.parts))
+    if isinstance(f, (ForAll, Exists)):
+        return type(f)(f.var, reference_to_nnf(f.body))
+    if isinstance(f, Not):
+        g = f.body
+        if isinstance(g, Not):
+            return reference_to_nnf(g.body)
+        if isinstance(g, And):
+            return Or(tuple(reference_to_nnf(Not(p)) for p in g.parts))
+        if isinstance(g, Or):
+            return And(tuple(reference_to_nnf(Not(p)) for p in g.parts))
+        if isinstance(g, ForAll):
+            return Exists(g.var, reference_to_nnf(Not(g.body)))
+        if isinstance(g, Exists):
+            return ForAll(g.var, reference_to_nnf(Not(g.body)))
+        raise ValueError(f"eliminate connectives before NNF: {g!r}")
+    raise ValueError(f"eliminate connectives before NNF: {f!r}")
+
+
+def reference_standardize_apart(f, supply):
+    """Give every binder its own fresh variable name."""
+
+    def walk(f, ren):
+        if isinstance(f, Atom):
+            if not ren:
+                return f
+            return Atom(f.predicate, tuple(substitute_term(a, ren) for a in f.args))
+        if isinstance(f, Not):
+            return Not(walk(f.body, ren))
+        if isinstance(f, And):
+            return And(tuple(walk(p, ren) for p in f.parts))
+        if isinstance(f, Or):
+            return Or(tuple(walk(p, ren) for p in f.parts))
+        if isinstance(f, (ForAll, Exists)):
+            new = supply.fresh()
+            inner = dict(ren)
+            inner[f.var] = Variable(new)
+            return type(f)(new, walk(f.body, inner))
+        raise TypeError(f"not a formula: {f!r}")
+
+    return walk(f, {})
+
+
+def reference_skolemize(f, supply):
+    """Drop existentials from a standardized NNF formula."""
+
+    def walk(f, univ, sub):
+        if isinstance(f, Atom):
+            if not sub:
+                return f
+            return Atom(f.predicate, tuple(substitute_term(a, sub) for a in f.args))
+        if isinstance(f, Not):
+            return Not(walk(f.body, univ, sub))
+        if isinstance(f, And):
+            return And(tuple(walk(p, univ, sub) for p in f.parts))
+        if isinstance(f, Or):
+            return Or(tuple(walk(p, univ, sub) for p in f.parts))
+        if isinstance(f, ForAll):
+            return ForAll(f.var, walk(f.body, univ + (f.var,), sub))
+        if isinstance(f, Exists):
+            name = supply.fresh()
+            witness: Term
+            if univ:
+                witness = Function(name, tuple(Variable(u) for u in univ))
+            else:
+                witness = Constant(name)
+            inner = dict(sub)
+            inner[f.var] = witness
+            return walk(f.body, univ, inner)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return walk(f, (), {})
+
+
+def reference_clausify_all(formulas, var_supply, sk_supply):
+    clauses = []
+    seen = set()
+    for f in formulas:
+        g = reference_eliminate_connectives(f)
+        g = reference_to_nnf(g)
+        g = reference_standardize_apart(g, var_supply)
+        g = reference_skolemize(g, sk_supply)
+        for c in clausify(g):
+            if c not in seen:
+                seen.add(c)
+                clauses.append(c)
+    return clauses
+
+
+def random_term(rng, depth):
+    roll = rng.random()
+    if depth > 0 and roll < 0.2:
+        return Function(rng.choice("fg"), tuple(
+            random_term(rng, depth - 1) for _ in range(rng.randint(1, 2))))
+    if roll < 0.6:
+        return Variable(rng.choice("xyz"))
+    return Constant(rng.choice("AB"))
+
+
+def random_formula(rng, depth):
+    """Every connective, quantifiers that shadow one another (three variable
+    names), free variables and function terms."""
+    def sub():
+        return random_formula(rng, depth - 1)
+
+    kind = rng.randrange(9) if depth > 0 else 0
+    if kind == 0:
+        return Atom(rng.choice("pq"), tuple(
+            random_term(rng, 2) for _ in range(rng.randint(0, 2))))
+    if kind == 1:
+        return Not(sub())
+    if kind in (2, 3):
+        return (And, Or)[kind - 2](tuple(sub() for _ in range(rng.randint(2, 3))))
+    if kind in (4, 5, 6):
+        return (Implies, Iff, Xor)[kind - 4](sub(), sub())
+    return (ForAll, Exists)[kind - 7](rng.choice("xyz"), sub())
+
+
+def reference_inputs():
+    """Formula lists clausified in turn under shared supplies, each list as
+    one clausify_all call: generated problems as the entailment driver sees
+    them, then random formulas, plain and negated."""
+    for seed in (23, 101, 907):
+        for fragment in (HORN, FULL_FOL):
+            cfg = GenConfig(fragment=fragment, seed=seed)
+            for gp in generate_suite(cfg, 20, (2, 3, 5)):
+                p = gp.problem
+                yield [p.premises, [Not(p.conclusion)], [p.conclusion]]
+    rng = random.Random(13)
+    for _ in range(300):
+        f = random_formula(rng, rng.randint(1, 4))
+        yield [[f], [Not(f)]]
+
+
+def clause_texts(pipeline, formulas, supplies):
+    """The clauses as text, or the error that stopped them."""
+    try:
+        return [str(c) for c in pipeline(formulas, *supplies)]
+    except ExecError as e:
+        return str(e)
+
+
+class TestMergedWalks:
+    def test_clauses_and_names_match_the_four_walk_reference(self):
+        for calls in reference_inputs():
+            got_supplies = variable_supply(), skolem_supply()
+            want_supplies = variable_supply(), skolem_supply()
+            for formulas in calls:
+                got = clause_texts(clausify_all, formulas, got_supplies)
+                want = clause_texts(reference_clausify_all, formulas,
+                                    want_supplies)
+                assert got == want, formulas
+                assert ([s.next_index for s in got_supplies]
+                        == [s.next_index for s in want_supplies]), formulas
+
+
 def iff_chain(links):
     """p(A) <-> (p(A) <-> ...) with links + 1 atoms."""
     f = atom("p", A)
@@ -156,12 +358,10 @@ class TestDeadline:
     def test_past_deadline_raises_in_each_walk(self):
         past = time.monotonic() - 1
         f = iff_chain(12)
-        g = eliminate_connectives(f)
-        nnf = to_nnf(g)
-        for walk in (lambda tick: to_nnf(g, tick),
-                     lambda tick: standardize_apart(nnf, variable_supply(),
-                                                    tick),
-                     lambda tick: skolemize(nnf, skolem_supply(), tick),
+        nnf = to_nnf(f)
+        for walk in (lambda tick: to_nnf(f, tick),
+                     lambda tick: skolemize(nnf, variable_supply(),
+                                            skolem_supply(), tick),
                      # 2^11 clauses of 11 literals
                      lambda tick: clausify(Or(tuple(
                          And((atom(f"a{i}", A), atom(f"b{i}", A)))
@@ -169,8 +369,8 @@ class TestDeadline:
             with pytest.raises(DeadlineExceeded):
                 walk(clock(past))
         with pytest.raises(DeadlineExceeded):
-            clausify_formula(f, variable_supply(), skolem_supply(),
-                             deadline=past)
+            clausify_all([f], variable_supply(), skolem_supply(),
+                         deadline=past)
 
     def test_clock_reads_once_per_1024_ticks(self):
         tick = clock(time.monotonic() - 1)
@@ -181,8 +381,8 @@ class TestDeadline:
 
     def test_small_formula_never_reads_the_clock(self):
         f = Iff(atom("p", A), atom("q", A))
-        assert len(clausify_formula(f, variable_supply(), skolem_supply(),
-                                    deadline=time.monotonic() - 1)) == 2
+        assert len(clausify_all([f], variable_supply(), skolem_supply(),
+                                deadline=time.monotonic() - 1)) == 2
 
     @pytest.mark.parametrize("engine", [entail_resolution, entail_sat])
     @pytest.mark.parametrize("name", sorted(EXPLOSIVE_TEXTS))
