@@ -4,7 +4,8 @@ Facts are (predicate, constant args, truth) triples; rules fire by joining
 body literals against the fact store until a fixpoint. Negation exists only
 as an explicit False truth slot, so deriving both p(A)=True and p(A)=False
 is a hard contradiction rather than a logical signal, and a query absent
-from the fixpoint is Unknown (open world) or False (closed world).
+from the fixpoint is Unknown; the closed-world reading of that Unknown is
+harness.apply_world_assumption's, as for every engine.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .dialects.pyke import PykeLiteral, PykeProgram, PykeRule
 from .fol import (
     Answered, Constant, DeadlineExceeded, ExecError, ExecFailed,
     Inconsistent, Outcome, ResourceLimits, DEFAULT_LIMITS, Truth, Verdict,
-    WorldAssumption,
 )
 
 Fact = tuple[str, tuple[str, ...], bool]
@@ -33,7 +33,6 @@ class RuleBase:
 
     facts: tuple[Fact, ...]
     rules: tuple[PykeRule, ...]
-    constants: tuple[str, ...]
 
 
 def compile_rules(prog: PykeProgram) -> RuleBase:
@@ -78,9 +77,7 @@ def compile_rules(prog: PykeProgram) -> RuleBase:
         for lit in rule.body + (rule.head,):
             check(lit.predicate, len(lit.args), "a rule")
     check(prog.query[0], len(prog.query[1]), "the query")
-
-    constants = sorted({c for _, args, _ in facts for c in args})
-    return RuleBase(tuple(facts), prog.rules, tuple(constants))
+    return RuleBase(tuple(facts), prog.rules)
 
 
 # a compiled literal: (predicate, truth, argument codes); a code is a
@@ -225,15 +222,14 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
         older = upto
 
 
-def answer_query(fixpoint: tuple[Fact, ...], query: tuple[str, tuple[str, ...]],
-                 assumption: WorldAssumption) -> Verdict:
+def answer_query(fixpoint: tuple[Fact, ...], query: tuple[str, tuple[str, ...]]
+                 ) -> Verdict:
+    """The query's truth in the fact store; Unknown when it is absent."""
     name, args = query
     present = set(fixpoint)
     if (name, args, True) in present:
         return Verdict(Truth.TRUE)
     if (name, args, False) in present:
-        return Verdict(Truth.FALSE)
-    if assumption is WorldAssumption.CWA:
         return Verdict(Truth.FALSE)
     return Verdict(Truth.UNKNOWN)
 
@@ -245,9 +241,7 @@ def dump_fixpoint(fixpoint: tuple[Fact, ...]) -> str:
 
 
 def entail_chaining(prog: PykeProgram,
-                    limits: ResourceLimits = DEFAULT_LIMITS,
-                    assumption: WorldAssumption = WorldAssumption.OWA
-                    ) -> Outcome:
+                    limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
     """Compile, chain to fixpoint, and read the query off the fact store."""
     try:
         rb = compile_rules(prog)
@@ -258,4 +252,4 @@ def entail_chaining(prog: PykeProgram,
         return ExecFailed(str(e))
     except DeadlineExceeded:
         return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
-    return Answered(answer_query(fixpoint, prog.query, assumption))
+    return Answered(answer_query(fixpoint, prog.query))

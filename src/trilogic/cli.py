@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .fol import (
-    Answered, ExecError, ResourceLimits, DEFAULT_LIMITS, Truth,
-    WorldAssumption,
+    Answered, ExecError, ResourceLimits, DEFAULT_LIMITS, WorldAssumption,
 )
 from .harness import (
     ENGINES, apply_world_assumption, check_pair, compute_metrics, evaluate,
@@ -52,6 +51,8 @@ def _limits_from_env() -> ResourceLimits:
 
 
 def _gen_config(args: argparse.Namespace) -> GenConfig:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     return GenConfig(
         constants=args.constants,
         unary_predicates=args.unary,
@@ -138,9 +139,7 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
     dataset_lines = []
     per_dialect: dict[str, list[str]] = {}
     for gp in suite:
-        gold = gp.gold
-        if cfg.assumption is WorldAssumption.CWA and gold is Truth.UNKNOWN:
-            gold = Truth.FALSE
+        gold = cfg.assumption.firm(gp.gold)
         labels[gold.value] += 1
         dataset_lines.append(json.dumps({
             "id": gp.id, "gold": gold.value,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from ..fol import (
     And, Atom, Constant, Formula, ForAll, Exists, Function, Iff, Implies,
-    Not, Or, ParseError, Problem, SourceSpan, Term, Variable, WorldAssumption,
-    Xor,
+    Not, Or, ParseError, Problem, SourceSpan, Term, Variable, Xor,
 )
 from ._lex import (
     NAME, PUNCTUATION, Cursor, Token, end_span, lexer, section_lines,
@@ -214,9 +213,7 @@ def _parse_declaration(tokens: list[Token], line_no: int, line_len: int,
                      SourceSpan(line_no, max(1, line_len)))
 
 
-def parse_prover9(text: str,
-                  assumption: WorldAssumption = WorldAssumption.OWA,
-                  problem_id: str = "") -> Problem:
+def parse_prover9(text: str) -> Problem:
     """Parse the sectioned dialect into a Problem.
 
     Raises ParseError with a source span on malformed input: untranslated
@@ -241,5 +238,4 @@ def parse_prover9(text: str,
 
     if conclusion is None:
         raise ParseError("missing Conclusion section", end_span(text))
-    return Problem(tuple(premises), conclusion, assumption=assumption,
-                   id=problem_id, dialect="prover9")
+    return Problem(tuple(premises), conclusion)

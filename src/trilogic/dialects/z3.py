@@ -14,7 +14,7 @@ import re
 
 from ..fol import (
     And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, Not, Or,
-    ParseError, Problem, SourceSpan, Term, Variable, WorldAssumption, Xor,
+    ParseError, Problem, SourceSpan, Term, Variable, Xor,
 )
 from ._lex import (
     NAME, PUNCTUATION, Cursor, Reject, Token, content_lines, end_span,
@@ -184,9 +184,7 @@ class _LineParser(Cursor):
                 tok.span())
 
 
-def parse_z3(text: str,
-             assumption: WorldAssumption = WorldAssumption.OWA,
-             problem_id: str = "") -> Problem:
+def parse_z3(text: str) -> Problem:
     """Parse the solver-API dialect into a Problem.
 
     Every non-comment line is one assertion; the final line must be
@@ -217,5 +215,4 @@ def parse_z3(text: str,
 
     if conclusion is None:
         raise ParseError("missing return line", end_span(text))
-    return Problem(tuple(premises), conclusion, assumption=assumption,
-                   id=problem_id, dialect="z3")
+    return Problem(tuple(premises), conclusion)

@@ -108,7 +108,8 @@ def substitute_term(t: Term, s: Mapping[str, Term]) -> Term:
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    def __str__(self):
+        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,6 @@ class Atom(Formula):
 class Not(Formula):
     body: Formula
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class And(Formula):
@@ -142,9 +140,6 @@ class And(Formula):
         object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.parts) < 2:
             raise ValueError("And needs at least 2 conjuncts")
-
-    def __str__(self):
-        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -156,17 +151,11 @@ class Or(Formula):
         if len(self.parts) < 2:
             raise ValueError("Or needs at least 2 disjuncts")
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Xor(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -174,17 +163,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return pretty(self)
 
 
 @dataclass(frozen=True)
@@ -195,9 +178,6 @@ class ForAll(Formula):
     def __post_init__(self):
         _check_name(self.var)
 
-    def __str__(self):
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class Exists(Formula):
@@ -206,9 +186,6 @@ class Exists(Formula):
 
     def __post_init__(self):
         _check_name(self.var)
-
-    def __str__(self):
-        return pretty(self)
 
 
 def free_variables(f: Formula) -> set[str]:
@@ -378,11 +355,6 @@ def clause_substitute(literals: Iterable[Literal], s: Mapping[str, Term]) -> Cla
 # Problems, verdicts, outcomes
 
 
-class WorldAssumption(enum.Enum):
-    OWA = "OWA"
-    CWA = "CWA"
-
-
 class Truth(enum.Enum):
     TRUE = "True"
     FALSE = "False"
@@ -390,6 +362,20 @@ class Truth(enum.Enum):
 
     def __str__(self):
         return self.value
+
+
+class WorldAssumption(enum.Enum):
+    OWA = "OWA"
+    CWA = "CWA"
+
+    def firm(self, truth: Truth) -> Truth:
+        """The truth value under this assumption: the closed world reads
+        Unknown as False. The one place that rule is written; apply it
+        only to the answer of a complete search (see
+        harness.apply_world_assumption)."""
+        if self is WorldAssumption.CWA and truth is Truth.UNKNOWN:
+            return Truth.FALSE
+        return truth
 
 
 @dataclass(frozen=True)
@@ -410,9 +396,6 @@ class Verdict:
 class Problem:
     premises: tuple[Formula, ...]
     conclusion: Formula
-    assumption: WorldAssumption = WorldAssumption.OWA
-    id: str = ""
-    dialect: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "premises", tuple(self.premises))

@@ -237,14 +237,16 @@ def classify_outcome(outcome: Outcome, correct: bool) -> FigureCategory:
 
 def apply_world_assumption(outcome: Outcome,
                            assumption: WorldAssumption) -> Outcome:
-    """Closed-world reading: a complete search's Unknown becomes False.
+    """An engine's outcome under the assumption (WorldAssumption.firm).
 
-    A resource-limited Unknown stays as it is: a search that was cut
-    short is no evidence that the conclusion is false.
+    Every engine answers open-world; this is where each answer gets the
+    closed-world reading. A resource-limited Unknown stays as it is: a
+    search that was cut short is no evidence that the conclusion is false.
     """
-    if assumption is WorldAssumption.CWA \
-            and outcome == Answered(Verdict(Truth.UNKNOWN)):
-        return Answered(Verdict(Truth.FALSE))
+    if isinstance(outcome, Answered) and not outcome.verdict.resource_limited:
+        firmed = assumption.firm(outcome.verdict.value)
+        if firmed is not outcome.verdict.value:
+            return Answered(Verdict(firmed))
     return outcome
 
 
@@ -302,7 +304,9 @@ def compute_metrics(runs: Sequence[RunRecord],
             elif key == "engine":
                 value = run.engine
             else:
-                value = run.tags.get(key, "-")
+                # a bare `|` parts two keys, so a tag value escapes its own
+                value = run.tags.get(key, "-").replace("\\", "\\\\") \
+                    .replace("|", "\\|")
             parts.append(f"{key}={value}")
         groups.setdefault("|".join(parts), []).append(run)
 
@@ -345,6 +349,10 @@ def _percent(x: float) -> str:
     return f"{x * 100:.2f}%"
 
 
+def _one_line(text: str) -> str:
+    return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+
+
 def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
     """Report bytes: a markdown table or a CSV with fixed columns."""
     if fmt == "markdown":
@@ -354,14 +362,15 @@ def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
         ]
         for m in metrics:
             lines.append(
-                f"| {m.group} | {m.dialect} | {m.engine} | {m.total} "
-                f"| {_percent(m.exec_rate)} | {_percent(m.accuracy)} |")
+                f"| {_one_line(m.group)} | {m.dialect} | {m.engine} "
+                f"| {m.total} | {_percent(m.exec_rate)} "
+                f"| {_percent(m.accuracy)} |")
         lines.append("")
         lines.append("Category proportions:")
         for m in metrics:
             total = m.total or 1
             lines.append(
-                f"- {m.group} ({m.dialect}/{m.engine}): "
+                f"- {_one_line(m.group)} ({m.dialect}/{m.engine}): "
                 f"ExecCorrect {_percent(m.exec_correct / total)}, "
                 f"ExecIncorrect {_percent(m.exec_incorrect / total)}, "
                 f"NonExecParse {_percent(m.nonexec_parse / total)}, "
@@ -374,7 +383,7 @@ def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
                   "resource_limited\r\n")
         for m in metrics:
             group = m.group.replace('"', "'")
-            if "," in group:
+            if any(c in group for c in ",\r\n"):
                 group = f'"{group}"'
             buf.write(f"{group},{m.dialect},{m.engine},{m.total},"
                       f"{m.exec_correct},{m.exec_incorrect},"

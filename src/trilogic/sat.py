@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -32,30 +32,16 @@ _COMBOS_PER_CHECK = 1024
 
 
 @dataclass
-class GroundAtomTable:
-    """Bijection between ground atoms and dense 1-based propositional indices.
-
-    index_of is keyed by an atom's plain (predicate, names) tuple, in the
-    order the indices were handed out.
-    """
-
-    index_of: dict[tuple[str, tuple[str, ...]], int] = field(
-        default_factory=dict)
-
-    def copy(self) -> GroundAtomTable:
-        return GroundAtomTable(dict(self.index_of))
-
-    def __len__(self) -> int:
-        return len(self.index_of)
-
-
-@dataclass
 class PropClauseSet:
-    """Ground clauses as DIMACS-style signed 1-based indices."""
+    """Ground clauses as DIMACS-style signed 1-based indices.
+
+    table maps each ground atom, as its plain (predicate, names) tuple, to
+    its index, in the order the indices were handed out.
+    """
 
     clauses: list[tuple[int, ...]]
     atom_count: int
-    table: GroundAtomTable
+    table: dict[tuple[str, tuple[str, ...]], int]
 
 
 def ground(clauses: Iterable[Clause], constants: Iterable[str],
@@ -82,14 +68,13 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
     if not universe:
         universe = [DUMMY_CONSTANT]
     if base is None:
-        table = GroundAtomTable()
+        table: dict[tuple[str, tuple[str, ...]], int] = {}
         seen: set[tuple[int, ...]] = set()
         total_literals = 0
     else:
-        table = base.table.copy()
+        table = dict(base.table)
         seen = set(base.clauses)
         total_literals = sum(map(len, base.clauses))
-    index_of = table.index_of
     out: list[tuple[int, ...]] = []
     literal_budget = limits.max_ground_literals
 
@@ -117,9 +102,9 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
             signed: list[int] = []
             for positive, predicate, pick in template:
                 key = (predicate, pick(row))
-                idx = index_of.get(key)
+                idx = table.get(key)
                 if idx is None:
-                    idx = index_of[key] = len(index_of) + 1
+                    idx = table[key] = len(table) + 1
                 s = idx if positive else -idx
                 if -s in signed:
                     break  # a tautology
@@ -337,7 +322,7 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None
 def to_dimacs(cs: PropClauseSet) -> str:
     """DIMACS CNF dump with atom names in comments."""
     lines = [f"c {i} {pred}({', '.join(names)})" if names else f"c {i} {pred}"
-             for (pred, names), i in cs.table.index_of.items()]
+             for (pred, names), i in cs.table.items()]
     lines.append(f"p cnf {cs.atom_count} {len(cs.clauses)}")
     lines.extend(" ".join(str(l) for l in c) + " 0" for c in cs.clauses)
     return "\n".join(lines)

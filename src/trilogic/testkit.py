@@ -551,16 +551,8 @@ _ADMISSIBLE = {
 
 
 def _admissible_labels(cfg: GenConfig) -> tuple[Truth, ...]:
-    labels = _ADMISSIBLE[cfg.fragment]
-    if cfg.assumption is WorldAssumption.CWA:
-        firmed = []
-        for label in labels:
-            if label is Truth.UNKNOWN:
-                label = Truth.FALSE
-            if label not in firmed:
-                firmed.append(label)
-        labels = tuple(firmed)
-    return labels
+    return tuple(dict.fromkeys(map(cfg.assumption.firm,
+                                   _ADMISSIBLE[cfg.fragment])))
 
 
 def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
@@ -580,8 +572,7 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
     shrink = 0
     for _ in range(60):
         premises, conclusion, draft = build(cfg, rng, shrink)
-        problem = Problem(tuple(premises), conclusion,
-                          assumption=cfg.assumption)
+        problem = Problem(tuple(premises), conclusion)
         try:
             verdict = enumerate_models(problem)
         except ExecError:
@@ -593,9 +584,7 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
         assert isinstance(verdict, Answered)
         label = verdict.verdict.value
         candidate = (problem, draft, label)
-        if cfg.assumption is WorldAssumption.CWA and label is Truth.UNKNOWN:
-            label = Truth.FALSE
-        if label is target:
+        if cfg.assumption.firm(label) is target:
             fallback = candidate
             break
         if fallback is None:

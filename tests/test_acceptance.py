@@ -13,8 +13,9 @@ from trilogic.cli import main as cli_main
 from trilogic.dialects import parse_prover9, parse_pyke, parse_z3
 from trilogic.fol import Answered, ParseError, Truth, WorldAssumption
 from trilogic.harness import (
-    FigureCategory, classify_outcome, compute_metrics, evaluate,
-    load_dataset, load_translations, pearson, run_translation,
+    FigureCategory, apply_world_assumption, classify_outcome,
+    compute_metrics, evaluate, load_dataset, load_translations, pearson,
+    run_translation,
 )
 from trilogic.resolution import Proved, replay_trace, resolution_runs
 from trilogic.testkit import GenConfig, differential_check, generate_problem
@@ -30,15 +31,8 @@ def report(number, name, ok, detail=""):
 
 def timed_verdict(text, dialect, engine, assumption=WorldAssumption.OWA):
     start = time.perf_counter()
-    if engine == "chaining":
-        from trilogic.chaining import entail_chaining
-
-        outcome = entail_chaining(parse_pyke(text), assumption=assumption)
-    else:
-        outcome = run_translation(text, dialect, engine)
-        from trilogic.harness import apply_world_assumption
-
-        outcome = apply_world_assumption(outcome, assumption)
+    outcome = apply_world_assumption(run_translation(text, dialect, engine),
+                                     assumption)
     elapsed = time.perf_counter() - start
     value = outcome.verdict.value.value if isinstance(outcome, Answered) \
         else type(outcome).__name__

@@ -10,9 +10,10 @@ from trilogic.chaining import (
 )
 from trilogic.dialects import PykeLiteral, PykeRule, parse_pyke
 from trilogic.fol import (
-    DEFAULT_LIMITS, Constant, DeadlineExceeded, ExecError, ResourceLimits,
-    Truth, Variable, WorldAssumption,
+    DEFAULT_LIMITS, Answered, Constant, DeadlineExceeded, ExecError,
+    ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
 )
+from trilogic.harness import apply_world_assumption
 
 BASE = """Predicates:
 quiet($x, bool)
@@ -234,7 +235,7 @@ def random_program(rng):
             else Constant(rng.choice(names))
             for _ in range(ARITY[pred])), truth())
         rules.append(PykeRule(tuple(body), head))
-    return RuleBase(tuple(facts), tuple(rules), tuple(names))
+    return RuleBase(tuple(facts), tuple(rules))
 
 
 def run_to_fixpoint(chain, rb, limits):
@@ -250,20 +251,16 @@ class TestAnswerQuery:
         return forward_chain(compile_rules(parse_pyke(BASE)), DEFAULT_LIMITS)
 
     def test_present_positive(self):
-        v = answer_query(self.fixpoint(), ("calm", ("Anne",)), WorldAssumption.OWA)
+        v = answer_query(self.fixpoint(), ("calm", ("Anne",)))
         assert v.value is Truth.TRUE
 
     def test_absent_under_owa(self):
-        v = answer_query(self.fixpoint(), ("calm", ("Bob",)), WorldAssumption.OWA)
+        v = answer_query(self.fixpoint(), ("calm", ("Bob",)))
         assert v.value is Truth.UNKNOWN
-
-    def test_absent_under_cwa(self):
-        v = answer_query(self.fixpoint(), ("calm", ("Bob",)), WorldAssumption.CWA)
-        assert v.value is Truth.FALSE
 
     def test_present_negative_fact(self):
         fp = (("quiet", ("Anne",), False),)
-        v = answer_query(fp, ("quiet", ("Anne",)), WorldAssumption.OWA)
+        v = answer_query(fp, ("quiet", ("Anne",)))
         assert v.value is Truth.FALSE
 
 
@@ -287,3 +284,10 @@ class TestEntailChaining:
         out = entail_chaining(parse_pyke(closure(80)), tiny)
         assert out.verdict.value is Truth.UNKNOWN
         assert out.verdict.resource_limited
+
+    def test_cut_off_run_stays_unknown_under_cwa(self):
+        # a search the deadline cut short is no evidence for False
+        tiny = ResourceLimits(wall_ms=1)
+        out = entail_chaining(parse_pyke(closure(80)), tiny)
+        assert apply_world_assumption(out, WorldAssumption.CWA) \
+            == Answered(Verdict(Truth.UNKNOWN, resource_limited=True))

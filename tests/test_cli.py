@@ -98,6 +98,18 @@ class TestSolve:
                            "--engine", "resolution", "--assumption", "CWA")
         assert (code, out) == (0, "False\n")
 
+    @pytest.mark.parametrize("assumption,verdict",
+                             [("OWA", "Unknown"), ("CWA", "False")])
+    def test_chaining_absent_query(self, capsys, tmp_path, assumption,
+                                   verdict):
+        # the fixpoint holds quiet(Anne) but says nothing about calm(Anne)
+        f = tmp_path / "absent.pyke"
+        f.write_text("Predicates:\nquiet($x, bool)\ncalm($x, bool)\n"
+                     "Facts:\nquiet(Anne, True)\nQuery:\ncalm(Anne)\n")
+        code, out, _ = run(capsys, "solve", f, "--dialect", "pyke",
+                           "--engine", "chaining", "--assumption", assumption)
+        assert (code, out) == (0, f"{verdict}\n")
+
     def test_incompatible_engine_dialect_exit_2(self, capsys):
         code, _, err = run(capsys, "solve", DATA_DIR / "anne.pyke",
                            "--dialect", "pyke", "--engine", "resolution")
@@ -222,6 +234,13 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    def test_n_below_one_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "suite"
+        code, out, err = run(capsys, "gen", "--n", "-2", "--out", out_dir)
+        assert (code, out) == (2, "")
+        assert err == "error: --n must be at least 1, got -2\n"
+        assert not out_dir.exists()
+
     def test_out_under_a_file_exit_2(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -247,6 +266,11 @@ class TestDiff:
                            "--engines", "resolution,magic")
         assert code == 2
         assert "unknown engine(s): magic" in err
+
+    def test_n_below_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "diff", "--n", "-5")
+        assert (code, out) == (2, "")
+        assert err == "error: --n must be at least 1, got -5\n"
 
     def test_bad_depths_exit_2(self, capsys):
         code, _, err = run(capsys, "diff", "--n", "4", "--depths", "2,x")

@@ -1,9 +1,13 @@
 """Evaluation harness: loading, running, taxonomy, metrics, reports, fetch."""
 
+import csv
+import dataclasses
 import http.server
+import io
 import json
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -385,6 +389,35 @@ class TestRenderReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown report format"):
             render_report([], "xml")
+
+    @staticmethod
+    def tagged(value):
+        """The micro runs' metrics with every run's dataset tag set to value."""
+        return compute_metrics([dataclasses.replace(r, tags={"dataset": value})
+                                for r in micro_runs()])
+
+    @pytest.mark.parametrize("value,group", [
+        ("x\ny", "dataset=x\ny"), ("x\r\ny", "dataset=x\r\ny"),
+        ("x\ry", "dataset=x\ry"), ("a,b", "dataset=a,b"),
+        ("p|q", "dataset=p\\|q")])
+    def test_csv_keeps_one_record_per_group(self, value, group):
+        raw = render_report(self.tagged(value), "csv").decode()
+        rows = list(csv.reader(io.StringIO(raw, newline="")))
+        assert len(rows) == 2
+        assert len(rows[1]) == len(rows[0]) == 11
+        assert rows[1][0] == group
+
+    @pytest.mark.parametrize("value,shown", [
+        ("x\ny", "x y"), ("x\r\ny", "x y"), ("x\ry", "x y"),
+        ("p|q", "p\\|q"), ("p\\|q", "p\\\\\\|q")])
+    def test_markdown_keeps_one_row_per_group(self, value, shown):
+        lines = render_report(self.tagged(value)).decode().split("\n")
+        assert lines[3] == ""  # the table is header, rule and one row
+        # a cell ends at a `|` that no odd run of backslashes escapes
+        cells = re.split(r"(?<!\\)(?:\\\\)*\|", lines[2])
+        assert len(cells) == 8  # six cells between the outer bars
+        assert lines[2].startswith(f"| dataset={shown} | prover9 |")
+        assert lines[5].startswith(f"- dataset={shown} (prover9/")
 
 
 class TestFetchFile:

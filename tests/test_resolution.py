@@ -7,8 +7,7 @@ import pytest
 from trilogic import resolution
 from trilogic.fol import (
     DEFAULT_LIMITS, Answered, Atom, Clause, Constant, Function, Inconsistent,
-    Literal, Not, ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
-    clause_substitute,
+    Literal, Not, ResourceLimits, Truth, Variable, Verdict, clause_substitute,
 )
 from trilogic.dialects import parse_prover9
 from trilogic.harness import run_translation
@@ -549,8 +548,8 @@ class TestTrace:
 
 
 class TestEntailResolution:
-    def run(self, text, assumption=WorldAssumption.OWA):
-        return entail_resolution(parse_prover9(text, assumption))
+    def run(self, text):
+        return entail_resolution(parse_prover9(text))
 
     def test_positive_entailment(self):
         out = self.run("Premises:\np(A)\nall x (p(x) -> q(x))\nConclusion:\nq(A)\n")
@@ -584,9 +583,8 @@ class TestEntailResolution:
             base = entail_resolution(gp.problem)
             shuffled = list(gp.problem.premises)
             rng.shuffle(shuffled)
-            again = entail_resolution(Problem(
-                tuple(shuffled), gp.problem.conclusion,
-                gp.problem.assumption, gp.problem.id, gp.problem.dialect))
+            again = entail_resolution(Problem(tuple(shuffled),
+                                              gp.problem.conclusion))
             assert type(again) is type(base)
             if hasattr(base, "verdict"):
                 assert again.verdict.value is base.verdict.value

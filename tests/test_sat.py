@@ -9,12 +9,12 @@ import pytest
 from trilogic.fol import (
     Answered, Atom, Clause, Constant, DEFAULT_LIMITS, DeadlineExceeded,
     ExecError, ExecFailed, Function, Inconsistent, Literal, Not,
-    ResourceLimits, Truth, Variable, Verdict, WorldAssumption, term_constants,
+    ResourceLimits, Truth, Variable, Verdict, term_constants,
 )
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.sat import (
-    GroundAtomTable, PropClauseSet, dpll, entail_sat, ground, to_dimacs,
+    PropClauseSet, dpll, entail_sat, ground, to_dimacs,
 )
 from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
@@ -66,7 +66,7 @@ class TestGround:
         on_top = ground(goal, ["A", "B"], base=base)
         assert on_top.clauses == [(-2, 5), (-4, 6)]
         assert on_top.atom_count == 6
-        assert on_top.table.index_of[("r", ("B",))] == 6
+        assert on_top.table[("r", ("B",))] == 6
         assert len(base.table) == base.atom_count == 4  # base is untouched
         both = PropClauseSet(base.clauses + on_top.clauses,
                              on_top.atom_count, on_top.table)
@@ -147,7 +147,7 @@ class TestDpll:
                 chosen = rng.sample(range(1, n + 1), min(width, n))
                 clauses.append(tuple(v if rng.random() < 0.5 else -v
                                      for v in chosen))
-            cs = PropClauseSet(clauses, n, GroundAtomTable())
+            cs = PropClauseSet(clauses, n, {})
             model = dpll(cs)
             brute_sat = any(
                 all(any((l > 0) == bits[abs(l) - 1] for l in clause)
@@ -161,7 +161,7 @@ class TestDpll:
     def test_many_decisions_do_not_recurse(self):
         # one decision per clause; a recursive search ran out of stack here
         cs = PropClauseSet([(2 * i + 1, 2 * i + 2) for i in range(1200)],
-                           2400, GroundAtomTable())
+                           2400, {})
         model = dpll(cs)
         assert model is not None
         assert all(model[2 * i + 1] or model[2 * i + 2] for i in range(1200))
@@ -185,7 +185,7 @@ class TestDpll:
             clauses = [tuple(v if rng.random() < 0.5 else -v
                              for v in rng.sample(range(1, n + 1), 3))
                        for _ in range(round(n * rng.uniform(3.8, 4.8)))]
-            cs = PropClauseSet(clauses, n, GroundAtomTable())
+            cs = PropClauseSet(clauses, n, {})
             model = dpll(cs)
             assert (model is None) == (reference_dpll(cs) is None)
             answers.add(model is None)
@@ -197,16 +197,16 @@ class TestDpll:
 
     def test_repeated_and_tautological_literals(self):
         cs = PropClauseSet([(1, 1, -2), (2, -2), (-1,), (2, 2)], 2,
-                           GroundAtomTable())
+                           {})
         assert dpll(cs) is None
-        cs = PropClauseSet([(1, 1), (3, -3)], 3, GroundAtomTable())
+        cs = PropClauseSet([(1, 1), (3, -3)], 3, {})
         assert dpll(cs) == {1: True, 2: True, 3: True}
 
     def test_past_deadline_raises_at_first_conflict(self):
         with pytest.raises(DeadlineExceeded):
             dpll(pigeonhole(5, 4), deadline=time.monotonic() - 1)
         # no conflict, so the deadline is never looked at
-        cs = PropClauseSet([(1, 2), (-1, 3)], 3, GroundAtomTable())
+        cs = PropClauseSet([(1, 2), (-1, 3)], 3, {})
         assert dpll(cs, deadline=time.monotonic() - 1) == {
             1: True, 2: True, 3: True}
 
@@ -219,7 +219,7 @@ def pigeonhole(pigeons, holes):
                for p in range(pigeons)]
     clauses += [(-atom(a, h), -atom(b, h)) for h in range(holes)
                 for a in range(pigeons) for b in range(a + 1, pigeons)]
-    return PropClauseSet(clauses, pigeons * holes, GroundAtomTable())
+    return PropClauseSet(clauses, pigeons * holes, {})
 
 
 def reference_dpll(cs):
@@ -397,8 +397,8 @@ class TestSharedPremises:
 
 
 class TestEntailSat:
-    def run(self, text, assumption=WorldAssumption.OWA):
-        return entail_sat(parse_z3(text, assumption))
+    def run(self, text):
+        return entail_sat(parse_z3(text))
 
     def test_positive_entailment(self):
         out = self.run("P(A)\nForAll([x], Implies(P(x), Q(x)))\nreturn Q(A)\n")
