@@ -50,19 +50,26 @@ def _limits_from_env() -> ResourceLimits:
     return dataclasses.replace(DEFAULT_LIMITS, **data)
 
 
-def _gen_config(args: argparse.Namespace) -> GenConfig:
+def _gen_config(args: argparse.Namespace
+                ) -> tuple[GenConfig, Optional[list[int]]]:
+    """The generator config and depth list of gen and diff. Raises
+    ValueError on any value the generator would reject, the config of
+    each listed depth included."""
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    return GenConfig(
+    cfg = GenConfig(
         constants=args.constants,
         unary_predicates=args.unary,
-        binary_predicates=args.binary,
         depth=args.depth,
         distractor_facts=args.distractor_facts,
         distractor_rules=args.distractor_rules,
         fragment=args.fragment,
         assumption=WorldAssumption(args.assumption),
         seed=args.seed)
+    depths = _parse_depths(args.depths)
+    for depth in depths or ():
+        dataclasses.replace(cfg, depth=depth)
+    return cfg, depths
 
 
 def _parse_depths(value: Optional[str]) -> Optional[list[int]]:
@@ -115,12 +122,10 @@ def cmd_eval(args: argparse.Namespace, limits: ResourceLimits) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    total = len(runs)
-    executed = sum(1 for r in runs if isinstance(r.outcome, Answered))
-    correct = sum(1 for r in runs if r.correct)
-    if total:
-        print(f"{total} runs  ExecR {executed / total * 100:.2f}%  "
-              f"Acc {correct / total * 100:.2f}%")
+    if runs:
+        (overall,) = compute_metrics(runs, ())
+        print(f"{overall.total} runs  ExecR {overall.exec_rate * 100:.2f}%  "
+              f"Acc {overall.accuracy * 100:.2f}%")
     else:
         print("0 runs")
     return 0
@@ -129,8 +134,7 @@ def cmd_eval(args: argparse.Namespace, limits: ResourceLimits) -> int:
 def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
     del limits
     try:
-        cfg = _gen_config(args)
-        depths = _parse_depths(args.depths)
+        cfg, depths = _gen_config(args)
         suite = generate_suite(cfg, args.n, depths)
     except (ValueError, ExecError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -171,8 +175,7 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
 
 def cmd_diff(args: argparse.Namespace, limits: ResourceLimits) -> int:
     try:
-        cfg = _gen_config(args)
-        depths = _parse_depths(args.depths)
+        cfg, depths = _gen_config(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -185,8 +188,12 @@ def cmd_diff(args: argparse.Namespace, limits: ResourceLimits) -> int:
                   file=sys.stderr)
             return 2
         engines = {n: DEFAULT_ENGINES[n] for n in names}
-    report = differential_check(args.n, cfg, engines=engines, depths=depths,
-                                limits=limits)
+    try:
+        report = differential_check(args.n, cfg, engines=engines,
+                                    depths=depths, limits=limits)
+    except ExecError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if report.ok:
         print(f"checked {report.checked} problems: all engines agree "
               "with the oracle")
@@ -214,8 +221,6 @@ def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--constants", type=int, default=3)
     sub.add_argument("--unary", type=int, default=6,
                      help="unary predicate count")
-    sub.add_argument("--binary", type=int, default=0,
-                     help="binary predicate count")
     sub.add_argument("--distractor-facts", type=int, default=2)
     sub.add_argument("--distractor-rules", type=int, default=2)
     sub.add_argument("--assumption", choices=["OWA", "CWA"], default="OWA")

@@ -70,28 +70,18 @@ class Function(Term):
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-def term_variables(t: Term) -> set[str]:
-    """Names of all variables occurring in t."""
-    if isinstance(t, Variable):
-        return {t.name}
-    if isinstance(t, Function):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_variables(a)
-        return out
-    return set()
-
-
-def term_constants(t: Term) -> set[str]:
-    """Names of all constants occurring in t."""
-    if isinstance(t, Constant):
-        return {t.name}
-    if isinstance(t, Function):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_constants(a)
-        return out
-    return set()
+def subterms(t: Term) -> list[Term]:
+    """t and every term inside it, preorder, left to right."""
+    if not isinstance(t, Function):  # most terms: skip the stack
+        return [t]
+    out: list[Term] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if isinstance(u, Function):
+            stack.extend(reversed(u.args))
+    return out
 
 
 def substitute_term(t: Term, s: Mapping[str, Term]) -> Term:
@@ -188,46 +178,52 @@ class Exists(Formula):
         _check_name(self.var)
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The formulas directly inside f, left to right."""
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, (Not, ForAll, Exists)):
+        return (f.body,)
+    if isinstance(f, (And, Or)):
+        return f.parts
+    if isinstance(f, (Xor, Implies, Iff)):
+        return (f.left, f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subformulas(*roots: Formula) -> list[Formula]:
+    """Each root and every formula inside it, preorder, left to right.
+
+    An explicit stack, not recursion: every parsed text is walked, and a
+    walk stays linear in the size of the formula however deep it nests.
+    Several roots share one walk, which costs less than one per root."""
+    out: list[Formula] = []
+    stack = list(reversed(roots))
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        if not isinstance(g, Atom):  # most nodes are atoms: skip the call
+            stack.extend(reversed(children(g)))
+    return out
+
+
 def free_variables(f: Formula) -> set[str]:
     """Variables occurring outside any binder for them."""
-    if isinstance(f, Atom):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_variables(a)
-        return out
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= free_variables(p)
-        return out
-    if isinstance(f, (Xor, Implies, Iff)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def formula_constants(f: Formula) -> set[str]:
-    """Names of all constants mentioned anywhere in f."""
-    if isinstance(f, Atom):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_constants(a)
-        return out
-    if isinstance(f, Not):
-        return formula_constants(f.body)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= formula_constants(p)
-        return out
-    if isinstance(f, (Xor, Implies, Iff)):
-        return formula_constants(f.left) | formula_constants(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return formula_constants(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    out: set[str] = set()
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, Atom):
+            for a in g.args:
+                for t in subterms(a):
+                    if isinstance(t, Variable) and t.name not in bound:
+                        out.add(t.name)
+        elif isinstance(g, (ForAll, Exists)):
+            stack.append((g.body, bound | {g.var}))
+        else:
+            for c in children(g):
+                stack.append((c, bound))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +281,6 @@ class Literal:
     positive: bool
     atom: Atom
 
-    def negated(self) -> "Literal":
-        return Literal(not self.positive, self.atom)
-
     def __str__(self):
         return str(self.atom) if self.positive else f"-{self.atom}"
 
@@ -330,11 +323,9 @@ class Clause:
     def variables(self) -> frozenset[str]:
         """Names of the variables in the clause, computed once per clause:
         resolution renames every pair of parents apart."""
-        out: set[str] = set()
-        for lit in self.literals:
-            for a in lit.atom.args:
-                out |= term_variables(a)
-        return frozenset(out)
+        return frozenset(t.name for lit in self.literals
+                         for a in lit.atom.args for t in subterms(a)
+                         if isinstance(t, Variable))
 
     def __str__(self):
         if not self.literals:
@@ -404,10 +395,10 @@ class Problem:
                 raise ValueError(f"formula has free variables: {f}")
 
     def constants(self) -> set[str]:
-        out = formula_constants(self.conclusion)
-        for p in self.premises:
-            out |= formula_constants(p)
-        return out
+        """Names of all constants mentioned anywhere in the problem."""
+        return {t.name for g in subformulas(*self.premises, self.conclusion)
+                if isinstance(g, Atom) for a in g.args for t in subterms(a)
+                if isinstance(t, Constant)}
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,11 @@ def evaluate(records: Sequence[DatasetRecord],
     """Run one engine over one dialect's translations for every record.
 
     Results are sorted by record id before returning, so the worker count
-    never changes the output.
+    never changes the output. Raises ValueError for jobs below 1.
     """
     check_pair(engine, dialect)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     by_id = {t.id: t for t in translations if t.dialect == dialect}
 
     def solve_one(record: DatasetRecord) -> RunRecord:

@@ -35,7 +35,7 @@ from .fol import (
     Answered, Atom, Clause, Constant, DeadlineExceeded, ExecFailed,
     ExecError, Function, Inconsistent, Literal, Not, Outcome, Problem,
     ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
-    clause_substitute, substitute_term, term_variables,
+    clause_substitute, substitute_term, subterms,
 )
 from .normalize import clausify_all, skolem_supply, variable_supply
 
@@ -57,11 +57,11 @@ def unify(a: Atom, b: Atom) -> Optional[dict[str, Term]]:
         if s == t:
             continue
         if isinstance(s, Variable):
-            if s.name in term_variables(t):
+            if s in subterms(t):
                 return None
             _bind(sub, s.name, t)
         elif isinstance(t, Variable):
-            if t.name in term_variables(s):
+            if t in subterms(s):
                 return None
             _bind(sub, t.name, s)
         elif (isinstance(s, Function) and isinstance(t, Function)

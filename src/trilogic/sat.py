@@ -18,8 +18,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .fol import (
-    Clause, DeadlineExceeded, ExecError, Function, Outcome, Problem,
-    ResourceLimits, DEFAULT_LIMITS, Term, Variable, term_constants,
+    Clause, Constant, DeadlineExceeded, ExecError, Function, Outcome,
+    Problem, ResourceLimits, DEFAULT_LIMITS, Term, Variable, subterms,
 )
 # clausify_all is not called here; perfbench/tracer.py wraps it
 from .normalize import clausify_all
@@ -141,8 +141,8 @@ def _reject_functions(t: Term) -> None:
 
 
 def _clause_constants(clauses: Iterable[Clause]) -> set[str]:
-    return {name for c in clauses for lit in c for arg in lit.atom.args
-            for name in term_constants(arg)}
+    return {t.name for c in clauses for lit in c for arg in lit.atom.args
+            for t in subterms(arg) if isinstance(t, Constant)}
 
 
 def dpll(cs: PropClauseSet, deadline: Optional[float] = None

@@ -28,7 +28,7 @@ from .fol import (
     And, Answered, Atom, Constant, ExecError, Exists, ForAll, Formula,
     Iff, Implies, Inconsistent, Not, Or, Outcome, Problem,
     ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
-    WorldAssumption, Xor, pretty,
+    WorldAssumption, Xor, pretty, subformulas,
 )
 from .harness import run_translation
 # not called here; kept importable because perfbench/tracer.py wraps them
@@ -75,22 +75,11 @@ def _existential_witnesses(f: Formula, polarity: int) -> int:
     raise TypeError(f"unexpected formula node {type(f).__name__}")
 
 
-def _count_quantifiers(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return _count_quantifiers(f.body)
-    if isinstance(f, (And, Or)):
-        return sum(_count_quantifiers(p) for p in f.parts)
-    if isinstance(f, (Xor, Iff, Implies)):
-        return _count_quantifiers(f.left) + _count_quantifiers(f.right)
-    return 1 + _count_quantifiers(f.body)
-
-
 def oracle_universe(p: Problem) -> list[str]:
     named = sorted(p.constants())
     witnesses = sum(_existential_witnesses(f, 1) for f in p.premises)
-    witnesses += _count_quantifiers(p.conclusion)
+    witnesses += sum(isinstance(g, (ForAll, Exists))
+                     for g in subformulas(p.conclusion))
     universe = named + [f"{_WITNESS_PREFIX}{i}" for i in range(witnesses)]
     if not universe:
         universe = [f"{_WITNESS_PREFIX}0"]
@@ -106,27 +95,12 @@ def _collect_atoms(p: Problem) -> tuple[list[tuple[str, int]],
     """
     arities: dict[str, int] = {}
     patterns: dict[str, set[tuple]] = {}
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            arities.setdefault(f.predicate, len(f.args))
-            patterns.setdefault(f.predicate, set()).add(tuple(
+    for g in subformulas(*p.premises, p.conclusion):
+        if isinstance(g, Atom):
+            arities.setdefault(g.predicate, len(g.args))
+            patterns.setdefault(g.predicate, set()).add(tuple(
                 None if isinstance(a, Variable) else _term_name(a, {})
-                for a in f.args))
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or)):
-            for part in f.parts:
-                walk(part)
-        elif isinstance(f, (Xor, Iff, Implies)):
-            walk(f.left)
-            walk(f.right)
-        else:
-            walk(f.body)
-
-    for f in p.premises:
-        walk(f)
-    walk(p.conclusion)
+                for a in g.args))
     return sorted(arities.items()), patterns
 
 
@@ -284,7 +258,6 @@ class GenConfig:
 
     constants: int = 3
     unary_predicates: int = 6
-    binary_predicates: int = 0
     depth: int = 3
     distractor_facts: int = 2
     distractor_rules: int = 2
@@ -299,15 +272,13 @@ class GenConfig:
             raise ValueError("constants must be between 2 and 8")
         if self.unary_predicates < 1:
             raise ValueError("need at least one unary predicate")
-        if self.binary_predicates < 0 or self.distractor_facts < 0 \
-                or self.distractor_rules < 0:
+        if self.distractor_facts < 0 or self.distractor_rules < 0:
             raise ValueError("counts must be nonnegative")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
         if self.fragment == HORN and self.unary_predicates < self.depth + 1:
             raise ValueError("horn chains need unary_predicates > depth")
-        base_atoms = (self.unary_predicates * self.constants
-                      + self.binary_predicates * self.constants ** 2)
+        base_atoms = self.unary_predicates * self.constants
         if base_atoms > ORACLE_MAX_ATOMS:
             raise ValueError(
                 f"{base_atoms} base ground atoms exceeds the oracle "

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from trilogic import testkit
 from trilogic.cli import main
+from trilogic.fol import ExecError
 
 from conftest import DATA_DIR
 
@@ -176,6 +178,12 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, *self.args(jobs=jobs))
+        assert (code, out) == (2, "")
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
     def test_group_by_engine(self, capsys, tmp_path):
         md = tmp_path / "r.md"
         code, _, _ = run(capsys, *self.args(md=str(md), **{"group-by": "engine"}))
@@ -276,6 +284,25 @@ class TestDiff:
         code, _, err = run(capsys, "diff", "--n", "4", "--depths", "2,x")
         assert code == 2
         assert "bad depth list" in err
+
+    @pytest.mark.parametrize("command", ["gen", "diff"])
+    def test_rejected_depth_exit_2(self, capsys, tmp_path, command):
+        extra = ["--out", tmp_path / "suite"] if command == "gen" else []
+        code, out, err = run(capsys, command, "--n", "3", "--depths", "2,9",
+                             *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: horn chains need unary_predicates > depth\n"
+
+    def test_generator_exec_error_exit_2(self, capsys, monkeypatch):
+        def give_up(cfg, index=0):
+            raise ExecError(f"generator gave up on index {index} "
+                            "after 60 attempts")
+
+        monkeypatch.setattr(testkit, "generate_problem", give_up)
+        code, out, err = run(capsys, "diff", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: generator gave up on index 0 "
+                       "after 60 attempts\n")
 
 
 class TestLimitsEnv:

@@ -1,12 +1,23 @@
-"""Formula model: construction, free variables, substitution, printing."""
+"""Formula model: construction, free variables, substitution, printing,
+and the shared formula and term walks."""
+
+import json
 
 import pytest
 
+from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.fol import (
-    And, Atom, Clause, Constant, Exists, ForAll, Function, Iff, Implies,
-    Literal, Not, Or, Variable, Xor, formula_constants, free_variables,
-    pretty, substitute_term,
+    And, Atom, Clause, Constant, ExecError, Exists, ForAll, Function, Iff,
+    Implies, Literal, Not, Or, ParseError, Problem, Term, Variable, Xor, free_variables,
+    pretty, subformulas, substitute_term, subterms,
 )
+from trilogic.testkit import (
+    FULL_FOL, HORN, GenConfig, _collect_atoms, _existential_witnesses,
+    _term_name, generate_suite, oracle_universe,
+)
+
+from conftest import DATA_DIR
+from hostile import base_texts, mutants
 
 
 def atom(p, *args):
@@ -89,11 +100,11 @@ class TestSubstitution:
 class TestConstants:
     def test_collects_nested_constants(self):
         f = And((atom("p", A), ForAll("x", atom("r", X, B))))
-        assert formula_constants(f) == {"Anne", "Bob"}
+        assert Problem((f,), atom("q", A)).constants() == {"Anne", "Bob"}
 
     def test_skolem_function_constants(self):
         f = atom("p", Function("_sk0", (A,)))
-        assert formula_constants(f) == {"Anne"}
+        assert Problem((), f).constants() == {"Anne"}
 
 
 class TestPretty:
@@ -135,7 +146,7 @@ class TestClause:
 
     def test_tautology_detection(self):
         l1 = Literal(True, atom("p", A))
-        c = Clause((l1, l1.negated()))
+        c = Clause((l1, Literal(False, atom("p", A))))
         assert c.is_tautology()
         assert not Clause((l1,)).is_tautology()
 
@@ -143,3 +154,204 @@ class TestClause:
         c = Clause((Literal(False, atom("p", A)), Literal(True, atom("q", X))))
         assert str(c) == "-p(Anne) | q(x)"
         assert str(Clause(())) == "$false"
+
+
+# --- the walks before subformulas and subterms, kept as references ---
+
+
+def reference_term_variables(t: Term) -> set[str]:
+    """Names of all variables occurring in t."""
+    if isinstance(t, Variable):
+        return {t.name}
+    if isinstance(t, Function):
+        out: set[str] = set()
+        for a in t.args:
+            out |= reference_term_variables(a)
+        return out
+    return set()
+
+
+def reference_term_constants(t: Term) -> set[str]:
+    """Names of all constants occurring in t."""
+    if isinstance(t, Constant):
+        return {t.name}
+    if isinstance(t, Function):
+        out: set[str] = set()
+        for a in t.args:
+            out |= reference_term_constants(a)
+        return out
+    return set()
+
+
+def reference_free_variables(f) -> set[str]:
+    """Variables occurring outside any binder for them."""
+    if isinstance(f, Atom):
+        out: set[str] = set()
+        for a in f.args:
+            out |= reference_term_variables(a)
+        return out
+    if isinstance(f, Not):
+        return reference_free_variables(f.body)
+    if isinstance(f, (And, Or)):
+        out = set()
+        for p in f.parts:
+            out |= reference_free_variables(p)
+        return out
+    if isinstance(f, (Xor, Implies, Iff)):
+        return (reference_free_variables(f.left)
+                | reference_free_variables(f.right))
+    if isinstance(f, (ForAll, Exists)):
+        return reference_free_variables(f.body) - {f.var}
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_formula_constants(f) -> set[str]:
+    """Names of all constants mentioned anywhere in f."""
+    if isinstance(f, Atom):
+        out: set[str] = set()
+        for a in f.args:
+            out |= reference_term_constants(a)
+        return out
+    if isinstance(f, Not):
+        return reference_formula_constants(f.body)
+    if isinstance(f, (And, Or)):
+        out = set()
+        for p in f.parts:
+            out |= reference_formula_constants(p)
+        return out
+    if isinstance(f, (Xor, Implies, Iff)):
+        return (reference_formula_constants(f.left)
+                | reference_formula_constants(f.right))
+    if isinstance(f, (ForAll, Exists)):
+        return reference_formula_constants(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_problem_constants(p: Problem) -> set[str]:
+    out = reference_formula_constants(p.conclusion)
+    for f in p.premises:
+        out |= reference_formula_constants(f)
+    return out
+
+
+def reference_count_quantifiers(f) -> int:
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Not):
+        return reference_count_quantifiers(f.body)
+    if isinstance(f, (And, Or)):
+        return sum(reference_count_quantifiers(p) for p in f.parts)
+    if isinstance(f, (Xor, Iff, Implies)):
+        return (reference_count_quantifiers(f.left)
+                + reference_count_quantifiers(f.right))
+    return 1 + reference_count_quantifiers(f.body)
+
+
+def reference_oracle_universe(p: Problem) -> list[str]:
+    named = sorted(reference_problem_constants(p))
+    witnesses = sum(_existential_witnesses(f, 1) for f in p.premises)
+    witnesses += reference_count_quantifiers(p.conclusion)
+    universe = named + [f"_w{i}" for i in range(witnesses)]
+    if not universe:
+        universe = ["_w0"]
+    return universe
+
+
+def reference_collect_atoms(p: Problem):
+    arities: dict[str, int] = {}
+    patterns: dict[str, set[tuple]] = {}
+
+    def walk(f) -> None:
+        if isinstance(f, Atom):
+            arities.setdefault(f.predicate, len(f.args))
+            patterns.setdefault(f.predicate, set()).add(tuple(
+                None if isinstance(a, Variable) else _term_name(a, {})
+                for a in f.args))
+        elif isinstance(f, Not):
+            walk(f.body)
+        elif isinstance(f, (And, Or)):
+            for part in f.parts:
+                walk(part)
+        elif isinstance(f, (Xor, Iff, Implies)):
+            walk(f.left)
+            walk(f.right)
+        else:
+            walk(f.body)
+
+    for f in p.premises:
+        walk(f)
+    walk(p.conclusion)
+    return sorted(arities.items()), patterns
+
+
+def walk_problems():
+    """Problems the walks must agree on: seeded Horn and full-FOL suites,
+    every FOL fixture, the parseable hostile mutants, and one problem with
+    a skolem function term."""
+    for seed in (23, 101, 907):
+        for fragment in (HORN, FULL_FOL):
+            cfg = GenConfig(fragment=fragment, seed=seed)
+            for gp in generate_suite(cfg, 20, (2, 3, 5)):
+                yield gp.problem
+    parsers = {"prover9": parse_prover9, "z3": parse_z3}
+    texts = [(path.suffix.lstrip(".").replace("p9", "prover9"),
+              path.read_text(encoding="utf-8"))
+             for path in sorted(DATA_DIR.glob("*.p9"))
+             + sorted(DATA_DIR.glob("*.z3"))]
+    for line in (DATA_DIR / "micro" / "translations_prover9.jsonl") \
+            .read_text(encoding="utf-8").splitlines():
+        texts.append(("prover9", json.loads(line)["text"]))
+    texts += list(base_texts(6, 20)) + mutants(6, 20, 40)
+    for dialect, text in texts:
+        if dialect in parsers:
+            try:
+                yield parsers[dialect](text)
+            except ParseError:
+                continue
+    sk = Function("_sk0", (X, A))
+    yield Problem(
+        (ForAll("x", Xor(atom("p", sk), Exists("y", atom("q", Y, B)))),),
+        Exists("x", atom("p", sk)))
+
+
+def collected_atoms(collect, p):
+    try:
+        return collect(p)
+    except ExecError as e:
+        return str(e)
+
+
+class TestWalks:
+    def test_children_of_each_node_shape(self):
+        p, q, r = atom("p", A), atom("q", A), atom("r", A)
+        assert subformulas(And((p, Not(q), ForAll("x", r)))) == [
+            And((p, Not(q), ForAll("x", r))), p, Not(q), q, ForAll("x", r), r]
+        for node in (Xor, Implies, Iff):
+            assert subformulas(node(p, q)) == [node(p, q), p, q]
+        assert subformulas(Not(p), q) == [Not(p), p, q]
+        t = Function("f", (X, Function("g", (A,)), Y))
+        assert subterms(t) == [t, X, Function("g", (A,)), A, Y]
+
+    def test_deep_formula_walks_without_recursion(self):
+        f = atom("p", A)
+        for _ in range(5000):
+            f = Not(f)
+        assert len(subformulas(f)) == 5001
+        t = A
+        for _ in range(5000):
+            t = Function("f", (t,))
+        assert len(subterms(t)) == 5001
+        assert free_variables(f) == set()
+
+    def test_results_match_the_reference_walks(self):
+        count = 0
+        for p in walk_problems():
+            count += 1
+            assert p.constants() == reference_problem_constants(p), p
+            assert oracle_universe(p) == reference_oracle_universe(p), p
+            assert (collected_atoms(_collect_atoms, p)
+                    == collected_atoms(reference_collect_atoms, p)), p
+            for f in (*p.premises, p.conclusion):
+                for g in subformulas(f):
+                    assert free_variables(g) == reference_free_variables(g), g
+        assert count > 200

@@ -286,6 +286,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown engine"):
             evaluate([], [], "prover9", "tableau")
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError,
+                           match=f"jobs must be at least 1, got {jobs}"):
+            micro_runs(jobs=jobs)
+
     def test_results_sorted_by_id(self):
         runs = micro_runs()
         assert [r.id for r in runs] == sorted(r.id for r in runs)

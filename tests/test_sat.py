@@ -9,7 +9,7 @@ import pytest
 from trilogic.fol import (
     Answered, Atom, Clause, Constant, DEFAULT_LIMITS, DeadlineExceeded,
     ExecError, ExecFailed, Function, Inconsistent, Literal, Not,
-    ResourceLimits, Truth, Variable, Verdict, term_constants,
+    ResourceLimits, Truth, Variable, Verdict, subterms,
 )
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
@@ -277,9 +277,9 @@ def reference_entail_sat(p, limits=DEFAULT_LIMITS):
 
     def satisfiable(goal, deadline):
         side = premises + goal
-        constants = base | {name for c in side for lit in c
-                            for arg in lit.atom.args
-                            for name in term_constants(arg)}
+        constants = base | {t.name for c in side for lit in c
+                            for arg in lit.atom.args for t in subterms(arg)
+                            if isinstance(t, Constant)}
         try:
             cs = ground(side, constants, limits, deadline)
             return dpll(cs, deadline) is not None
