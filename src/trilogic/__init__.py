@@ -24,9 +24,8 @@ from .fol import (
 from .harness import (
     DatasetRecord, ENGINES, FigureCategory, Metrics, RunRecord,
     TranslationRecord, apply_world_assumption, classify_outcome,
-    compute_metrics, evaluate, fetch_translations, load_dataset,
-    load_translations, pearson, render_report, run_translation,
-    solve_translation,
+    compute_metrics, evaluate, load_dataset, load_translations, pearson,
+    render_report, run_translation, solve_translation,
 )
 from .normalize import clausify, clausify_all, to_nnf
 from .resolution import (

@@ -37,7 +37,10 @@ def _limits_from_env() -> ResourceLimits:
     raw = os.environ.get("TRILOGIC_LIMITS")
     if not raw:
         return DEFAULT_LIMITS
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     names = {f.name for f in dataclasses.fields(ResourceLimits)}
@@ -191,7 +194,7 @@ def cmd_diff(args: argparse.Namespace, limits: ResourceLimits) -> int:
     try:
         report = differential_check(args.n, cfg, engines=engines,
                                     depths=depths, limits=limits)
-    except ExecError as e:
+    except (ValueError, ExecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if report.ok:
@@ -273,7 +276,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         limits = _limits_from_env()
-    except (ValueError, json.JSONDecodeError) as e:
+    except ValueError as e:
         print(f"error: TRILOGIC_LIMITS: {e}", file=sys.stderr)
         return 2
     return args.func(args, limits)

@@ -6,9 +6,9 @@ parse, failed at runtime (contradictions land here too). Executable rate
 counts the first two; accuracy counts only the first, over all records, so
 accuracy can never exceed executable rate.
 
-The HTTP client, logging, the thread pool and statistics are imported
-inside the functions that use them, so a process that only solves never
-loads them (tests/test_footprint.py checks this).
+The thread pool and statistics are imported inside the functions that
+use them, so a process that only solves never loads them
+(tests/test_footprint.py checks this).
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ def _jsonl_records(path: str | Path, keys: tuple[str, ...]
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
+        except RecursionError:
+            raise ValueError(f"{where}: invalid JSON (nested too deeply)") \
+                from None
         if not isinstance(obj, dict):
             raise ValueError(f"{where}: expected a JSON object")
         for key in ("id", *keys):
@@ -395,114 +398,3 @@ def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
 
-
-# --- translation providers ---
-
-
-def _get_path(obj: object, dotted: str) -> object:
-    node = obj
-    for part in dotted.split("."):
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif isinstance(node, dict):
-            node = node[part]
-        else:
-            raise KeyError(dotted)
-    return node
-
-
-def _set_path(obj: object, dotted: str, value: object) -> None:
-    parts = dotted.split(".")
-    node = obj
-    for part in parts[:-1]:
-        node = node[int(part)] if isinstance(node, list) else node[part]
-    last = parts[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
-    else:
-        node[last] = value
-
-
-def fetch_translations(config: Mapping[str, object],
-                       records: Sequence[DatasetRecord]
-                       ) -> list[TranslationRecord]:
-    """Fetch translations via the configured provider.
-
-    The file provider reads an existing translations JSONL. The http
-    provider posts a templated prompt per (record, dialect) to a JSON API
-    and extracts the completion; each fetched translation is appended to
-    the cache file immediately, and failures degrade to per-record absence
-    rather than aborting the batch.
-    """
-    import logging
-    log = logging.getLogger("trilogic.harness")
-    provider = config.get("provider")
-    if provider == "file":
-        wanted = {r.id for r in records}
-        only = config.get("dialect")
-        if only is not None and only not in DIALECTS:
-            raise ValueError(f"unknown dialect {only!r}")
-        out = [t for t in load_translations(str(config["path"]))
-               if t.id in wanted and (only is None or t.dialect == only)]
-        missing = wanted - {t.id for t in out}
-        if missing:
-            log.warning("no translation found for %d record(s): %s",
-                        len(missing), ", ".join(sorted(missing)[:5]))
-        return out
-    if provider != "http":
-        raise ValueError(f"unknown provider {provider!r}")
-    import copy
-    import urllib.error
-    import urllib.request
-
-    url = str(config["url"])
-    method = str(config.get("method", "POST"))
-    headers = {str(k): str(v)
-               for k, v in dict(config.get("headers", {})).items()}
-    headers.setdefault("Content-Type", "application/json")
-    template = config.get("request_template", {})
-    prompt_field = str(config["prompt_field"])
-    completion_field = str(config["completion_field"])
-    timeout = float(config.get("timeout_s", 30))
-    cache = config.get("cache")
-    prompt_templates = {
-        d: Path(str(p)).read_text(encoding="utf-8")
-        for d, p in dict(config["prompt_templates"]).items()}
-    for d in prompt_templates:
-        if d not in DIALECTS:
-            raise ValueError(f"unknown dialect {d!r} in prompt_templates")
-
-    out: list[TranslationRecord] = []
-    for record in records:
-        for dialect in sorted(prompt_templates):
-            try:
-                prompt = prompt_templates[dialect].format(
-                    id=record.id, **record.tags)
-            except (KeyError, IndexError) as e:
-                log.warning("record %s/%s: prompt template needs %s",
-                            record.id, dialect, e)
-                continue
-            body = copy.deepcopy(template)
-            try:
-                _set_path(body, prompt_field, prompt)
-                request = urllib.request.Request(
-                    url, data=json.dumps(body).encode("utf-8"),
-                    headers=headers, method=method)
-                with urllib.request.urlopen(request, timeout=timeout) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
-                text = str(_get_path(payload, completion_field))
-            except (urllib.error.URLError, OSError, KeyError, IndexError,
-                    ValueError) as e:
-                log.warning("record %s/%s: fetch failed: %s",
-                            record.id, dialect, e)
-                continue
-            translation = TranslationRecord(record.id, dialect, text, url)
-            out.append(translation)
-            if cache:
-                line = json.dumps({"id": translation.id,
-                                   "dialect": translation.dialect,
-                                   "text": translation.text,
-                                   "provider": translation.provider})
-                with open(str(cache), "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-    return out

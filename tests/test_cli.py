@@ -285,6 +285,16 @@ class TestDiff:
         assert code == 2
         assert "bad depth list" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--engines", ","),
+        ("--fragment", "full-fol", "--engines", "chaining")],
+        ids=["none-named", "chaining-on-full-fol"])
+    def test_no_engine_to_check_exit_2(self, capsys, flags):
+        # full-fol problems have no pyke text, so chaining checks none
+        code, out, err = run(capsys, "diff", "--n", "3", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no engine to check")
+
     @pytest.mark.parametrize("command", ["gen", "diff"])
     def test_rejected_depth_exit_2(self, capsys, tmp_path, command):
         extra = ["--out", tmp_path / "suite"] if command == "gen" else []
@@ -337,3 +347,10 @@ class TestLimitsEnv:
                            "--dialect", "prover9", "--engine", "resolution")
         assert code == 2
         assert "TRILOGIC_LIMITS" in err
+
+    def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRILOGIC_LIMITS", "[" * 100_000)
+        code, out, err = run(capsys, "solve", str(DATA_DIR / "anne.p9"),
+                             "--dialect", "prover9", "--engine", "resolution")
+        assert (code, out) == (2, "")
+        assert err == "error: TRILOGIC_LIMITS: nested too deeply\n"

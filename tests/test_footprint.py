@@ -1,8 +1,9 @@
 """Start-up footprint: importing trilogic and solving one problem stay lean.
 
-The HTTP client, logging, the thread pool and statistics are imported
-where they are used (fetch_translations, evaluate with jobs > 1,
-pearson), so a process that never reaches them never pays for them.
+The thread pool and statistics are imported where they are used
+(evaluate with jobs > 1, pearson), so a process that never reaches them
+never pays for them. The other LAZY_MODULES are imported nowhere in the
+package; the guard keeps it that way.
 """
 
 import json

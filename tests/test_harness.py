@@ -1,14 +1,12 @@
-"""Evaluation harness: loading, running, taxonomy, metrics, reports, fetch."""
+"""Evaluation harness: loading, running, taxonomy, metrics, reports."""
 
 import csv
 import dataclasses
-import http.server
 import io
 import json
 import math
 import random
 import re
-import threading
 
 import pytest
 
@@ -19,8 +17,8 @@ from trilogic.fol import (
 from trilogic.harness import (
     DatasetRecord, ENGINES, FigureCategory, Metrics, RunRecord,
     TranslationRecord, apply_world_assumption, classify_outcome,
-    compute_metrics, evaluate, fetch_translations, load_dataset,
-    load_translations, pearson, render_report, run_translation,
+    compute_metrics, evaluate, load_dataset, load_translations, pearson,
+    render_report, run_translation,
 )
 
 from conftest import DATA_DIR
@@ -39,11 +37,18 @@ class TestLoadDataset:
         assert records[3].gold is Truth.FALSE
         assert records[0].tags == {"dataset": "micro"}
 
-    def test_invalid_json_names_line(self, tmp_path):
+    # a line nested past the recursion limit is invalid JSON too
+    @pytest.mark.parametrize("bad", ["{oops", "[" * 100_000 + "]" * 100_000],
+                             ids=["broken", "deep"])
+    @pytest.mark.parametrize("load,first", [
+        (load_dataset, {"id": "a", "gold": "True", "assumption": "OWA"}),
+        (load_translations, {"id": "a", "dialect": "z3", "text": "x"})],
+        ids=["dataset", "translations"])
+    def test_invalid_json_names_line(self, tmp_path, load, first, bad):
         p = tmp_path / "d.jsonl"
-        p.write_text('{"id": "a", "gold": "True", "assumption": "OWA"}\n{oops\n')
-        with pytest.raises(ValueError, match="line 2: invalid JSON"):
-            load_dataset(p)
+        p.write_text(json.dumps(first) + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match="^line 2: invalid JSON"):
+            load(p)
 
     def test_missing_key_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -424,151 +429,6 @@ class TestRenderReport:
         assert len(cells) == 8  # six cells between the outer bars
         assert lines[2].startswith(f"| dataset={shown} | prover9 |")
         assert lines[5].startswith(f"- dataset={shown} (prover9/")
-
-
-class TestFetchFile:
-    def test_filters_to_requested_records(self):
-        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")[:2]
-        out = fetch_translations(
-            {"provider": "file",
-             "path": str(DATA_DIR / "micro" / "translations_prover9.jsonl")},
-            records)
-        assert sorted(t.id for t in out) == ["m1", "m2"]
-
-    def test_missing_records_logged_not_fatal(self, tmp_path, caplog):
-        p = tmp_path / "t.jsonl"
-        write_jsonl(p, [{"id": "m1", "dialect": "prover9", "text": "x"}])
-        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")
-        with caplog.at_level("WARNING", logger="trilogic.harness"):
-            out = fetch_translations({"provider": "file", "path": str(p)},
-                                     records)
-        assert len(out) == 1
-        assert "no translation found" in caplog.text
-
-    def test_unknown_provider(self):
-        with pytest.raises(ValueError, match="unknown provider"):
-            fetch_translations({"provider": "carrier-pigeon"}, [])
-
-    def test_unknown_dialect_rejected(self):
-        # a misspelt dialect used to filter every translation out
-        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")
-        with pytest.raises(ValueError, match="unknown dialect 'Prover9'"):
-            fetch_translations(
-                {"provider": "file", "dialect": "Prover9",
-                 "path": str(DATA_DIR / "micro" / "translations_prover9.jsonl")},
-                records)
-
-    def test_dialect_filter(self, tmp_path):
-        p = tmp_path / "t.jsonl"
-        write_jsonl(p, [{"id": "m1", "dialect": "prover9", "text": "x"},
-                        {"id": "m1", "dialect": "z3", "text": "y"}])
-        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")[:1]
-        out = fetch_translations(
-            {"provider": "file", "dialect": "z3", "path": str(p)}, records)
-        assert [(t.id, t.dialect) for t in out] == [("m1", "z3")]
-
-
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    """Echoes a canned completion; records the prompts it was sent."""
-
-    prompts: list = []
-    fail_ids: set = set()
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        prompt = body["messages"][0]["content"]
-        type(self).prompts.append(prompt)
-        if any(fid in prompt for fid in self.fail_ids):
-            self.send_response(500)
-            self.end_headers()
-            return
-        payload = {"choices": [{"text": f"echo: {prompt}"}]}
-        raw = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    _StubHandler.prompts = []
-    _StubHandler.fail_ids = set()
-    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    thread.join()
-
-
-class TestFetchHttp:
-    def config(self, url, tmp_path, cache=None):
-        template = tmp_path / "prompt.txt"
-        template.write_text("translate {id}: {text}", encoding="utf-8")
-        cfg = {
-            "provider": "http",
-            "url": url,
-            "request_template": {"model": "stub", "messages":
-                                 [{"role": "user", "content": ""}]},
-            "prompt_field": "messages.0.content",
-            "completion_field": "choices.0.text",
-            "prompt_templates": {"prover9": str(template)},
-        }
-        if cache is not None:
-            cfg["cache"] = str(cache)
-        return cfg
-
-    def records(self):
-        return [DatasetRecord("m1", Truth.TRUE, WorldAssumption.OWA,
-                              {"text": "Anne is white."}),
-                DatasetRecord("m2", Truth.TRUE, WorldAssumption.OWA,
-                              {"text": "Bob is round."})]
-
-    def test_posts_templated_prompts_and_collects_completions(
-            self, stub_server, tmp_path):
-        out = fetch_translations(self.config(stub_server, tmp_path),
-                                 self.records())
-        assert [t.id for t in out] == ["m1", "m2"]
-        assert out[0].text == "echo: translate m1: Anne is white."
-        assert out[0].dialect == "prover9"
-        assert _StubHandler.prompts == ["translate m1: Anne is white.",
-                                        "translate m2: Bob is round."]
-
-    def test_cache_appends_jsonl(self, stub_server, tmp_path):
-        cache = tmp_path / "cache.jsonl"
-        fetch_translations(self.config(stub_server, tmp_path, cache),
-                           self.records())
-        cached = load_translations(cache)
-        assert [t.id for t in cached] == ["m1", "m2"]
-        assert cached[0].provider == stub_server
-
-    def test_server_error_degrades_per_record(self, stub_server, tmp_path,
-                                              caplog):
-        _StubHandler.fail_ids = {"m1"}
-        with caplog.at_level("WARNING", logger="trilogic.harness"):
-            out = fetch_translations(self.config(stub_server, tmp_path),
-                                     self.records())
-        assert [t.id for t in out] == ["m2"]
-        assert "fetch failed" in caplog.text
-
-    def test_missing_tag_skips_record(self, stub_server, tmp_path, caplog):
-        records = [DatasetRecord("m3", Truth.TRUE, WorldAssumption.OWA, {})]
-        with caplog.at_level("WARNING", logger="trilogic.harness"):
-            out = fetch_translations(self.config(stub_server, tmp_path),
-                                     records)
-        assert out == []
-        assert "prompt template needs" in caplog.text
-
-    def test_unknown_dialect_in_templates(self, stub_server, tmp_path):
-        cfg = self.config(stub_server, tmp_path)
-        cfg["prompt_templates"] = {"coq": cfg["prompt_templates"]["prover9"]}
-        with pytest.raises(ValueError, match="unknown dialect 'coq'"):
-            fetch_translations(cfg, self.records())
 
 
 class TestEngineTable:
