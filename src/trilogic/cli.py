@@ -183,7 +183,7 @@ def cmd_diff(args: argparse.Namespace, limits: ResourceLimits) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     engines = None
-    if args.engines:
+    if args.engines is not None:
         names = [n.strip() for n in args.engines.split(",") if n.strip()]
         unknown = sorted(set(names) - set(DEFAULT_ENGINES))
         if unknown:

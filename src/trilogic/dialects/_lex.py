@@ -1,16 +1,11 @@
-"""What the three dialect parsers share: tokens, comments, sections, cursor.
+"""What the three dialect parsers share: lexer, comments, sections, cursor.
 
-Each dialect lists its tokens as an ordered table of (regex, action) rows,
-and `lexer` compiles the table into one master pattern, as in the "writing
-a tokenizer" recipe of the `re` documentation. An action is one of:
+A dialect's lexer is one compiled pattern and a kind table, as `Lexer`
+describes. One `findall` per line gives the line's tokens as plain
+strings, and the kind table gives each its kind. A token's column is
+worked out only when an error is raised at it, by scanning its line again
+with the same pattern.
 
-- a token kind (a str);
-- a `Reject`, whose message, formatted with the matched text, is raised as
-  a ParseError at the match;
-- a dict of reserved words, which makes the row the name row: a name found
-  in it takes its action, any other name is an "ident".
-
-Every table ends with the shared rows for '_' and for any other character.
 A name starts with a letter (by `str.isalpha`) and goes on with letters,
 digits and '_'; a name starting with '_' is reserved.
 """
@@ -18,66 +13,69 @@ digits and '_'; a name starting with '_' is reserved.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, NamedTuple, Union
+from itertools import islice
+from typing import Iterator
 
 from ..fol import MAX_NESTING_DEPTH, ParseError, SourceSpan, too_deep
 
+# also takes a non-decimal numeral such as '²', which the name rule rejects
 NAME = r"[^\W\d_]\w*"
-PUNCTUATION = [(r"\(", "lparen"), (r"\)", "rparen"), (",", "comma")]
+PUNCTUATION = {"(": "lparen", ")": "rparen", ",": "comma"}
+REJECT = "reject"  # the kind of a token that is an error wherever it stands
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, max(1, len(self.text)))
-
-
-class Reject(NamedTuple):
-    message: str
-
-    def at(self, text: str, line: int, col: int) -> ParseError:
-        return ParseError(self.message.format(text), SourceSpan(line, col))
+def _name_kind(text: str) -> str:
+    """The kind of a token that is not in the kind table."""
+    if text[0].isalpha():
+        return "ident"
+    if text[0] == "$" and len(text) > 1:  # only pyke's pattern makes one
+        return "var"
+    return REJECT
 
 
-Action = Union[str, Reject, dict]
-_UNEXPECTED = Reject("unexpected character {!r}")
-_TAIL = [("_", Reject("reserved identifier starting with '_'")),
-         (".", _UNEXPECTED)]
+class Lexer:
+    """One dialect's tokens.
 
+    The pattern is `\\s*(...)` over the dialect's own token patterns (its
+    tokens of two or more characters, longest first, and pyke's
+    variables), then a name, then any other single character. `kinds`
+    maps a token's text to its kind and `rejects` a rejected token's text
+    to its message; any other text takes the name rule (`_name_kind`).
+    """
 
-def lexer(rows: list[tuple[str, Action]]
-          ) -> Callable[[str, int], list[Token]]:
-    """Compile a dialect's token table into tokenize(content, line_no)."""
-    rows = rows + _TAIL
-    # Blanks before a token are part of its match, and trailing blanks
-    # are cut off before matching, or the last row would take one.
-    # Group i is row i - 1.
-    master = re.compile(r"\s*(?:" + "|".join(f"({rx})" for rx, _ in rows)
-                        + ")", re.DOTALL)
-    if master.groups != len(rows):
-        raise ValueError("a token pattern may not hold a capturing group")
-    actions: list = [None] + [action for _, action in rows]
-    make = tuple.__new__  # Token(...) without its Python-level __new__
+    def __init__(self, patterns: tuple[str, ...], kinds: dict[str, str],
+                 rejects: dict[str, str] | None = None) -> None:
+        # blanks before a token are part of its match
+        self.pattern = re.compile(
+            r"\s*(" + "|".join((*patterns, NAME, r"\S")) + ")")
+        if self.pattern.groups != 1:
+            raise ValueError("a token pattern may not hold a capturing group")
+        self.rejects = rejects or {}
+        self.kinds = {**kinds, **dict.fromkeys(self.rejects, REJECT)}
 
-    def tokenize(content: str, line_no: int) -> list[Token]:
-        tokens = []
-        for m in master.finditer(content, 0, len(content.rstrip())):
-            i = m.lastindex
-            action, text, col = actions[i], m.group(i), m.start(i) + 1
-            if type(action) is dict:
-                if not text[0].isalpha():
-                    raise _UNEXPECTED.at(text[0], line_no, col)
-                action = action.get(text, "ident")
-            if type(action) is Reject:
-                raise action.at(text, line_no, col)
-            tokens.append(make(Token, (action, text, line_no, col)))
-        return tokens
+    def tokenize(self, content: str, line_no: int
+                 ) -> tuple[list[str], list[str]]:
+        """A line's tokens and their kinds; a ParseError at the first
+        rejected token."""
+        # Trailing blanks are cut off: findall would try the pattern again
+        # at each of them, and each try scans to the end of the line.
+        tokens = self.pattern.findall(content, 0, len(content.rstrip()))
+        get = self.kinds.get
+        kinds = [get(text) or _name_kind(text) for text in tokens]
+        if REJECT in kinds:
+            i = kinds.index(REJECT)
+            text = tokens[i]
+            message = self.rejects.get(text) or (
+                "reserved identifier starting with '_'" if text == "_"
+                else f"unexpected character {text[0]!r}")
+            raise ParseError(message,
+                             SourceSpan(line_no, self.column(content, i)))
+        return tokens, kinds
 
-    return tokenize
+    def column(self, content: str, i: int) -> int:
+        """The 1-based column of token i of a line."""
+        matches = self.pattern.finditer(content, 0, len(content.rstrip()))
+        return next(islice(matches, i, None)).start(1) + 1
 
 
 def strip_comment(raw: str, markers: tuple[str, ...]) -> str:
@@ -130,18 +128,39 @@ def section_lines(text: str, sections: tuple[str, ...]
 
 
 class Cursor:
-    """peek/accept/advance/expect over one line's tokens; the nesting cap."""
+    """One line's tokens and kinds, read by index from `pos`; error spans;
+    the nesting cap.
+
+    `peek` is the next token's kind, None past the last token. `advance`
+    and `expect` return the index of the token they consume, which
+    `span` and `error` take.
+    """
 
     # set where every early end of line means one thing
     end_message: str | None = None
 
-    def __init__(self, tokens: list[Token], line_no: int,
+    def __init__(self, lexer: Lexer, content: str, line_no: int,
                  line_len: int) -> None:
-        self.tokens = tokens
+        self.lexer = lexer
+        self.content = content
+        self.tokens, self.kinds = lexer.tokenize(content, line_no)
+        self.kinds.append(None)
         self.pos = 0
         self.line_no = line_no
         self.line_len = line_len
         self.depth = 0
+
+    def span(self, i: int) -> SourceSpan:
+        return SourceSpan(self.line_no, self.lexer.column(self.content, i),
+                          len(self.tokens[i]))
+
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.span(i))
+
+    def unexpected(self) -> ParseError:
+        """The error for the next token, which does not fit here."""
+        return self.error(f"unexpected token {self.tokens[self.pos]!r}",
+                          self.pos)
 
     def end_of_line(self, what: str | None = None) -> ParseError:
         """The error for a line that ends where `what` was expected."""
@@ -150,41 +169,38 @@ class Cursor:
         return ParseError(message,
                           SourceSpan(self.line_no, max(1, self.line_len)))
 
-    def peek(self) -> Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def peek(self) -> str | None:
+        return self.kinds[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+    def advance(self) -> int:
+        if self.kinds[self.pos] is None:
             raise self.end_of_line()
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def accept(self, kind: str) -> Token | None:
-        """The next token if it is a `kind`, consumed; else None."""
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            return None
-        self.pos += 1
-        return tok
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is a `kind`."""
+        if self.kinds[self.pos] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.end_of_line(what)
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.span())
+    def expect(self, kind: str, what: str) -> int:
+        found = self.kinds[self.pos]
+        if found != kind:
+            if found is None:
+                raise self.end_of_line(what)
+            raise self.error(
+                f"expected {what}, found {self.tokens[self.pos]!r}", self.pos)
         self.pos += 1
-        return tok
+        return self.pos - 1
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.span())
+        if self.kinds[self.pos] is not None:
+            raise self.unexpected()
 
-    def deeper(self, tok: Token) -> None:
+    def deeper(self, i: int) -> None:
+        """One level deeper, at token i."""
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
-            raise too_deep(tok.span())
+            raise too_deep(self.span(i))

@@ -13,59 +13,57 @@ from ..fol import (
     Not, Or, ParseError, Problem, SourceSpan, Term, Variable, Xor,
 )
 from ._lex import (
-    NAME, PUNCTUATION, Cursor, Token, end_span, lexer, section_lines,
+    PUNCTUATION, Cursor, Lexer, end_span, section_lines,
 )
 
-_tokenize = lexer([
-    ("<->|↔", "iff"),
-    ("->|→", "implies"),
-    ("-|¬", "not"),
-    ("&|∧", "and"),
-    (r"\||∨", "or"),
-    (r"\^|⊕", "xor"),
-    ("∀", "forall"),
-    ("∃", "exists"),
-    *PUNCTUATION,
-    (NAME, {"all": "forall", "exists": "exists"}),
-])
+_LEXER = Lexer(("<->", "->"), {
+    "<->": "iff", "↔": "iff", "->": "implies", "→": "implies",
+    "-": "not", "¬": "not", "&": "and", "∧": "and", "|": "or", "∨": "or",
+    "^": "xor", "⊕": "xor", "all": "forall", "∀": "forall",
+    "exists": "exists", "∃": "exists", **PUNCTUATION,
+})
 _SECTIONS = ("predicates", "premises", "conclusion")
 
 
 class _ArityTable:
-    """Predicate arities: declared ones are enforced, the rest inferred."""
+    """Predicate arities: declared ones are enforced, the rest inferred.
+
+    A clash is raised at token `at` of `line`.
+    """
 
     def __init__(self) -> None:
         self.declared: dict[str, int] = {}
         self.inferred: dict[str, int] = {}
 
-    def declare(self, name: str, arity: int, tok: Token) -> None:
+    def declare(self, name: str, arity: int, line: Cursor, at: int) -> None:
         known = self.declared.get(name)
         if known is not None and known != arity:
-            raise ParseError(
+            raise line.error(
                 f"conflicting declaration for '{name}': {known} vs {arity}",
-                tok.span())
+                at)
         self.declared[name] = arity
 
-    def check_use(self, name: str, arity: int, tok: Token) -> None:
+    def check_use(self, name: str, arity: int, line: Cursor, at: int
+                  ) -> None:
         if name in self.declared:
             if self.declared[name] != arity:
-                raise ParseError(
+                raise line.error(
                     f"arity mismatch for predicate '{name}': declared "
-                    f"{self.declared[name]}, used with {arity}", tok.span())
+                    f"{self.declared[name]}, used with {arity}", at)
             return
         known = self.inferred.get(name)
         if known is None:
             self.inferred[name] = arity
         elif known != arity:
-            raise ParseError(
+            raise line.error(
                 f"inconsistent arity for predicate '{name}': {known} vs {arity}",
-                tok.span())
+                at)
 
 
 class _FormulaParser(Cursor):
-    def __init__(self, tokens: list[Token], line_no: int, line_len: int,
+    def __init__(self, content: str, line_no: int, line_len: int,
                  arities: _ArityTable) -> None:
-        super().__init__(tokens, line_no, line_len)
+        super().__init__(_LEXER, content, line_no, line_len)
         self.arities = arities
         self.scope: list[str] = []
 
@@ -76,28 +74,29 @@ class _FormulaParser(Cursor):
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        tok = self.accept("implies") or self.accept("iff")
-        if tok is None:
+        kind = self.peek()
+        if kind != "implies" and kind != "iff":
             return left
-        self.deeper(tok)
+        self.deeper(self.advance())
         right = self.implication()
         self.depth -= 1
-        return (Implies if tok.kind == "implies" else Iff)(left, right)
+        return (Implies if kind == "implies" else Iff)(left, right)
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
         outer = self.depth
         merged_or = False
         while True:
-            tok = self.accept("or") or self.accept("xor")
-            if tok is None:
+            kind = self.peek()
+            if kind != "or" and kind != "xor":
                 self.depth = outer
                 return node
-            if not (merged_or and tok.kind == "or"):
+            i = self.advance()
+            if not (merged_or and kind == "or"):
                 # this link wraps the node built so far one level deeper
-                self.deeper(tok)
+                self.deeper(i)
             right = self.conjunction()
-            if tok.kind == "or":
+            if kind == "or":
                 if merged_or and isinstance(node, Or):
                     node = Or(node.parts + (right,))
                 else:
@@ -116,101 +115,97 @@ class _FormulaParser(Cursor):
         return And(tuple(parts))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
+        kind = self.peek()
+        if kind is None:
             raise self.end_of_line("a formula")
-        if tok.kind == "ident":
+        if kind == "ident":
             return self.atom()
-        if tok.kind not in ("not", "forall", "exists", "lparen"):
-            raise ParseError(f"unexpected token {tok.text!r}", tok.span())
-        self.advance()
-        self.deeper(tok)
-        if tok.kind == "not":
+        if kind not in ("not", "forall", "exists", "lparen"):
+            raise self.unexpected()
+        self.deeper(self.advance())
+        if kind == "not":
             f: Formula = Not(self.unary())
-        elif tok.kind == "lparen":
+        elif kind == "lparen":
             f = self.implication()
             self.expect("rparen", "')'")
         else:
-            var = self.expect("ident", "a quantified variable name")
-            self.scope.append(var.text)
+            var = self.tokens[self.expect("ident", "a quantified variable name")]
+            self.scope.append(var)
             try:
                 body = self.unary()
             finally:
                 self.scope.pop()
-            cls = ForAll if tok.kind == "forall" else Exists
-            f = cls(var.text, body)
+            cls = ForAll if kind == "forall" else Exists
+            f = cls(var, body)
         self.depth -= 1
         return f
 
     def atom(self) -> Formula:
-        name_tok = self.advance()
-        name = name_tok.text
+        at = self.advance()
+        name = self.tokens[at]
         if not self.accept("lparen"):
-            self.arities.check_use(name, 0, name_tok)
+            self.arities.check_use(name, 0, self, at)
             return Atom(name)
         args = [self.term()]
         while self.accept("comma"):
             args.append(self.term())
         self.expect("rparen", "')'")
-        self.arities.check_use(name, len(args), name_tok)
+        self.arities.check_use(name, len(args), self, at)
         return Atom(name, tuple(args))
 
     def term(self) -> Term:
-        tok = self.expect("ident", "a term")
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "lparen":
-            if tok.text in self.scope:
-                raise ParseError(
-                    f"variable '{tok.text}' applied as a function", tok.span())
-            self.advance()
-            self.deeper(nxt)
+        at = self.expect("ident", "a term")
+        name = self.tokens[at]
+        if self.peek() == "lparen":
+            if name in self.scope:
+                raise self.error(
+                    f"variable '{name}' applied as a function", at)
+            self.deeper(self.advance())
             args = [self.term()]
             while self.accept("comma"):
                 args.append(self.term())
             self.expect("rparen", "')'")
             self.depth -= 1
-            return Function(tok.text, tuple(args))
-        if tok.text in self.scope:
-            return Variable(tok.text)
-        return Constant(tok.text)
+            return Function(name, tuple(args))
+        if name in self.scope:
+            return Variable(name)
+        return Constant(name)
 
 
-def _parse_declaration(tokens: list[Token], line_no: int, line_len: int,
-                       arities: _ArityTable) -> None:
-    if tokens[0].kind != "ident":  # a content line has a token
-        raise ParseError("expected a predicate declaration", tokens[0].span())
-    name_tok = tokens[0]
+def _parse_declaration(line: Cursor, arities: _ArityTable) -> None:
+    tokens, kinds = line.tokens, line.kinds
+    if kinds[0] != "ident":  # a content line has a token
+        raise line.error("expected a predicate declaration", 0)
     if len(tokens) == 1:
-        arities.declare(name_tok.text, 0, name_tok)
+        arities.declare(tokens[0], 0, line, 0)
         return
-    if tokens[1].kind != "lparen":
-        raise ParseError(f"expected '(' in declaration, found {tokens[1].text!r}",
-                         tokens[1].span())
+    if kinds[1] != "lparen":
+        raise line.error(f"expected '(' in declaration, found {tokens[1]!r}",
+                         1)
     arity = 0
     expect_arg = True
     i = 2
     while i < len(tokens):
-        tok = tokens[i]
+        kind = kinds[i]
         if expect_arg:
-            if tok.kind != "ident":
-                raise ParseError(
-                    f"expected a placeholder name, found {tok.text!r}", tok.span())
+            if kind != "ident":
+                raise line.error(
+                    f"expected a placeholder name, found {tokens[i]!r}", i)
             arity += 1
             expect_arg = False
-        elif tok.kind == "comma":
+        elif kind == "comma":
             expect_arg = True
-        elif tok.kind == "rparen":
+        elif kind == "rparen":
             if i != len(tokens) - 1:
-                extra = tokens[i + 1]
-                raise ParseError(f"unexpected token {extra.text!r}", extra.span())
-            arities.declare(name_tok.text, arity, name_tok)
+                raise line.error(f"unexpected token {tokens[i + 1]!r}", i + 1)
+            arities.declare(tokens[0], arity, line, 0)
             return
         else:
-            raise ParseError(f"unexpected token {tok.text!r} in declaration",
-                             tok.span())
+            raise line.error(f"unexpected token {tokens[i]!r} in declaration",
+                             i)
         i += 1
     raise ParseError("unbalanced parentheses in declaration",
-                     SourceSpan(line_no, max(1, line_len)))
+                     SourceSpan(line.line_no, max(1, line.line_len)))
 
 
 def parse_prover9(text: str) -> Problem:
@@ -223,17 +218,17 @@ def parse_prover9(text: str) -> Problem:
     premises: list[Formula] = []
     conclusion: Formula | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
-        tokens = _tokenize(content, line_no)
         if section == "predicates":
-            _parse_declaration(tokens, line_no, len(raw), arities)
+            _parse_declaration(Cursor(_LEXER, content, line_no, len(raw)),
+                               arities)
             continue
-        formula = _FormulaParser(tokens, line_no, len(raw), arities).parse()
+        parser = _FormulaParser(content, line_no, len(raw), arities)
+        formula = parser.parse()
         if section == "premises":
             premises.append(formula)
         else:
             if conclusion is not None:
-                raise ParseError("multiple conclusion formulas",
-                                 tokens[0].span())
+                raise parser.error("multiple conclusion formulas", 0)
             conclusion = formula
 
     if conclusion is None:

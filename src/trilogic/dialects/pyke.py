@@ -10,7 +10,6 @@ rule base is compiled, mirroring an engine that only type-checks on load.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ..fol import (
@@ -18,7 +17,7 @@ from ..fol import (
     too_deep,
 )
 from ._lex import (
-    NAME, PUNCTUATION, Cursor, Reject, Token, end_span, lexer, section_lines,
+    PUNCTUATION, Cursor, Lexer, end_span, section_lines,
 )
 
 _CONNECTIVE_WORDS = ("Xor", "Exists", "ForAll", "Or", "And", "Not",
@@ -52,32 +51,30 @@ class PykeProgram:
     query: tuple[str, tuple[str, ...]]
 
 
-_CONNECTIVE = Reject("unsupported connective {!r}")
-_tokenize = lexer([
-    ("[" + re.escape(_CONNECTIVE_CHARS) + "]", _CONNECTIVE),
-    (">>>", "arrow"),
-    ("&&", "andand"),
-    *PUNCTUATION,
-    (r"\$\w+", "var"),
-    (r"\$", Reject("'$' must introduce a variable name")),
-    (NAME, dict.fromkeys(_CONNECTIVE_WORDS, _CONNECTIVE)),
-])
+_LEXER = Lexer((">>>", "&&", r"\$\w+"), {
+    ">>>": "arrow", "&&": "andand", **PUNCTUATION,
+}, rejects={
+    **{c: f"unsupported connective {c!r}"
+       for c in (*_CONNECTIVE_CHARS, *_CONNECTIVE_WORDS)},
+    "$": "'$' must introduce a variable name",
+})
 
 
 class _LineParser(Cursor):
-    def raw_call(self) -> tuple[Token, list[Token]]:
-        """Parse name(arg, ..., arg) into the name token and arg tokens."""
+    def raw_call(self) -> tuple[int, list[int]]:
+        """Parse name(arg, ..., arg) into the indices of the name and of
+        the args."""
         name = self.expect("ident", "a predicate name")
         self.expect("lparen", "'('")
-        args: list[Token] = []
+        args: list[int] = []
         if self.accept("rparen"):
             return name, args
         while True:
-            tok = self.advance()
-            if tok.kind not in ("ident", "var"):
-                raise ParseError(f"expected an argument, found {tok.text!r}",
-                                 tok.span())
-            args.append(tok)
+            at = self.advance()
+            if self.kinds[at] not in ("ident", "var"):
+                raise self.error(
+                    f"expected an argument, found {self.tokens[at]!r}", at)
+            args.append(at)
             if not self.accept("comma"):
                 self.expect("rparen", "')'")
                 return name, args
@@ -85,38 +82,39 @@ class _LineParser(Cursor):
     def literal(self) -> PykeLiteral:
         """A rule or fact literal; the last argument is its truth slot."""
         name, args = self.raw_call()
-        if not args or args[-1].text not in ("True", "False"):
-            raise ParseError(
-                f"literal '{name.text}' needs a final True/False slot",
-                name.span())
-        value = args[-1].text == "True"
+        tokens = self.tokens
+        if not args or tokens[args[-1]] not in ("True", "False"):
+            raise self.error(
+                f"literal '{tokens[name]}' needs a final True/False slot",
+                name)
+        value = tokens[args[-1]] == "True"
         terms: list[Term] = []
-        for tok in args[:-1]:
-            if tok.text in ("True", "False"):
-                raise ParseError("truth value in argument position",
-                                 tok.span())
-            if tok.text == "bool":
-                raise ParseError("'bool' is only valid in declarations",
-                                 tok.span())
-            if tok.kind == "var":
-                terms.append(Variable(tok.text[1:]))
+        for at in args[:-1]:
+            text = tokens[at]
+            if text in ("True", "False"):
+                raise self.error("truth value in argument position", at)
+            if text == "bool":
+                raise self.error("'bool' is only valid in declarations", at)
+            if self.kinds[at] == "var":
+                terms.append(Variable(text[1:]))
             else:
-                terms.append(Constant(tok.text))
-        return PykeLiteral(name.text, tuple(terms), value)
+                terms.append(Constant(text))
+        return PykeLiteral(tokens[name], tuple(terms), value)
 
 
 def _parse_declaration(parser: _LineParser) -> tuple[str, int]:
     name, args = parser.raw_call()
     parser.done()
-    if not args or args[-1].text != "bool":
-        raise ParseError(
-            f"declaration of '{name.text}' needs a final 'bool' slot",
-            name.span())
-    for tok in args[:-1]:
-        if tok.text in ("True", "False", "bool"):
-            raise ParseError(f"unexpected {tok.text!r} in declaration",
-                             tok.span())
-    return name.text, len(args) - 1
+    tokens = parser.tokens
+    if not args or tokens[args[-1]] != "bool":
+        raise parser.error(
+            f"declaration of '{tokens[name]}' needs a final 'bool' slot",
+            name)
+    for at in args[:-1]:
+        if tokens[at] in ("True", "False", "bool"):
+            raise parser.error(f"unexpected {tokens[at]!r} in declaration",
+                               at)
+    return tokens[name], len(args) - 1
 
 
 def _parse_fact(parser: _LineParser) -> tuple[str, tuple[str, ...], bool]:
@@ -134,12 +132,13 @@ def _parse_fact(parser: _LineParser) -> tuple[str, tuple[str, ...], bool]:
 def _parse_rule(parser: _LineParser) -> PykeRule:
     # the engine's join nests one level per body literal
     body = [parser.literal()]
-    while tok := parser.accept("andand"):
+    while parser.peek() == "andand":
+        at = parser.advance()
         if len(body) == MAX_NESTING_DEPTH:
-            raise too_deep(tok.span())
+            raise too_deep(parser.span(at))
         body.append(parser.literal())
     parser.expect("arrow", "'>>>'")
-    head_start = parser.peek()
+    head_start = parser.pos
     head = parser.literal()
     # Tolerate a single stray ')' after the head; some emitters add one.
     if parser.pos == len(parser.tokens) - 1:
@@ -148,25 +147,26 @@ def _parse_rule(parser: _LineParser) -> PykeRule:
     bound = {t.name for lit in body for t in lit.args if isinstance(t, Variable)}
     for term in head.args:
         if isinstance(term, Variable) and term.name not in bound:
-            raise ParseError(
+            raise parser.error(
                 f"head variable '${term.name}' not bound in the rule body",
-                head_start.span())
+                head_start)
     return PykeRule(tuple(body), head)
 
 
 def _parse_query(parser: _LineParser) -> tuple[str, tuple[str, ...]]:
-    if len(parser.tokens) == 1 and (tok := parser.accept("ident")):
-        return tok.text, ()
+    if len(parser.tokens) == 1 and parser.accept("ident"):
+        return parser.tokens[0], ()
     name, args = parser.raw_call()
     parser.done()
     names = []
-    for tok in args:
-        if tok.text in ("True", "False"):
-            raise ParseError("the query takes no truth value", tok.span())
-        if tok.kind == "var":
-            raise ParseError(f"variable {tok.text!r} in the query", tok.span())
-        names.append(tok.text)
-    return name.text, tuple(names)
+    for at in args:
+        text = parser.tokens[at]
+        if text in ("True", "False"):
+            raise parser.error("the query takes no truth value", at)
+        if parser.kinds[at] == "var":
+            raise parser.error(f"variable {text!r} in the query", at)
+        names.append(text)
+    return parser.tokens[name], tuple(names)
 
 
 def parse_pyke(text: str) -> PykeProgram:
@@ -181,9 +181,8 @@ def parse_pyke(text: str) -> PykeProgram:
     rules: list[PykeRule] = []
     query: tuple[str, tuple[str, ...]] | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
-        tokens = _tokenize(content, line_no)
-        parser = _LineParser(tokens, line_no, len(raw))
-        has_arrow = any(t.kind == "arrow" for t in tokens)
+        parser = _LineParser(_LEXER, content, line_no, len(raw))
+        has_arrow = "arrow" in parser.kinds
         if section == "predicates":
             declarations.append(_parse_declaration(parser))
         elif section == "rules" or (section == "facts" and has_arrow):

@@ -17,29 +17,23 @@ from ..fol import (
     ParseError, Problem, SourceSpan, Term, Variable, Xor,
 )
 from ._lex import (
-    NAME, PUNCTUATION, Cursor, Reject, Token, content_lines, end_span,
-    indent_span, lexer,
+    PUNCTUATION, Cursor, Lexer, content_lines, end_span, indent_span,
 )
 
 _DEF_LINE = re.compile(r"^def\s+[A-Za-z_]\w*\s*\(\s*\)\s*:\s*$")
 _OPERATORS = ("And", "Or", "Not", "Xor", "Implies", "ForAll", "Exists")
 _BOOLEANS = ("True", "False")
-_tokenize = lexer([
-    ("==", "iff"),
-    ("=", Reject("assignment is not supported")),
-    (r"\[", "lbracket"),
-    (r"\]", "rbracket"),
-    *PUNCTUATION,
-    (NAME, {}),
-])
+_LEXER = Lexer(("==",), {
+    "==": "iff", "[": "lbracket", "]": "rbracket", **PUNCTUATION,
+}, rejects={"=": "assignment is not supported"})
 
 
 class _LineParser(Cursor):
     end_message = "unbalanced brackets"
 
-    def __init__(self, tokens: list[Token], line_no: int, line_len: int,
+    def __init__(self, content: str, line_no: int, line_len: int,
                  arities: dict[str, int]) -> None:
-        super().__init__(tokens, line_no, line_len)
+        super().__init__(_LEXER, content, line_no, line_len)
         self.arities = arities
         self.scope: list[str] = []
 
@@ -51,9 +45,9 @@ class _LineParser(Cursor):
     def expression(self) -> Formula:
         outer = self.depth
         units = [self.unit()]
-        while (tok := self.accept("iff")) is not None:
+        while self.peek() == "iff":
             # each link nests the rest of the chain one level deeper
-            self.deeper(tok)
+            self.deeper(self.advance())
             units.append(self.unit())
         self.depth = outer
         node = units[-1]
@@ -62,48 +56,43 @@ class _LineParser(Cursor):
         return node
 
     def unit(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
+        kind = self.peek()
+        if kind is None:
             raise self.end_of_line()
-        if tok.kind == "lparen":
-            self.advance()
-            self.deeper(tok)
+        if kind == "lparen":
+            self.deeper(self.advance())
             inner = self.expression()
             self.expect("rparen", "')'")
             self.depth -= 1
             return inner
-        if tok.kind == "lbracket":
-            raise ParseError("unexpected '['", tok.span())
-        if tok.kind == "ident":
+        if kind == "lbracket":
+            raise self.error("unexpected '['", self.pos)
+        if kind == "ident":
             return self.name_or_call()
-        raise ParseError(f"unexpected token {tok.text!r}", tok.span())
+        raise self.unexpected()
 
     def name_or_call(self) -> Formula:
-        name_tok = self.advance()
-        name = name_tok.text
-        nxt = self.peek()
-        if nxt is None or nxt.kind != "lparen":
+        at = self.advance()
+        name = self.tokens[at]
+        if self.peek() != "lparen":
             if name in _OPERATORS:
-                raise ParseError(f"operator '{name}' needs arguments",
-                                 name_tok.span())
+                raise self.error(f"operator '{name}' needs arguments", at)
             if name in _BOOLEANS:
-                raise ParseError("boolean literal is not supported",
-                                 name_tok.span())
+                raise self.error("boolean literal is not supported", at)
             if name in self.scope:
-                raise ParseError(f"variable '{name}' used as a formula",
-                                 name_tok.span())
-            self.check_arity(name, 0, name_tok)
+                raise self.error(f"variable '{name}' used as a formula", at)
+            self.check_arity(name, 0, at)
             return Atom(name)
         if name in ("ForAll", "Exists"):
-            return self.quantifier_call(name_tok)
+            return self.quantifier_call(at)
         if name in _OPERATORS:
-            return self.operator_call(name_tok)
-        return self.atom_call(name_tok)
+            return self.operator_call(at)
+        return self.atom_call(at)
 
-    def operator_call(self, name_tok: Token) -> Formula:
-        name = name_tok.text
+    def operator_call(self, at: int) -> Formula:
+        name = self.tokens[at]
         self.expect("lparen", "'('")
-        self.deeper(name_tok)
+        self.deeper(at)
         args = [self.expression()]
         while self.accept("comma"):
             args.append(self.expression())
@@ -111,77 +100,75 @@ class _LineParser(Cursor):
         self.depth -= 1
         if name == "Not":
             if len(args) != 1:
-                raise ParseError("Not takes exactly 1 argument", name_tok.span())
+                raise self.error("Not takes exactly 1 argument", at)
             return Not(args[0])
         if name in ("Xor", "Implies"):
             if len(args) != 2:
-                raise ParseError(f"{name} takes exactly 2 arguments",
-                                 name_tok.span())
+                raise self.error(f"{name} takes exactly 2 arguments", at)
             cls = Xor if name == "Xor" else Implies
             return cls(args[0], args[1])
         if len(args) < 2:
-            raise ParseError(f"{name} takes at least 2 arguments",
-                             name_tok.span())
+            raise self.error(f"{name} takes at least 2 arguments", at)
         cls = And if name == "And" else Or
         return cls(tuple(args))
 
-    def quantifier_call(self, name_tok: Token) -> Formula:
+    def quantifier_call(self, at: int) -> Formula:
         self.expect("lparen", "'('")
-        self.deeper(name_tok)
+        self.deeper(at)
         self.expect("lbracket", "'['")
-        variables = [self.expect("ident", "a variable name")]
+        variables = [self.tokens[self.expect("ident", "a variable name")]]
         while self.accept("comma"):
-            variables.append(self.expect("ident", "a variable name"))
+            variables.append(
+                self.tokens[self.expect("ident", "a variable name")])
         self.expect("rbracket", "']'")
         self.expect("comma", "','")
-        for v in variables:
-            self.scope.append(v.text)
+        self.scope += variables
         try:
             body = self.expression()
         finally:
             del self.scope[len(self.scope) - len(variables):]
         self.expect("rparen", "')'")
         self.depth -= 1
-        cls = ForAll if name_tok.text == "ForAll" else Exists
+        cls = ForAll if self.tokens[at] == "ForAll" else Exists
         for v in reversed(variables):
-            body = cls(v.text, body)
+            body = cls(v, body)
         return body
 
-    def atom_call(self, name_tok: Token) -> Formula:
-        name = name_tok.text
+    def atom_call(self, at: int) -> Formula:
+        name = self.tokens[at]
         self.expect("lparen", "'('")
-        args = [self.term(name_tok)]
+        args = [self.term(at)]
         while self.accept("comma"):
-            args.append(self.term(name_tok))
+            args.append(self.term(at))
         self.expect("rparen", "')'")
-        self.check_arity(name, len(args), name_tok)
+        self.check_arity(name, len(args), at)
         return Atom(name, tuple(args))
 
-    def term(self, callee: Token) -> Term:
-        tok = self.peek()
-        if tok is not None and tok.kind == "lbracket":
+    def term(self, callee: int) -> Term:
+        if self.peek() == "lbracket":
             # A bracketed list marks a quantifier-style call, so the callee
             # was meant to be an operator and is not one we know.
-            raise ParseError(f"unknown operator '{callee.text}'", callee.span())
-        tok = self.expect("ident", "a term")
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "lparen":
-            raise ParseError("function application in term position is not "
-                             "supported", tok.span())
-        if tok.text in _BOOLEANS:
-            raise ParseError("boolean literal is not supported", tok.span())
-        if tok.text in self.scope:
-            return Variable(tok.text)
-        return Constant(tok.text)
+            raise self.error(f"unknown operator '{self.tokens[callee]}'",
+                             callee)
+        at = self.expect("ident", "a term")
+        name = self.tokens[at]
+        if self.peek() == "lparen":
+            raise self.error("function application in term position is not "
+                             "supported", at)
+        if name in _BOOLEANS:
+            raise self.error("boolean literal is not supported", at)
+        if name in self.scope:
+            return Variable(name)
+        return Constant(name)
 
-    def check_arity(self, name: str, arity: int, tok: Token) -> None:
+    def check_arity(self, name: str, arity: int, at: int) -> None:
         known = self.arities.get(name)
         if known is None:
             self.arities[name] = arity
         elif known != arity:
-            raise ParseError(
+            raise self.error(
                 f"inconsistent arity for predicate '{name}': {known} vs {arity}",
-                tok.span())
+                at)
 
 
 def parse_z3(text: str) -> Problem:
@@ -200,14 +187,15 @@ def parse_z3(text: str) -> Problem:
         if conclusion is not None:
             raise ParseError("content after the return line",
                              indent_span(line_no, content))
-        tokens = _tokenize(content, line_no)
-        is_return = tokens[0].text == "return"  # a content line has a token
+        parser = _LineParser(content, line_no, len(raw), arities)
+        # a content line has a token
+        is_return = parser.tokens[0] == "return"
         if is_return:
-            tokens = tokens[1:]
-            if not tokens:
+            parser.pos = 1
+            if len(parser.tokens) == 1:
                 raise ParseError("return without an expression",
                                  SourceSpan(line_no, max(1, len(raw))))
-        formula = _LineParser(tokens, line_no, len(raw), arities).parse()
+        formula = parser.parse()
         if is_return:
             conclusion = formula
         else:

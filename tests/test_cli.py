@@ -287,8 +287,9 @@ class TestDiff:
 
     @pytest.mark.parametrize("flags", [
         ("--engines", ","),
+        ("--engines", ""),
         ("--fragment", "full-fol", "--engines", "chaining")],
-        ids=["none-named", "chaining-on-full-fol"])
+        ids=["none-named", "empty", "chaining-on-full-fol"])
     def test_no_engine_to_check_exit_2(self, capsys, flags):
         # full-fol problems have no pyke text, so chaining checks none
         code, out, err = run(capsys, "diff", "--n", "3", *flags)

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import random
 import re
 import sys
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -11,12 +13,13 @@ import pytest
 
 from trilogic.dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
 from trilogic.dialects import prover9, pyke, z3
-from trilogic.dialects._lex import NAME
+from trilogic.dialects._lex import NAME, Cursor
 from trilogic.fol import (
     MAX_NESTING_DEPTH, Atom, Constant, Exists, ForAll, Iff, Implies, Not, Or,
     ParseError, Problem, SourceSpan, Truth, Variable, Xor, pretty,
 )
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
+from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
 from conftest import read_fixture
 from hostile import base_texts, mutants
@@ -346,6 +349,19 @@ class TestNestingCap:
         assert (err.span.line, err.span.column) == (4, MAX_NESTING_DEPTH + 1)
 
 
+@pytest.mark.parametrize("parse,text", [
+    (parse_prover9, "Conclusion:\np(A){}\n"),
+    (parse_z3, "return p(A){}\n"),
+    (parse_pyke, "Facts:\np(A, True)\nQuery:\np(A){}\n"),
+], ids=["prover9", "z3", "pyke"])
+def test_trailing_blanks_cost_no_rescan(parse, text):
+    # scanning the blanks too took about 13 s on a 2-core Xeon, since
+    # each blank starts one more try of the pattern to the end of the line
+    start = time.perf_counter()
+    parse(text.format(" " * 20000))
+    assert time.perf_counter() - start < 1.0
+
+
 def _rule_body(n):
     return " && ".join(["p($x, True)"] * n)
 
@@ -517,6 +533,73 @@ def test_mutated_corpus_parses_as_recorded():
     texts = list(base_texts(6, 20)) + mutants(6, 20, 40)
     assert len(texts) == 3280
     assert parse_digest(texts) == CORPUS_DIGEST
+
+
+# --- texts shaped like the benchmark's: long lines, many lines, and a
+# parse error at the very end of a text ---
+
+
+def _names(prefix, n, rng):
+    return [f"{prefix}{k}" for k in rng.sample(range(10 * n), n)]
+
+
+def pigeonhole_z3(pigeons, holes, rng):
+    ps, hs = _names("P", pigeons, rng), _names("H", holes, rng)
+    lines = ["Or(" + ", ".join(f"inh({p}, {h})" for h in hs) + ")"
+             for p in ps]
+    lines += [f"Not(And(inh({a}, {h}), inh({b}, {h})))"
+              for h in hs for i, a in enumerate(ps) for b in ps[i + 1:]]
+    lines.append(f"return inh({rng.choice(ps)}, {rng.choice(hs)})")
+    return "\n".join(lines) + "\n"
+
+
+def closure_text(n, dialect, rng):
+    cs = _names("C", n, rng)
+    if dialect == "pyke":
+        lines = ["Predicates:", "edge($x, $y, bool)", "path($x, $y, bool)",
+                 "Facts:", *(f"edge({a}, {b}, True)"
+                             for a, b in zip(cs, cs[1:])),
+                 "Rules:", "edge($x, $y, True) >>> path($x, $y, True)",
+                 "path($x, $y, True) && edge($y, $z, True) "
+                 ">>> path($x, $z, True)",
+                 "Query:", f"path({cs[0]}, {cs[-1]})"]
+    else:
+        lines = [f"edge({a}, {b})" for a, b in zip(cs, cs[1:])]
+        lines += ["ForAll([x, y], Implies(edge(x, y), path(x, y)))",
+                  "ForAll([x, y, z], Implies(And(path(x, y), edge(y, z)), "
+                  "path(x, z)))",
+                  f"return path({cs[-1]}, {cs[0]})"]
+    return "\n".join(lines) + "\n"
+
+
+def bench_shaped_texts():
+    rng = random.Random("bench-shaped")
+    texts = [("z3", pigeonhole_z3(p, h, rng))
+             for p in range(4, 8) for h in (p - 1, p)]
+    texts += [(d, closure_text(n, d, rng))
+              for n in range(6, 21, 2) for d in ("z3", "pyke")]
+    problems = [gp for k, (fragment, depths) in enumerate(
+                    ((HORN, (1, 2, 3)), (FULL_FOL, (2, 3))))
+                for gp in generate_suite(GenConfig(fragment=fragment,
+                                                   seed=40 + k), 30, depths)]
+    for gp in problems:
+        for dialect, text in sorted(gp.texts.items()):
+            # the break the benchmark makes: an unclosed parenthesis
+            texts += [(dialect, text),
+                      (dialect, text.rstrip("\n") + " (\n")]
+    return texts
+
+
+# parse_digest of bench_shaped_texts(), recorded before the parsers moved
+# from Token tuples to plain string tokens
+BENCH_SHAPED_DIGEST = ("a730bf788f7ceae9d0e887770d8497c0"
+                       "4f555ce9abe303909db85298ee9e8f7c")
+
+
+def test_bench_shaped_texts_parse_as_recorded():
+    texts = bench_shaped_texts()
+    assert len(texts) == 24 + 300
+    assert parse_digest(texts) == "".join(BENCH_SHAPED_DIGEST)
 
 
 # --- the three tokenizers as they were before the shared lexer ---
@@ -709,19 +792,33 @@ def reference_pyke_tokenize(content: str, line_no: int) -> list[RefToken]:
 
 
 TOKENIZERS = [
-    (reference_prover9_tokenize, prover9._tokenize),
-    (reference_z3_tokenize, z3._tokenize),
-    (reference_pyke_tokenize, pyke._tokenize),
+    (reference_prover9_tokenize, prover9._LEXER),
+    (reference_z3_tokenize, z3._LEXER),
+    (reference_pyke_tokenize, pyke._LEXER),
 ]
 
 
-def lex_result(tokenize, content):
+def reference_lex_result(tokenize, content):
     """Each token with its span, or the (message, span) it raised."""
     try:
         return [(t.kind, t.text, t.line, t.col, t.span())
                 for t in tokenize(content, 3)]
     except ParseError as e:
         return e.message, e.span
+
+
+def lex_result(lexer, content):
+    """reference_lex_result for a Lexer: each token's line, column and
+    span are the ones an error at that token would report."""
+    try:
+        line = Cursor(lexer, content, 3, len(content))
+    except ParseError as e:
+        return e.message, e.span
+    result = []
+    for i, (kind, text) in enumerate(zip(line.kinds, line.tokens)):
+        span = line.span(i)
+        result.append((kind, text, span.line, span.column, span))
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -760,9 +857,9 @@ def test_code_point_classes_include_the_trap():
     assert re.fullmatch(NAME, "²") and not "²".isalpha()
 
 
-@pytest.mark.parametrize("reference,tokenize", TOKENIZERS,
+@pytest.mark.parametrize("reference,lexer", TOKENIZERS,
                          ids=["prover9", "z3", "pyke"])
-def test_tokenizer_matches_reference(reference, tokenize):
+def test_tokenizer_matches_reference(reference, lexer):
     for content in lexer_inputs():
-        assert lex_result(tokenize, content) == \
-            lex_result(reference, content), content
+        assert lex_result(lexer, content) == \
+            reference_lex_result(reference, content), content
