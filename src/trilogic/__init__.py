@@ -10,10 +10,7 @@ from .chaining import (
     InconsistentFacts, RuleBase, answer_query, compile_rules, dump_fixpoint,
     entail_chaining, forward_chain,
 )
-from .dialects import (
-    DIALECTS, PykeLiteral, PykeProgram, PykeRule, parse_prover9, parse_pyke,
-    parse_z3,
-)
+from .dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
 from .fol import (
     And, Answered, Atom, Clause, Constant, DeadlineExceeded, ExecError,
     ExecFailed, Exists, ForAll, Formula, Function, Iff, Implies,

@@ -6,6 +6,12 @@ as an explicit False truth slot, so deriving both p(A)=True and p(A)=False
 is a hard contradiction rather than a logical signal, and a query absent
 from the fixpoint is Unknown; the closed-world reading of that Unknown is
 harness.apply_world_assumption's, as for every engine.
+
+The engine reads any Problem inside the rule fragment: ground literal
+premises, premises `all x... (L1 & ... & Lk -> L)` over literals whose
+arguments are constants or variables, with every head variable bound in
+the body and k at most MAX_NESTING_DEPTH (the join recurses once per
+body literal), and a literal conclusion. Anything else is an ExecError.
 """
 
 from __future__ import annotations
@@ -14,71 +20,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .dialects.pyke import PykeLiteral, PykeProgram, PykeRule
 from .fol import (
-    Answered, Constant, DeadlineExceeded, ExecError, ExecFailed,
-    Inconsistent, Outcome, ResourceLimits, DEFAULT_LIMITS, Truth, Verdict,
+    MAX_NESTING_DEPTH, And, Answered, Atom, Constant, DeadlineExceeded,
+    ExecError, ExecFailed, ForAll, Formula, Implies, Inconsistent, Not,
+    Outcome, Problem, ResourceLimits, DEFAULT_LIMITS, Truth, Variable, Verdict,
 )
 
 Fact = tuple[str, tuple[str, ...], bool]
-
-
-class InconsistentFacts(ExecError):
-    """Raised when the store asserts some p(args) both True and False."""
-
-
-@dataclass(frozen=True)
-class RuleBase:
-    """A compiled program: checked facts and rules, ready to run."""
-
-    facts: tuple[Fact, ...]
-    rules: tuple[PykeRule, ...]
-
-
-def compile_rules(prog: PykeProgram) -> RuleBase:
-    """Check declarations and assemble the rule base.
-
-    Arity and declaration errors are ExecError here, not ParseError: the
-    text was well formed, the program it described was not.
-    """
-    declared: dict[str, int] = {}
-    for name, arity in prog.predicates:
-        if name in declared and declared[name] != arity:
-            raise ExecError(f"predicate '{name}' declared twice with "
-                            f"different arities")
-        declared[name] = arity
-    inferred: dict[str, int] = {}
-
-    def check(name: str, arity: int, where: str) -> None:
-        if declared:
-            if name not in declared:
-                raise ExecError(f"undeclared predicate '{name}' in {where}")
-            if declared[name] != arity:
-                raise ExecError(
-                    f"arity mismatch for '{name}' in {where}: declared "
-                    f"{declared[name]}, used with {arity}")
-            return
-        known = inferred.get(name)
-        if known is None:
-            inferred[name] = arity
-        elif known != arity:
-            raise ExecError(
-                f"arity mismatch for '{name}' in {where}: earlier use had "
-                f"{known}, this one has {arity}")
-
-    seen: set[Fact] = set()
-    facts: list[Fact] = []
-    for fact in prog.facts:
-        check(fact[0], len(fact[1]), "a fact")
-        if fact not in seen:
-            seen.add(fact)
-            facts.append(fact)
-    for rule in prog.rules:
-        for lit in rule.body + (rule.head,):
-            check(lit.predicate, len(lit.args), "a rule")
-    check(prog.query[0], len(prog.query[1]), "the query")
-    return RuleBase(tuple(facts), prog.rules)
-
 
 # a compiled literal: (predicate, truth, argument codes); a code is a
 # variable's slot in the rule's binding (int) or a constant's name (str)
@@ -96,18 +44,75 @@ _Step = tuple[list[tuple[str, ...]], int, int, tuple[_Code, ...]]
 _PROBES_PER_CHECK = 4096
 
 
-def _compile_rule(rule: PykeRule) -> _Rule:
-    """The rule with each variable replaced by its slot number."""
+class InconsistentFacts(ExecError):
+    """Raised when the store asserts some p(args) both True and False."""
+
+
+@dataclass(frozen=True)
+class RuleBase:
+    """A compiled problem: facts, rules and the query, ready to run.
+
+    The query is the conclusion as a fact; a negated conclusion is a
+    query with truth False, so the answer comes out flipped."""
+
+    facts: tuple[Fact, ...]
+    rules: tuple[_Rule, ...]
+    query: Fact
+
+
+def _compiled(f: Formula, slots: dict[str, int]) -> _Compiled:
+    """A literal over constants and variables, each variable as its slot
+    in slots, which a new variable joins; ExecError for any other
+    formula."""
+    value = not isinstance(f, Not)
+    atom = f if value else f.body
+    if not isinstance(atom, Atom) or not all(
+            isinstance(t, (Constant, Variable)) for t in atom.args):
+        raise ExecError("formula outside the rule fragment")
+    return atom.predicate, value, tuple(
+        t.name if isinstance(t, Constant)
+        else slots.setdefault(t.name, len(slots)) for t in atom.args)
+
+
+def _fact(f: Formula) -> Fact:
+    # a premise or the conclusion has no free variable: all constants
+    predicate, value, names = _compiled(f, {})
+    return predicate, names, value
+
+
+def _compile_rule(f: Formula) -> _Rule:
+    """The rule with each variable replaced by its slot number, numbered
+    in order of first occurrence."""
+    while isinstance(f, ForAll):
+        f = f.body
+    if not isinstance(f, Implies):
+        raise ExecError("formula outside the rule fragment")
     slots: dict[str, int] = {}
+    parts = f.left.parts if isinstance(f.left, And) else (f.left,)
+    body = tuple(_compiled(lit, slots) for lit in parts)
+    width = len(slots)
+    head = _compiled(f.right, slots)
+    if len(slots) > width or len(body) > MAX_NESTING_DEPTH:
+        raise ExecError("formula outside the rule fragment")
+    return body, head, width
 
-    def compiled(lit: PykeLiteral) -> _Compiled:
-        codes = tuple(t.name if isinstance(t, Constant)
-                      else slots.setdefault(t.name, len(slots))
-                      for t in lit.args)
-        return lit.predicate, lit.value, codes
 
-    body = tuple(compiled(lit) for lit in rule.body)
-    return body, compiled(rule.head), len(slots)
+def compile_rules(problem: Problem) -> RuleBase:
+    """The rule base of a problem inside the rule fragment (see above):
+    ground literal premises are facts, kept once each in premise order,
+    the other premises are rules, and the conclusion is the query."""
+    seen: set[Fact] = set()
+    facts: list[Fact] = []
+    rules: list[_Rule] = []
+    for premise in problem.premises:
+        if isinstance(premise, (Atom, Not)):
+            fact = _fact(premise)
+            if fact not in seen:
+                seen.add(fact)
+                facts.append(fact)
+        else:
+            rules.append(_compile_rule(premise))
+    return RuleBase(tuple(facts), tuple(rules), _fact(problem.conclusion))
 
 
 def _join(plan: list[_Step], binding: list[Optional[str]], deadline: float,
@@ -152,7 +157,7 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
     facts older than the delta, those right of it read the facts up to the
     delta's end, so no combination of facts is joined twice. Facts are
     indexed by (predicate, truth, arity), so a join only reads facts that
-    can match; compile_rules makes the arity follow from the predicate.
+    can match.
 
     The store holds the given facts and then each round's new facts. That
     order is deterministic, but it is not the order in which a naive loop
@@ -187,10 +192,6 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
 
     for fact in rb.facts:
         add(fact)
-    rules = [_compile_rule(rule) for rule in rb.rules]
-    for body, head, _ in rules:
-        if not body:
-            add(instantiate(head, []))
 
     empty: list[tuple[str, ...]] = []
     # facts older than the delta, per index key
@@ -203,7 +204,7 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
         upto = {key: len(facts) for key, facts in index.items()}
         if all(older.get(key, 0) == end for key, end in upto.items()):
             return tuple(store)
-        for body, head, width in rules:
+        for body, head, width in rb.rules:
             keys = [(p, v, len(codes)) for p, v, codes in body]
             for i, key in enumerate(keys):
                 start, end = older.get(key, 0), upto.get(key, 0)
@@ -222,14 +223,14 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
         older = upto
 
 
-def answer_query(fixpoint: tuple[Fact, ...], query: tuple[str, tuple[str, ...]]
-                 ) -> Verdict:
-    """The query's truth in the fact store; Unknown when it is absent."""
-    name, args = query
+def answer_query(fixpoint: tuple[Fact, ...], query: Fact) -> Verdict:
+    """True when the fact store holds the query, False when it holds the
+    query with the other truth, Unknown when it holds neither."""
+    name, args, value = query
     present = set(fixpoint)
-    if (name, args, True) in present:
+    if query in present:
         return Verdict(Truth.TRUE)
-    if (name, args, False) in present:
+    if (name, args, not value) in present:
         return Verdict(Truth.FALSE)
     return Verdict(Truth.UNKNOWN)
 
@@ -240,11 +241,11 @@ def dump_fixpoint(fixpoint: tuple[Fact, ...]) -> str:
     return "\n".join(lines)
 
 
-def entail_chaining(prog: PykeProgram,
+def entail_chaining(problem: Problem,
                     limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:
     """Compile, chain to fixpoint, and read the query off the fact store."""
     try:
-        rb = compile_rules(prog)
+        rb = compile_rules(problem)
         fixpoint = forward_chain(rb, limits)
     except InconsistentFacts:
         return Inconsistent()
@@ -252,4 +253,4 @@ def entail_chaining(prog: PykeProgram,
         return ExecFailed(str(e))
     except DeadlineExceeded:
         return Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
-    return Answered(answer_query(fixpoint, prog.query))
+    return Answered(answer_query(fixpoint, rb.query))

@@ -22,7 +22,7 @@ from .fol import (
     Answered, ExecError, ResourceLimits, DEFAULT_LIMITS, WorldAssumption,
 )
 from .harness import (
-    ENGINES, apply_world_assumption, check_pair, compute_metrics, evaluate,
+    ENGINES, apply_world_assumption, compute_metrics, evaluate,
     load_dataset, load_translations, render_report, solve_translation,
 )
 from .resolution import render_trace
@@ -89,7 +89,6 @@ def _parse_depths(value: Optional[str]) -> Optional[list[int]]:
 
 def cmd_solve(args: argparse.Namespace, limits: ResourceLimits) -> int:
     try:
-        check_pair(args.engine, args.dialect)
         text = Path(args.file).read_text(encoding="utf-8")
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--csv", default=None, help="CSV report path")
     ev.add_argument("--jobs", type=int, default=1)
     ev.add_argument("--group-by", default="dataset",
-                    help="comma list of tag keys, plus dialect/engine")
+                    help="comma list: tag keys, dialect, engine, provider")
     ev.set_defaults(func=cmd_eval)
 
     gen = sub.add_parser("gen", help="emit a seeded dataset with texts")

@@ -1,16 +1,13 @@
 """Parsers for the three solver input dialects."""
 
 from .prover9 import parse_prover9
-from .pyke import PykeLiteral, PykeProgram, PykeRule, parse_pyke
+from .pyke import parse_pyke
 from .z3 import parse_z3
 
 DIALECTS = ("prover9", "z3", "pyke")
 
 __all__ = [
     "DIALECTS",
-    "PykeLiteral",
-    "PykeProgram",
-    "PykeRule",
     "parse_prover9",
     "parse_pyke",
     "parse_z3",

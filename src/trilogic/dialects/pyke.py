@@ -3,18 +3,25 @@
 The dialect is deliberately small. Truth shows up only as an explicit
 True/False slot on each literal, conjunction is `&&`, implication is `>>>`,
 and that is the whole connective vocabulary: anything resembling Xor,
-Exists, or a disjunction symbol is rejected at parse time. Declared-arity
-violations are deliberately NOT parse errors; they surface later when the
-rule base is compiled, mirroring an engine that only type-checks on load.
+Exists, or a disjunction symbol is rejected at parse time.
+
+A program parses to a Problem, as the other dialects do: a fact is a
+ground literal (a False slot is a Not), a rule is ForAll over its
+variables, in order of first use, around Implies(body, head), and the
+query is an atom. Declaration and arity checks run once the whole text
+has parsed, and they raise ExecError, not ParseError: the text was well
+formed, the program it described was not, as for an engine that only
+type-checks on load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from ..fol import (
-    MAX_NESTING_DEPTH, Constant, ParseError, SourceSpan, Term, Variable,
-    too_deep,
+    MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, ForAll, Formula,
+    Implies, Not, ParseError, Problem, SourceSpan, Term, Variable,
+    subformulas, too_deep,
 )
 from ._lex import (
     PUNCTUATION, Cursor, Lexer, end_span, section_lines,
@@ -24,32 +31,6 @@ _CONNECTIVE_WORDS = ("Xor", "Exists", "ForAll", "Or", "And", "Not",
                      "Implies", "Iff")
 _CONNECTIVE_CHARS = "|^∨⊕∧¬→↔∀∃"
 _SECTIONS = ("predicates", "facts", "rules", "query")
-
-
-@dataclass(frozen=True)
-class PykeLiteral:
-    """One typed literal: predicate, term arguments, and a truth slot."""
-
-    predicate: str
-    args: tuple[Term, ...]
-    value: bool
-
-
-@dataclass(frozen=True)
-class PykeRule:
-    body: tuple[PykeLiteral, ...]
-    head: PykeLiteral
-
-
-@dataclass(frozen=True)
-class PykeProgram:
-    """A parsed rule-engine program, before any compilation checks."""
-
-    predicates: tuple[tuple[str, int], ...]
-    facts: tuple[tuple[str, tuple[str, ...], bool], ...]
-    rules: tuple[PykeRule, ...]
-    query: tuple[str, tuple[str, ...]]
-
 
 _LEXER = Lexer((">>>", "&&", r"\$\w+"), {
     ">>>": "arrow", "&&": "andand", **PUNCTUATION,
@@ -79,8 +60,9 @@ class _LineParser(Cursor):
                 self.expect("rparen", "')'")
                 return name, args
 
-    def literal(self) -> PykeLiteral:
-        """A rule or fact literal; the last argument is its truth slot."""
+    def literal(self) -> Formula:
+        """A rule or fact literal; the last argument is its truth slot,
+        and a False slot makes it a Not."""
         name, args = self.raw_call()
         tokens = self.tokens
         if not args or tokens[args[-1]] not in ("True", "False"):
@@ -99,7 +81,8 @@ class _LineParser(Cursor):
                 terms.append(Variable(text[1:]))
             else:
                 terms.append(Constant(text))
-        return PykeLiteral(tokens[name], tuple(terms), value)
+        atom = Atom(tokens[name], tuple(terms))
+        return atom if value else Not(atom)
 
 
 def _parse_declaration(parser: _LineParser) -> tuple[str, int]:
@@ -117,19 +100,17 @@ def _parse_declaration(parser: _LineParser) -> tuple[str, int]:
     return tokens[name], len(args) - 1
 
 
-def _parse_fact(parser: _LineParser) -> tuple[str, tuple[str, ...], bool]:
-    lit = parser.literal()
+def _parse_fact(parser: _LineParser) -> Formula:
+    fact = parser.literal()
     parser.done()
-    names = []
-    for term in lit.args:
-        if isinstance(term, Variable):
-            raise ParseError(f"variable '${term.name}' in a fact",
-                             SourceSpan(parser.line_no, 1))
-        names.append(term.name)
-    return lit.predicate, tuple(names), lit.value
+    if "var" in parser.kinds:
+        name = parser.tokens[parser.kinds.index("var")]
+        raise ParseError(f"variable '{name}' in a fact",
+                         SourceSpan(parser.line_no, 1))
+    return fact
 
 
-def _parse_rule(parser: _LineParser) -> PykeRule:
+def _parse_rule(parser: _LineParser) -> Formula:
     # the engine's join nests one level per body literal
     body = [parser.literal()]
     while parser.peek() == "andand":
@@ -137,49 +118,91 @@ def _parse_rule(parser: _LineParser) -> PykeRule:
         if len(body) == MAX_NESTING_DEPTH:
             raise too_deep(parser.span(at))
         body.append(parser.literal())
-    parser.expect("arrow", "'>>>'")
-    head_start = parser.pos
+    arrow = parser.expect("arrow", "'>>>'")
     head = parser.literal()
     # Tolerate a single stray ')' after the head; some emitters add one.
     if parser.pos == len(parser.tokens) - 1:
         parser.accept("rparen")
     parser.done()
-    bound = {t.name for lit in body for t in lit.args if isinstance(t, Variable)}
-    for term in head.args:
-        if isinstance(term, Variable) and term.name not in bound:
+    # the body's variables, in order of first use, each at its first token
+    variables: dict[str, int] = {}
+    for at, kind in enumerate(parser.kinds):
+        if kind != "var":
+            continue
+        name = parser.tokens[at][1:]
+        if at < arrow:
+            variables.setdefault(name, at)
+        elif name not in variables:
             raise parser.error(
-                f"head variable '${term.name}' not bound in the rule body",
-                head_start)
-    return PykeRule(tuple(body), head)
+                f"head variable '${name}' not bound in the rule body",
+                arrow + 1)
+    if len(variables) > MAX_NESTING_DEPTH:
+        # each variable is one more quantifier around the rule
+        raise too_deep(
+            parser.span(list(variables.values())[MAX_NESTING_DEPTH]))
+    rule: Formula = Implies(body[0] if len(body) == 1 else And(body), head)
+    for name in reversed(variables):
+        rule = ForAll(name, rule)
+    return rule
 
 
-def _parse_query(parser: _LineParser) -> tuple[str, tuple[str, ...]]:
+def _parse_query(parser: _LineParser) -> Atom:
     if len(parser.tokens) == 1 and parser.accept("ident"):
-        return parser.tokens[0], ()
+        return Atom(parser.tokens[0])
     name, args = parser.raw_call()
     parser.done()
-    names = []
+    names: list[Term] = []
     for at in args:
         text = parser.tokens[at]
         if text in ("True", "False"):
             raise parser.error("the query takes no truth value", at)
         if parser.kinds[at] == "var":
             raise parser.error(f"variable {text!r} in the query", at)
-        names.append(text)
-    return parser.tokens[name], tuple(names)
+        names.append(Constant(text))
+    return Atom(parser.tokens[name], tuple(names))
 
 
-def parse_pyke(text: str) -> PykeProgram:
-    """Parse the rule-engine dialect into a PykeProgram.
+def _check_arities(declarations: list[tuple[str, int]],
+                   uses: Iterable[tuple[Formula, str]]) -> None:
+    """ExecError at the first atom of uses, a (formula, where) pair, whose
+    arity clashes with its predicate's declaration or, with no
+    declarations, with the predicate's first use."""
+    declared: dict[str, int] = {}
+    for name, arity in declarations:
+        if declared.setdefault(name, arity) != arity:
+            raise ExecError(f"predicate '{name}' declared twice with "
+                            f"different arities")
+    inferred: dict[str, int] = {}
+    for g, where in uses:
+        if not isinstance(g, Atom):
+            continue
+        name, arity = g.predicate, len(g.args)
+        if declared:
+            if name not in declared:
+                raise ExecError(f"undeclared predicate '{name}' in {where}")
+            if declared[name] != arity:
+                raise ExecError(
+                    f"arity mismatch for '{name}' in {where}: declared "
+                    f"{declared[name]}, used with {arity}")
+        elif inferred.setdefault(name, arity) != arity:
+            raise ExecError(
+                f"arity mismatch for '{name}' in {where}: earlier use had "
+                f"{inferred[name]}, this one has {arity}")
+
+
+def parse_pyke(text: str) -> Problem:
+    """Parse the rule-engine dialect into a Problem: the facts, then the
+    rules, as premises, and the query as the conclusion.
 
     Sections are Predicates (optional), Facts, Rules (optional; rule lines
     may also sit inside Facts), and Query. Raises ParseError with a source
-    span on malformed or out-of-fragment input.
+    span on malformed or out-of-fragment input, then ExecError on an
+    undeclared predicate or an arity clash.
     """
     declarations: list[tuple[str, int]] = []
-    facts: list[tuple[str, tuple[str, ...], bool]] = []
-    rules: list[PykeRule] = []
-    query: tuple[str, tuple[str, ...]] | None = None
+    facts: list[Formula] = []
+    rules: list[Formula] = []
+    query: Atom | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
         parser = _LineParser(_LEXER, content, line_no, len(raw))
         has_arrow = "arrow" in parser.kinds
@@ -200,4 +223,8 @@ def parse_pyke(text: str) -> PykeProgram:
 
     if query is None:
         raise ParseError("missing Query section", end_span(text))
-    return PykeProgram(tuple(declarations), tuple(facts), tuple(rules), query)
+    _check_arities(declarations, [
+        *((g, "a fact") for g in subformulas(*facts)),
+        *((g, "a rule") for g in subformulas(*rules)),
+        (query, "the query")])
+    return Problem((*facts, *rules), query)

@@ -24,20 +24,17 @@ from typing import Iterable, Mapping, Sequence
 from .chaining import entail_chaining
 from .dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
 from .fol import (
-    Answered, ExecFailed, Inconsistent, Outcome, ParseError, ParseFailed,
-    ResourceLimits, DEFAULT_LIMITS, SourceSpan, Truth, Verdict,
+    Answered, ExecError, ExecFailed, Inconsistent, Outcome, ParseError,
+    ParseFailed, ResourceLimits, DEFAULT_LIMITS, SourceSpan, Truth, Verdict,
     WorldAssumption,
 )
 # entail_resolution is not called here; perfbench/tracer.py wraps it
 from .resolution import Proved, entail_resolution, resolution_runs
 from .sat import entail_sat
 
-ENGINE_DIALECTS: dict[str, tuple[str, ...]] = {
-    "resolution": ("prover9", "z3"),
-    "sat": ("prover9", "z3"),
-    "chaining": ("pyke",),
-}
-ENGINES = tuple(ENGINE_DIALECTS)
+ENGINES = ("resolution", "sat", "chaining")
+# every dialect parses to a Problem, so every engine reads every dialect
+ENGINE_DIALECTS = {engine: DIALECTS for engine in ENGINES}
 
 
 class FigureCategory(enum.Enum):
@@ -80,6 +77,8 @@ class RunRecord:
     wall_ms: float
     resource_limited: bool
     tags: Mapping[str, str] = field(default_factory=dict)
+    # the translation's, or "-" when the record has none
+    provider: str = "-"
 
 
 @dataclass(frozen=True)
@@ -189,12 +188,11 @@ def load_translations(path: str | Path) -> list[TranslationRecord]:
 
 
 def check_pair(engine: str, dialect: str) -> None:
-    """ValueError unless engine is known and reads dialect."""
-    if engine not in ENGINE_DIALECTS:
+    """ValueError unless both the engine and the dialect are known."""
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if dialect not in ENGINE_DIALECTS[engine]:
-        raise ValueError(
-            f"engine {engine!r} does not accept dialect {dialect!r}")
+    if dialect not in DIALECTS:
+        raise ValueError(f"unknown dialect {dialect!r}")
 
 
 def solve_translation(text: str, dialect: str, engine: str,
@@ -202,17 +200,24 @@ def solve_translation(text: str, dialect: str, engine: str,
                       ) -> tuple[Outcome, Proved | None]:
     """Parse one translation and run one engine; never raises ParseError.
 
-    The proof is the refutation behind a resolution True or False answer;
-    every other outcome and engine gives None.
+    A parser's ExecError (pyke's load-time declaration checks) is
+    ExecFailed. The proof is the refutation behind a resolution True or
+    False answer; every other outcome and engine gives None.
     """
     check_pair(engine, dialect)
     try:
-        if engine == "chaining":
-            return entail_chaining(parse_pyke(text), limits), None
-        problem = parse_prover9(text) if dialect == "prover9" \
-            else parse_z3(text)
+        if dialect == "prover9":
+            problem = parse_prover9(text)
+        elif dialect == "z3":
+            problem = parse_z3(text)
+        else:
+            problem = parse_pyke(text)
     except ParseError as e:
         return ParseFailed(e.message, e.span), None
+    except ExecError as e:
+        return ExecFailed(str(e)), None
+    if engine == "chaining":
+        return entail_chaining(problem, limits), None
     if engine == "sat":
         return entail_sat(problem, limits), None
     outcome, *runs = resolution_runs(problem, limits)
@@ -285,7 +290,8 @@ def evaluate(records: Sequence[DatasetRecord],
             and outcome.verdict.value is record.gold
         return RunRecord(record.id, dialect, engine, outcome,
                          classify_outcome(outcome, correct), correct,
-                         wall_ms, limited, record.tags)
+                         wall_ms, limited, record.tags,
+                         "-" if translation is None else translation.provider)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -304,10 +310,8 @@ def compute_metrics(runs: Sequence[RunRecord],
     for run in runs:
         parts = []
         for key in group_by:
-            if key == "dialect":
-                value = run.dialect
-            elif key == "engine":
-                value = run.engine
+            if key in ("dialect", "engine", "provider"):
+                value = getattr(run, key)
             else:
                 # a bare `|` parts two keys, so a tag value escapes its own
                 value = run.tags.get(key, "-").replace("\\", "\\\\") \

@@ -294,85 +294,62 @@ class GeneratedProblem:
     tags: Mapping[str, str]
 
 
-class _HornDraft:
-    """Internal Horn structure kept alongside the FOL premises so the
-    rule-engine text can be emitted without re-deriving it."""
-
-    def __init__(self) -> None:
-        self.facts: list[tuple[str, tuple[str, ...]]] = []
-        self.rules: list[tuple[list[tuple[str, tuple[str, ...]]],
-                               tuple[str, tuple[str, ...]]]] = []
-
-
-def _fact_formula(pred: str, args: tuple[str, ...]) -> Formula:
-    return Atom(pred, tuple(Constant(a) for a in args))
-
-
-def _rule_formula(body: list[tuple[str, tuple[str, ...]]],
-                  head: tuple[str, tuple[str, ...]]) -> Formula:
-    def lit(pred: str, args: tuple[str, ...]) -> Formula:
-        return Atom(pred, tuple(Variable(a) if a.islower() else Constant(a)
-                                for a in args))
-
-    variables: list[str] = []
-    for pred, args in body + [head]:
-        for a in args:
-            if a.islower() and a not in variables:
-                variables.append(a)
-    parts = [lit(p, a) for p, a in body]
-    antecedent = parts[0] if len(parts) == 1 else And(tuple(parts))
-    result: Formula = Implies(antecedent, lit(*head))
-    for v in reversed(variables):
-        result = ForAll(v, result)
-    return result
-
-
 def _generate_horn(cfg: GenConfig, rng: random.Random, shrink: int
-                   ) -> tuple[list[Formula], Formula, Optional[_HornDraft]]:
+                   ) -> tuple[list[Formula], Formula, list[Formula]]:
+    """The shuffled premises, the conclusion, and the premises in the
+    order of the rule-engine text: facts, then rules."""
     consts = [f"C{i}" for i in range(cfg.constants)]
     unary = [f"p{i}" for i in range(cfg.unary_predicates)]
     star = rng.choice(consts)
     chain = rng.sample(unary, cfg.depth + 1)
     non_chain = [u for u in unary if u not in chain]
+    x = Variable("x")
 
-    draft = _HornDraft()
-    draft.facts.append((chain[0], (star,)))
+    def fact(pred: str, const: str) -> Formula:
+        return Atom(pred, (Constant(const),))
+
+    def rule(body: list[str], head: str) -> Formula:
+        parts = [Atom(p, (x,)) for p in body]
+        return ForAll("x", Implies(parts[0] if len(parts) == 1
+                                   else And(tuple(parts)), Atom(head, (x,))))
+
+    facts = [fact(chain[0], star)]
+    rules: list[Formula] = []
     for i in range(cfg.depth):
-        body = [(chain[i], ("x",))]
+        body = [chain[i]]
         if non_chain and rng.random() < 0.4:
             side = rng.choice(non_chain)
-            body.append((side, ("x",)))
-            draft.facts.append((side, (star,)))
-        draft.rules.append((body, (chain[i + 1], ("x",))))
+            body.append(side)
+            facts.append(fact(side, star))
+        rules.append(rule(body, chain[i + 1]))
 
     n_facts = max(0, cfg.distractor_facts - shrink)
     n_rules = max(0, cfg.distractor_rules - shrink)
     for _ in range(n_facts):
         pool = non_chain if non_chain else unary
-        fact = (rng.choice(pool), (rng.choice(consts),))
-        if fact not in draft.facts:
-            draft.facts.append(fact)
+        distractor = fact(rng.choice(pool), rng.choice(consts))
+        if distractor not in facts:
+            facts.append(distractor)
     if non_chain:
         for _ in range(n_rules):
             body_pred = rng.choice(unary)
             head_pred = rng.choice(non_chain)
             if head_pred != body_pred:
-                draft.rules.append(([(body_pred, ("x",))], (head_pred, ("x",))))
+                rules.append(rule([body_pred], head_pred))
 
     if rng.random() < 0.5:
-        conclusion = _fact_formula(chain[-1], (star,))
+        conclusion = fact(chain[-1], star)
     else:
         others = [c for c in consts if c != star]
         if others and (not non_chain or rng.random() < 0.5):
-            conclusion = _fact_formula(chain[-1], (rng.choice(others),))
+            conclusion = fact(chain[-1], rng.choice(others))
         else:
             pool = non_chain if non_chain else unary
-            conclusion = _fact_formula(rng.choice(pool), (star,))
+            conclusion = fact(rng.choice(pool), star)
 
-    premises = [_fact_formula(p, a) for p, a in draft.facts]
-    premises += [_rule_formula(b, h) for b, h in draft.rules]
+    premises = facts + rules
     rng.shuffle(premises)
-    return premises, conclusion, draft
+    return premises, conclusion, facts + rules
 
 
 def _generate_full_fol(cfg: GenConfig, rng: random.Random, shrink: int
@@ -483,34 +460,30 @@ def _render_z3(p: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_pyke(draft: _HornDraft, conclusion: Formula) -> str:
-    arities: dict[str, int] = {}
-    for pred, args in draft.facts:
-        arities.setdefault(pred, len(args))
-    for body, head in draft.rules:
-        for pred, args in body + [head]:
-            arities.setdefault(pred, len(args))
-    assert isinstance(conclusion, Atom)
-    arities.setdefault(conclusion.predicate, len(conclusion.args))
-
-    def literal(pred: str, args: tuple[str, ...]) -> str:
-        rendered = [f"${a}" if a.islower() else a for a in args]
-        return f"{pred}({', '.join(rendered + ['True'])})"
+def _render_pyke(p: Problem) -> str:
+    """The rule-engine text of a Horn problem: its atom premises are the
+    facts and its `all x (body -> head)` premises the rules, in order."""
+    def literal(a: Formula) -> str:
+        assert isinstance(a, Atom)
+        args = [f"${t}" if isinstance(t, Variable) else str(t)
+                for t in a.args]
+        return f"{a.predicate}({', '.join(args + ['True'])})"
 
     lines = ["Predicates:"]
-    for pred, arity in sorted(arities.items()):
+    for pred, arity in _collect_atoms(p)[0]:
         slots = [f"$x{i}" for i in range(arity)] + ["bool"]
         lines.append(f"{pred}({', '.join(slots)})")
     lines.append("Facts:")
-    lines.extend(literal(p, a) for p, a in draft.facts)
+    lines.extend(literal(f) for f in p.premises if isinstance(f, Atom))
     lines.append("Rules:")
-    for body, head in draft.rules:
-        body_text = " && ".join(literal(p, a) for p, a in body)
-        lines.append(f"{body_text} >>> {literal(*head)}")
+    for f in p.premises:
+        if isinstance(f, ForAll) and isinstance(f.body, Implies):
+            body = f.body.left
+            parts = body.parts if isinstance(body, And) else (body,)
+            lines.append(f"{' && '.join(map(literal, parts))} >>> "
+                         f"{literal(f.body.right)}")
     lines.append("Query:")
-    query_args = ", ".join(t.name for t in conclusion.args
-                           if isinstance(t, Constant))
-    lines.append(f"{conclusion.predicate}({query_args})")
+    lines.append(str(p.conclusion))
     return "\n".join(lines) + "\n"
 
 
@@ -542,7 +515,7 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
     fallback = None
     shrink = 0
     for _ in range(60):
-        premises, conclusion, draft = build(cfg, rng, shrink)
+        premises, conclusion, ordered = build(cfg, rng, shrink)
         problem = Problem(tuple(premises), conclusion)
         try:
             verdict = enumerate_models(problem)
@@ -554,7 +527,7 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
             continue
         assert isinstance(verdict, Answered)
         label = verdict.verdict.value
-        candidate = (problem, draft, label)
+        candidate = (problem, ordered, label)
         if cfg.assumption.firm(label) is target:
             fallback = candidate
             break
@@ -563,11 +536,12 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
     if fallback is None:
         raise ExecError(f"generator gave up on index {index} "
                         "after 60 attempts")
-    problem, draft, gold = fallback
+    problem, ordered, gold = fallback
     texts = {"prover9": _render_prover9(problem),
              "z3": _render_z3(problem)}
-    if draft is not None:
-        texts["pyke"] = _render_pyke(draft, problem.conclusion)
+    if ordered is not None:
+        texts["pyke"] = _render_pyke(Problem(tuple(ordered),
+                                             problem.conclusion))
     pid = f"gen-{cfg.fragment}-s{cfg.seed}-{index:05d}"
     tags = {"dataset": "generated", "fragment": cfg.fragment,
             "depth": str(cfg.depth), "world": cfg.assumption.value}

@@ -113,10 +113,20 @@ class TestSolve:
         assert (code, out) == (0, f"{verdict}\n")
 
     def test_incompatible_engine_dialect_exit_2(self, capsys):
-        code, _, err = run(capsys, "solve", DATA_DIR / "anne.pyke",
-                           "--dialect", "pyke", "--engine", "resolution")
-        assert code == 2
-        assert "does not accept dialect" in err
+        # any engine reads any dialect; an unknown name is a usage error
+        for dialect, engine, bad in (("pyke", "tableau", "tableau"),
+                                     ("tptp", "chaining", "tptp")):
+            with pytest.raises(SystemExit) as info:
+                run(capsys, "solve", DATA_DIR / "anne.pyke",
+                    "--dialect", dialect, "--engine", engine)
+            assert info.value.code == 2
+            assert f"invalid choice: '{bad}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["resolution", "sat", "chaining"])
+    def test_every_engine_reads_pyke(self, capsys, engine):
+        code, out, _ = run(capsys, "solve", DATA_DIR / "anne.pyke",
+                           "--dialect", "pyke", "--engine", engine)
+        assert (code, out) == (0, "True\n")
 
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
         f = tmp_path / "latin1.p9"
@@ -189,6 +199,15 @@ class TestEval:
         code, _, _ = run(capsys, *self.args(md=str(md), **{"group-by": "engine"}))
         assert code == 0
         assert "| engine=resolution |" in md.read_text()
+
+    def test_group_by_provider(self, capsys, tmp_path):
+        # the four micro translations all name the provider "fixture"
+        md = tmp_path / "r.md"
+        code, _, _ = run(capsys, *self.args(md=str(md),
+                                            **{"group-by": "provider"}))
+        assert code == 0
+        assert "| provider=fixture | prover9 | resolution | 4 |" \
+            in md.read_text()
 
 
 class TestGen:

@@ -15,8 +15,9 @@ from trilogic.dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
 from trilogic.dialects import prover9, pyke, z3
 from trilogic.dialects._lex import NAME, Cursor
 from trilogic.fol import (
-    MAX_NESTING_DEPTH, Atom, Constant, Exists, ForAll, Iff, Implies, Not, Or,
-    ParseError, Problem, SourceSpan, Truth, Variable, Xor, pretty,
+    MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, Exists, ForAll, Iff,
+    Implies, Not, Or, ParseError, Problem, SourceSpan, Truth, Variable, Xor,
+    pretty,
 )
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
@@ -215,28 +216,54 @@ class TestPyke:
             "Query:\ncalm(Anne)\n")
 
     def test_basic_program(self):
-        prog = parse_pyke(self.GOOD)
-        assert prog.predicates == (("quiet", 1), ("calm", 1))
-        assert prog.facts == (("quiet", ("Anne",), True),)
-        assert prog.query == ("calm", ("Anne",))
-        assert len(prog.rules) == 1
+        assert parse_pyke(self.GOOD) == Problem(
+            (Atom("quiet", (Constant("Anne"),)),
+             ForAll("x", Implies(Atom("quiet", (Variable("x"),)),
+                                 Atom("calm", (Variable("x"),))))),
+            Atom("calm", (Constant("Anne"),)))
 
     def test_rule_shape(self):
-        rule = parse_pyke(self.GOOD).rules[0]
-        assert [l.predicate for l in rule.body] == ["quiet"]
-        assert rule.head.predicate == "calm"
-        assert rule.head.value is True
+        # variables in order of first use; a flat And in text order; a
+        # False slot is a Not
+        text = ("Facts:\nquiet(Anne, True)\nRules:\n"
+                "likes($y, $x, True) && quiet($x, False) && "
+                "likes($x, Bob, True) >>> calm($x, True)\nQuery:\ncalm(Anne)\n")
+        p, q = Variable("y"), Variable("x")
+        assert parse_pyke(text).premises[1] == ForAll("y", ForAll("x", Implies(
+            And((Atom("likes", (p, q)), Not(Atom("quiet", (q,))),
+                 Atom("likes", (q, Constant("Bob"))))),
+            Atom("calm", (q,)))))
+
+    def test_false_fact_is_negated_and_bare_query_is_an_atom(self):
+        text = "Facts:\nquiet(Anne, False)\nrain(True)\nQuery:\nrain\n"
+        assert parse_pyke(text) == Problem(
+            (Not(Atom("quiet", (Constant("Anne"),))), Atom("rain")),
+            Atom("rain"))
+
+    def test_facts_come_before_rules(self):
+        text = ("Predicates:\nquiet($x, bool)\ncalm($x, bool)\n"
+                "Rules:\nquiet($x, True) >>> calm($x, True)\n"
+                "Facts:\nquiet(Anne, True)\nQuery:\ncalm(Anne)\n")
+        assert parse_pyke(text) == parse_pyke(self.GOOD)
 
     def test_stray_trailing_paren_on_rule_tolerated(self):
         text = self.GOOD.replace(">>> calm($x, True)", ">>> calm($x, True))")
-        assert len(parse_pyke(text).rules) == 1
+        assert parse_pyke(text) == parse_pyke(self.GOOD)
 
     def test_rules_listed_under_facts_section(self):
         text = ("Predicates:\nquiet($x, bool)\ncalm($x, bool)\n\n"
                 "Facts:\nquiet(Anne, True)\nquiet($x, True) >>> calm($x, True)\n\n"
                 "Query:\ncalm(Anne)\n")
-        prog = parse_pyke(text)
-        assert len(prog.rules) == 1 and len(prog.facts) == 1
+        assert parse_pyke(text) == parse_pyke(self.GOOD)
+
+    def test_rule_variables_count_against_the_nesting_cap(self):
+        # every engine reads a rule as one quantifier per variable
+        body = ", ".join(f"$x{i}" for i in range(MAX_NESTING_DEPTH))
+        text = f"Rules:\np({body}, True) >>> q($x0, True)\nQuery:\nq(A)\n"
+        assert len(parse_pyke(text).premises) == 1
+        e = pyke_err(text.replace(", True) >>>", ", $y, True) >>>"))
+        assert (e.message, e.span.column) == (
+            "nested deeper than 200 levels", 3 + len(body) + 2)
 
     def test_connective_words_rejected(self):
         for word in ("Xor", "Exists", "ForAll", "Or", "Not", "Implies"):
@@ -267,10 +294,35 @@ class TestPyke:
         assert pyke_err(bad).message == "variable '$x' in a fact"
 
     def test_arity_deferred_to_compile(self):
-        # parse accepts the mismatch; the engine reports it as a runtime error
+        # a load-time check: the text parses, the program it describes is
+        # rejected once the whole text is read, as an ExecError
         bad = self.GOOD.replace("quiet(Anne, True)", "quiet(Anne, Bob, True)")
-        prog = parse_pyke(bad)
-        assert prog.facts[0][1] == ("Anne", "Bob")
+        with pytest.raises(ExecError) as info:
+            parse_pyke(bad)
+        assert str(info.value) == \
+            "arity mismatch for 'quiet' in a fact: declared 1, used with 2"
+
+    @pytest.mark.parametrize("text,message", [
+        ("Predicates:\np($x, bool)\np($x, $y, bool)\nQuery:\np(A)\n",
+         "predicate 'p' declared twice with different arities"),
+        ("Predicates:\np($x, bool)\nRules:\np($x, True) >>> q($x, True)\n"
+         "Query:\np(A)\n", "undeclared predicate 'q' in a rule"),
+        ("Predicates:\np($x, bool)\nQuery:\np(A, B)\n",
+         "arity mismatch for 'p' in the query: declared 1, used with 2"),
+        ("Query:\np(A)\nFacts:\np(A, B, True)\n",
+         "arity mismatch for 'p' in the query: earlier use had 2, "
+         "this one has 1"),
+        # a parse error anywhere in the text comes first
+        ("Predicates:\np($x, bool)\nFacts:\nq(A, True)\nQuery:\np(A) q\n",
+         None),
+    ])
+    def test_load_time_checks(self, text, message):
+        if message is None:
+            assert pyke_err(text).message == "unexpected token 'q'"
+            return
+        with pytest.raises(ExecError) as info:
+            parse_pyke(text)
+        assert str(info.value) == message
 
 
 class TestCrossDialect:
@@ -503,8 +555,9 @@ def test_raise_site_message_and_span(dialect, text, message, line, column,
 
 
 def parse_digest(texts):
-    """SHA-256 over each text with its parse result or (message, span);
-    a Problem's result is its (premises, conclusion) pair."""
+    """SHA-256 over each text with its parse result, its (message, span)
+    or its ExecError's message; a Problem's result is its (premises,
+    conclusion) pair."""
     digest = hashlib.sha256()
     for dialect, text in texts:
         try:
@@ -514,6 +567,8 @@ def parse_digest(texts):
             result = repr(parsed)
         except ParseError as e:
             result = repr((e.message, e.span))
+        except ExecError as e:
+            result = repr(("ExecError", str(e)))
         digest.update(f"{dialect}\0{text}\0{result}\n".encode())
     return digest.hexdigest()
 
@@ -524,9 +579,13 @@ def parse_digest(texts):
 # then hit the cap one column earlier, with the same message. Recorded
 # once more when a Problem came to be hashed as its (premises, conclusion)
 # pair; the parsers before and after Problem lost its assumption, id and
-# dialect fields give this same value
-CORPUS_DIGEST = ("23df65210e6db4b60df4a42f528e3ecd"
-                 "3aa9476425476c584a958c0f41814e58")
+# dialect fields give this same value. Recorded again when parse_pyke came
+# to give a Problem: the prover9 and z3 texts alone still digest to
+# 1f1bdc004ef080054e70f7293c5ef4a4a760c898de6794ce458f88fc148b54e7, every
+# pyke ParseError kept its message and span, and the ExecErrors are those
+# the rule compiler raised before, on the same texts
+CORPUS_DIGEST = ("b9d1c723176329d614f68b3348b4ca7a"
+                 "450353d957f1a5ad609840ec7270c2d9")
 
 
 def test_mutated_corpus_parses_as_recorded():
@@ -591,9 +650,12 @@ def bench_shaped_texts():
 
 
 # parse_digest of bench_shaped_texts(), recorded before the parsers moved
-# from Token tuples to plain string tokens
-BENCH_SHAPED_DIGEST = ("a730bf788f7ceae9d0e887770d8497c0"
-                       "4f555ce9abe303909db85298ee9e8f7c")
+# from Token tuples to plain string tokens, and again, for the pyke texts
+# only, when parse_pyke came to give a Problem (see CORPUS_DIGEST); the
+# prover9 and z3 texts alone still digest to
+# ae18a5c0b97c9d530b96e7418c55e4da3741945d524437ccfc0d9f65686810c7
+BENCH_SHAPED_DIGEST = ("f6e2c71fc5ed228ed86c3b68bc634b19"
+                       "1508d12800bea7934a1b3e5a9177304a")
 
 
 def test_bench_shaped_texts_parse_as_recorded():

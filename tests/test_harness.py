@@ -175,10 +175,11 @@ class TestRunTranslation:
         assert out.span is not None
 
     def test_engine_dialect_pairing_enforced(self):
-        with pytest.raises(ValueError, match="does not accept dialect"):
-            run_translation("x", "pyke", "resolution")
-        with pytest.raises(ValueError, match="does not accept dialect"):
-            run_translation("x", "prover9", "chaining")
+        # every engine reads every dialect; only unknown names are refused
+        with pytest.raises(ValueError, match="^unknown engine 'tableau'$"):
+            run_translation("x", "pyke", "tableau")
+        with pytest.raises(ValueError, match="^unknown dialect 'tptp'$"):
+            run_translation("x", "tptp", "chaining")
 
     def test_each_engine_answers(self):
         p9 = "Premises:\np(A)\nConclusion:\np(A)\n"
@@ -318,6 +319,19 @@ class TestComputeMetrics:
     def test_missing_tag_groups_under_dash(self):
         m = compute_metrics(micro_runs(), group_by=("nope",))[0]
         assert m.group == "nope=-"
+
+    def test_group_by_provider(self):
+        # the translation's provider; a record without one groups under -
+        records = load_dataset(DATA_DIR / "micro" / "dataset.jsonl")
+        translations = load_translations(
+            DATA_DIR / "micro" / "translations_prover9.jsonl")
+        translations[0] = dataclasses.replace(translations[0],
+                                              provider="model-x")
+        runs = evaluate(records, translations[:3], "prover9", "resolution")
+        assert [(m.group, m.total) for m in
+                compute_metrics(runs, group_by=("provider",))] == [
+            ("provider=-", 1), ("provider=fixture", 2),
+            ("provider=model-x", 1)]
 
     def test_empty_input_gives_no_rows(self):
         assert compute_metrics([]) == []
