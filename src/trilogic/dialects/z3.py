@@ -118,8 +118,10 @@ class _LineParser(Cursor):
         self.expect("lbracket", "'['")
         variables = [self.tokens[self.expect("ident", "a variable name")]]
         while self.accept("comma"):
-            variables.append(
-                self.tokens[self.expect("ident", "a variable name")])
+            # each further variable is one more quantifier around the body
+            i = self.expect("ident", "a variable name")
+            self.deeper(i)
+            variables.append(self.tokens[i])
         self.expect("rbracket", "']'")
         self.expect("comma", "','")
         self.scope += variables
@@ -128,7 +130,7 @@ class _LineParser(Cursor):
         finally:
             del self.scope[len(self.scope) - len(variables):]
         self.expect("rparen", "')'")
-        self.depth -= 1
+        self.depth -= len(variables)
         cls = ForAll if self.tokens[at] == "ForAll" else Exists
         for v in reversed(variables):
             body = cls(v, body)

@@ -153,9 +153,10 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None
     explicit trail, two watched literals per clause, and first-UIP learning
     with non-chronological backjumping. There are no restarts, no activity
     scores and no clause deletion. Branching is deterministic: lowest
-    unassigned index first, True first, so an atom that no clause forces
-    comes out True. deadline is a time.monotonic() instant, checked once
-    per conflict; past it the search raises DeadlineExceeded.
+    unassigned index first, False first (MiniSat's default phase), so an
+    atom that no clause forces comes out False. deadline is a
+    time.monotonic() instant, checked once per conflict; past it the
+    search raises DeadlineExceeded.
     """
     n = cs.atom_count
     units: list[int] = []
@@ -316,7 +317,7 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None
         if next_var > n:
             return {v: value[v] == 1 for v in range(1, n + 1)}
         trail_lim.append(len(trail))
-        assign(next_var, None)
+        assign(-next_var, None)
 
 
 def to_dimacs(cs: PropClauseSet) -> str:

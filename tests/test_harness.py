@@ -216,6 +216,19 @@ class TestRunTranslation:
             assert isinstance(out, ParseFailed), (dialect, engine)
             assert "nested deeper than" in out.detail
 
+    def test_each_quantified_variable_counts_as_one_level(self):
+        # ForAll([x0, ..., xn], ...) builds one quantifier per variable
+        def text(n):
+            xs = ", ".join(f"x{i}" for i in range(n))
+            return ("p(" + ", ".join(["A"] * n) + ")\n"
+                    f"ForAll([{xs}], Implies(p({xs}), q(x0)))\nreturn q(A)\n")
+        for engine in ("resolution", "sat", "chaining"):
+            assert run_translation(text(150), "z3", engine) \
+                == Answered(Verdict(Truth.TRUE)), engine
+            out = run_translation(text(3000), "z3", engine)
+            assert isinstance(out, ParseFailed), engine
+            assert "nested deeper than" in out.detail
+
 
 class TestClassifyOutcome:
     def test_all_four_categories(self):

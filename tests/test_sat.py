@@ -115,7 +115,9 @@ class TestDpll:
         cs = ground([Clause((lit("p", X, pos=False), lit("q", X))),
                      Clause((lit("p", A),))], ["A", "B"], DEFAULT_LIMITS)
         model = dpll(cs)
-        assert model == {1: True, 2: True, 3: True, 4: True}
+        # p(A) is forced, q(A) follows; nothing forces the rest, and
+        # branching tries False first
+        assert model == {1: True, 2: True, 3: False, 4: False}
 
     def test_unsat_returns_none(self):
         cs = ground([Clause((lit("p", A),)), Clause((lit("p", A, pos=False),))],
@@ -200,7 +202,7 @@ class TestDpll:
                            {})
         assert dpll(cs) is None
         cs = PropClauseSet([(1, 1), (3, -3)], 3, {})
-        assert dpll(cs) == {1: True, 2: True, 3: True}
+        assert dpll(cs) == {1: True, 2: False, 3: False}
 
     def test_past_deadline_raises_at_first_conflict(self):
         with pytest.raises(DeadlineExceeded):
@@ -208,7 +210,19 @@ class TestDpll:
         # no conflict, so the deadline is never looked at
         cs = PropClauseSet([(1, 2), (-1, 3)], 3, {})
         assert dpll(cs, deadline=time.monotonic() - 1) == {
-            1: True, 2: True, 3: True}
+            1: False, 2: True, 3: False}
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_pigeonhole_with_room_needs_no_conflict(self, n):
+        # with False first, each pigeon's last free hole is forced, so the
+        # search never conflicts and never looks at the past deadline
+        model = dpll(pigeonhole(n, n), deadline=time.monotonic() - 1)
+        assert model is not None
+        assert sum(model.values()) == n
+
+    def test_unforced_atom_comes_out_false(self):
+        cs = PropClauseSet([(1, 2)], 2, {})
+        assert dpll(cs) == {1: False, 2: True}
 
 
 def pigeonhole(pigeons, holes):
@@ -428,11 +442,11 @@ class TestEntailSat:
         assert out.verdict.value is Truth.TRUE
 
     def test_deadline_gives_resource_limited_unknown(self):
-        # 9 pigeons in 8 holes is far beyond this engine in 2 seconds, on
-        # both sides: the conclusion is unrelated to the pigeons (with
-        # inh(P0, H0) the C side leaves 8 pigeons in 7 holes, which can end
-        # in time and answer False)
-        problem = parse_z3(pigeonhole_text(9, 8, "q(A)"))
+        # 12 pigeons in 11 holes is far beyond this engine in 2 seconds
+        # (one search of 11 in 10 takes about 3 s), on both sides: the
+        # conclusion is unrelated to the pigeons, so neither side is a
+        # smaller pigeonhole than the premises
+        problem = parse_z3(pigeonhole_text(12, 11, "q(A)"))
         start = time.monotonic()
         out = entail_sat(problem, ResourceLimits(wall_ms=2000))
         elapsed = time.monotonic() - start
