@@ -24,7 +24,7 @@ from .harness import (
     compute_metrics, evaluate, load_dataset, load_translations, pearson,
     render_report, run_translation, solve_translation,
 )
-from .normalize import clausify, clausify_all, to_nnf
+from .normalize import clausify_all
 from .resolution import (
     LimitReached, ProofStep, Proved, Saturated, entail_resolution,
     render_trace, replay_trace, resolution_runs, saturate, subsumes, unify,

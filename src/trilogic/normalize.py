@@ -1,5 +1,7 @@
-"""Clausification: NNF, standardize-apart with skolemization, and
-distribution to CNF clauses, each formula in two walks and a CNF pass.
+"""Clausification in one walk per formula that carries the polarity, the
+enclosing universal variables and the substitution and returns CNF rows:
+no intermediate formula is built, and a formula whose CNF explodes stops
+at the CNF budget.
 
 Skolemization is structural rather than prenex-based: an existential is
 replaced by a fresh symbol applied to exactly the universal variables
@@ -23,6 +25,9 @@ from .fol import (
 
 # inner formula nodes visited between two looks at the clock
 _NODES_PER_CHECK = 1024
+
+# the literals of each clause of a CNF, in order
+Rows = list[tuple[Literal, ...]]
 
 
 @dataclass
@@ -51,14 +56,15 @@ def variable_supply() -> NameSupply:
 
 
 def clock(deadline: float) -> Callable[[], None]:
-    """The tick that the walks below call at every inner node they visit,
-    and clausify at every literal it puts in a clause.
+    """The tick that clausify_all calls at every inner node it visits and
+    at every literal it puts in a clause.
 
     Once per _NODES_PER_CHECK ticks it reads the clock, and past deadline
-    (a time.monotonic() instant) it raises DeadlineExceeded. The walks
-    visit a tree, and to_nnf walks both sides of an Iff or Xor twice,
-    once under each polarity, so a chain of them costs time exponential
-    in its length; the tick bounds that time.
+    (a time.monotonic() instant) it raises DeadlineExceeded. The walk
+    visits both sides of an Iff or Xor twice, once under each polarity,
+    so a chain of them costs time exponential in its length until the
+    CNF budget stops it, and an Or of Ands can put that budget's worth of
+    long clauses out; the tick bounds that time.
     """
     visits = 0
 
@@ -73,155 +79,90 @@ def clock(deadline: float) -> Callable[[], None]:
     return tick
 
 
-def _no_tick() -> None:
-    pass
-
-
-def to_nnf(f: Formula, tick: Callable[[], None] = _no_tick) -> Formula:
-    """Rewrite ->, <-> and ^ and push every negation down to an atom, in
-    one walk: a -> b becomes -a | b, a <-> b becomes (-a | b) & (-b | a)
-    and a ^ b becomes (a | b) & (-a | -b), each its De Morgan dual under a
-    negation."""
-
-    def walk(f: Formula, positive: bool) -> Formula:
-        if isinstance(f, Atom):
-            return f if positive else Not(f)
-        tick()
-        if isinstance(f, Not):
-            return walk(f.body, not positive)
-        conj: type[And] | type[Or] = And if positive else Or
-        disj: type[And] | type[Or] = Or if positive else And
-        if isinstance(f, And):
-            return conj(tuple(walk(p, positive) for p in f.parts))
-        if isinstance(f, Or):
-            return disj(tuple(walk(p, positive) for p in f.parts))
-        if isinstance(f, Implies):
-            return disj((walk(f.left, not positive), walk(f.right, positive)))
-        if isinstance(f, Iff):
-            a, b = f.left, f.right
-            return conj((disj((walk(a, not positive), walk(b, positive))),
-                         disj((walk(b, not positive), walk(a, positive)))))
-        if isinstance(f, Xor):
-            a, b = f.left, f.right
-            return conj((disj((walk(a, positive), walk(b, positive))),
-                         disj((walk(a, not positive), walk(b, not positive)))))
-        if isinstance(f, ForAll):
-            return (ForAll if positive else Exists)(f.var, walk(f.body, positive))
-        if isinstance(f, Exists):
-            return (Exists if positive else ForAll)(f.var, walk(f.body, positive))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return walk(f, True)
-
-
-def skolemize(f: Formula, var_supply: NameSupply, sk_supply: NameSupply,
-              tick: Callable[[], None] = _no_tick) -> Formula:
-    """Standardize apart and drop existentials from an NNF formula.
-
-    Every binder gets its own fresh variable name. An existential under k
-    universals becomes a fresh k-ary symbol applied to those universal
-    variables; under none it becomes a fresh constant. An existential
-    draws a variable name before its witness, as every binder does, so
-    the numbering of both supplies follows the binders in tree order.
-    """
-
-    def walk(f: Formula, univ: tuple[str, ...], sub: dict[str, Term]) -> Formula:
-        if isinstance(f, Atom):
-            if not sub:
-                return f
-            return Atom(f.predicate, tuple(substitute_term(a, sub) for a in f.args))
-        tick()
-        if isinstance(f, Not):
-            return Not(walk(f.body, univ, sub))
-        if isinstance(f, And):
-            return And(tuple(walk(p, univ, sub) for p in f.parts))
-        if isinstance(f, Or):
-            return Or(tuple(walk(p, univ, sub) for p in f.parts))
-        if isinstance(f, (ForAll, Exists)):
-            new = var_supply.fresh()
-            inner = dict(sub)
-            if isinstance(f, ForAll):
-                inner[f.var] = Variable(new)
-                return ForAll(new, walk(f.body, univ + (new,), inner))
-            name = sk_supply.fresh()
-            inner[f.var] = (Function(name, tuple(Variable(u) for u in univ))
-                            if univ else Constant(name))
-            return walk(f.body, univ, inner)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return walk(f, (), {})
-
-
-def clausify(f: Formula, limits: ResourceLimits = DEFAULT_LIMITS,
-             tick: Callable[[], None] = _no_tick) -> list[Clause]:
-    """Distribute a skolemized NNF formula into clauses.
-
-    Universal quantifiers are dropped (clause variables are implicitly
-    universal), Or is distributed over And under a clause budget, duplicate
-    literals collapse, and tautologies are removed. The returned list is
-    duplicate-free in first-occurrence order.
-    """
-    budget = limits.max_cnf_clauses
-
-    def cnf(f: Formula) -> list[tuple[Literal, ...]]:
-        if isinstance(f, Atom):
-            return [(Literal(True, f),)]
-        if isinstance(f, Not):
-            if not isinstance(f.body, Atom):
-                raise ValueError(f"input is not in NNF: {f!r}")
-            return [(Literal(False, f.body),)]
-        tick()
-        if isinstance(f, ForAll):
-            return cnf(f.body)
-        if isinstance(f, And):
-            out: list[tuple[Literal, ...]] = []
-            for p in f.parts:
-                out.extend(cnf(p))
-                if len(out) > budget:
-                    raise ExecError("clause explosion")
-            return out
-        if isinstance(f, Or):
-            acc: list[tuple[Literal, ...]] = [()]
-            for p in f.parts:
-                rows = cnf(p)
-                if len(acc) * len(rows) > budget:
-                    raise ExecError("clause explosion")
-                acc = [a + r for a in acc for r in rows]
-            return acc
-        if isinstance(f, Exists):
-            raise ValueError("skolemize before clausify")
-        raise TypeError(f"not a formula: {f!r}")
-
-    clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    for lits in cnf(f):
-        for _ in lits:
-            tick()
-        c = Clause(lits)
-        if c.is_tautology() or c in seen:
-            continue
-        seen.add(c)
-        clauses.append(c)
-    return clauses
-
-
 def clausify_all(formulas: Iterable[Formula], var_supply: NameSupply,
                  sk_supply: NameSupply,
                  limits: ResourceLimits = DEFAULT_LIMITS,
                  deadline: Optional[float] = None) -> list[Clause]:
     """Clausify several formulas with shared name supplies, deduplicated.
 
+    Universal quantifiers are dropped (clause variables are implicitly
+    universal), Or is distributed over And, duplicate literals collapse,
+    and tautologies are removed. A formula whose CNF passes
+    max_cnf_clauses raises ExecError. The returned list is duplicate-free
+    in first-occurrence order.
+
     deadline is a time.monotonic() instant, by default wall_ms from now,
-    one instant for all the formulas; past it the pipeline raises
+    one instant for all the formulas; past it the walk raises
     DeadlineExceeded.
     """
     tick = clock(limits.deadline() if deadline is None else deadline)
+    budget = limits.max_cnf_clauses
+
+    def combine(left: Rows, right: Rows, conj: bool) -> Rows:
+        # a conjunction extends left, a list that only its caller holds
+        if (len(left) + len(right) if conj else len(left) * len(right)) > budget:
+            raise ExecError("clause explosion")
+        if conj:
+            left.extend(right)
+            return left
+        return [a + b for a in left for b in right]
+
+    def cnf(f: Formula, pos: bool, univ: tuple[Variable, ...],
+            sub: dict[str, Term]) -> Rows:
+        """The CNF rows of f, or of its negation unless pos, under the
+        universal variables univ and the renaming and witnesses sub.
+
+        Under a negation every connective is its De Morgan dual: a -> b
+        is -a | b, a <-> b is (-a | b) & (-b | a) and a ^ b is
+        (a | b) & (-a | -b). The operands are walked in that order, and
+        every binder draws a fresh variable name, an existential before
+        its witness, so both supplies number the binders in that order.
+        Each level recurses straight into the next, one frame a level.
+        """
+        if isinstance(f, Atom):
+            if sub:
+                f = Atom(f.predicate, tuple(substitute_term(a, sub) for a in f.args))
+            return [(Literal(pos, f),)]
+        tick()
+        neg = not pos
+        if isinstance(f, Not):
+            return cnf(f.body, neg, univ, sub)
+        if isinstance(f, (And, Or)):
+            conj = isinstance(f, And) == pos
+            rows: Rows = [] if conj else [()]
+            for p in f.parts:
+                rows = combine(rows, cnf(p, pos, univ, sub), conj)
+            return rows
+        if isinstance(f, (ForAll, Exists)):
+            v = Variable(var_supply.fresh())
+            if isinstance(f, ForAll) == pos:
+                return cnf(f.body, pos, univ + (v,), {**sub, f.var: v})
+            name = sk_supply.fresh()
+            witness = Function(name, univ) if univ else Constant(name)
+            return cnf(f.body, pos, univ, {**sub, f.var: witness})
+        if not isinstance(f, (Implies, Iff, Xor)):
+            raise TypeError(f"not a formula: {f!r}")
+        a, b = f.left, f.right
+        if isinstance(f, Implies):
+            return combine(cnf(a, neg, univ, sub), cnf(b, pos, univ, sub), neg)
+        if isinstance(f, Iff):
+            return combine(
+                combine(cnf(a, neg, univ, sub), cnf(b, pos, univ, sub), neg),
+                combine(cnf(b, neg, univ, sub), cnf(a, pos, univ, sub), neg),
+                pos)
+        return combine(
+            combine(cnf(a, pos, univ, sub), cnf(b, pos, univ, sub), neg),
+            combine(cnf(a, neg, univ, sub), cnf(b, neg, univ, sub), neg),
+            pos)
+
     clauses: list[Clause] = []
     seen: set[Clause] = set()
     for f in formulas:
-        g = skolemize(to_nnf(f, tick), var_supply, sk_supply, tick)
-        for c in clausify(g, limits, tick):
-            if c not in seen:
+        for lits in cnf(f, True, (), {}):
+            for _ in lits:
+                tick()
+            c = Clause(lits)
+            if c not in seen and not c.is_tautology():
                 seen.add(c)
                 clauses.append(c)
     return clauses

@@ -33,9 +33,9 @@ from typing import Callable, Iterable, Optional
 
 from .fol import (
     Answered, Atom, Clause, Constant, DeadlineExceeded, ExecFailed,
-    ExecError, Function, Inconsistent, Literal, Not, Outcome, Problem,
-    ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
-    clause_substitute, substitute_term, subterms,
+    ExecError, Function, Inconsistent, Literal, MAX_NESTING_DEPTH, Not,
+    Outcome, Problem, ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable,
+    Verdict, clause_substitute, substitute_term, subterms,
 )
 from .normalize import clausify_all, skolem_supply, variable_supply
 
@@ -136,6 +136,24 @@ def rename_apart(left: Clause, right: Clause) -> Clause:
     return clause_substitute(right, ren) if ren else right
 
 
+def _too_deep(literals: list[Literal] | Clause, sub: dict[str, Term]) -> bool:
+    """Whether a term of literals under sub nests deeper than
+    MAX_NESTING_DEPTH, so that sorting the clause's literals would recurse
+    through every level. A unifier that binds no function term (sub is
+    idempotent) cannot deepen a clause, and is not walked."""
+    if not any(isinstance(t, Function) for t in sub.values()):
+        return False
+    stack = [(a, 0) for l in literals for a in l.atom.args]
+    while stack:
+        t, depth = stack.pop()
+        t = sub.get(t.name, t) if isinstance(t, Variable) else t
+        if isinstance(t, Function):
+            if depth == MAX_NESTING_DEPTH:
+                return True
+            stack.extend((a, depth + 1) for a in t.args)
+    return False
+
+
 def eligible(c: Clause) -> tuple[Literal, ...]:
     """The literals resolution may resolve c on: its selected literal, the
     first negative one in Clause order, if it has one; else all of them."""
@@ -147,7 +165,7 @@ def eligible(c: Clause) -> tuple[Literal, ...]:
 
 @dataclass(frozen=True)
 class Resolvent:
-    clause: Clause
+    clause: Optional[Clause]  # None: too deep to build, see _too_deep
     left_literal: Literal   # as it appears in the left parent
     right_literal: Literal  # as it appears in the renamed right parent
     unifier: tuple[tuple[str, Term], ...]
@@ -177,8 +195,8 @@ def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
             if sub is None:
                 continue
             rest = [l for l in c1 if l != l1] + [l for l in c2r if l != l2]
-            clause = clause_substitute(rest, sub)
-            if clause.is_tautology():
+            clause = None if _too_deep(rest, sub) else clause_substitute(rest, sub)
+            if clause is not None and clause.is_tautology():
                 continue
             out.append(Resolvent(clause, l1, l2, _freeze_sub(sub)))
     return out
@@ -186,7 +204,7 @@ def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
 
 @dataclass(frozen=True)
 class Factor:
-    clause: Clause
+    clause: Optional[Clause]  # None: too deep to build, see _too_deep
     first: Literal
     second: Literal
     unifier: tuple[tuple[str, Term], ...]
@@ -203,8 +221,8 @@ def factors(c: Clause) -> list[Factor]:
             sub = unify(lits[i].atom, lits[j].atom)
             if sub is None:
                 continue
-            clause = clause_substitute(c, sub)
-            if clause.is_tautology():
+            clause = None if _too_deep(c, sub) else clause_substitute(c, sub)
+            if clause is not None and clause.is_tautology():
                 continue
             out.append(Factor(clause, lits[i], lits[j], _freeze_sub(sub)))
     return out
@@ -295,8 +313,8 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
 
     deadline is a time.monotonic() instant; by default wall_ms from now.
     Saturation after a clause was dropped for having more than
-    max_clause_literals literals is not complete, so it ends in
-    LimitReached.
+    max_clause_literals literals, or a term nested deeper than
+    MAX_NESTING_DEPTH, is not complete, so it ends in LimitReached.
 
     A new clause that a kept clause `deletes` is dropped. A kept new clause
     deletes every kept clause it `deletes`: a deleted clause leaves its
@@ -366,7 +384,7 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         by_keys[keys[i]].append(i)
     deleted: set[int] = set()
     generated = 0
-    dropped = False
+    dropped = ""  # the reason for the last clause dropped
 
     while sos:
         if time.monotonic() > deadline:
@@ -383,7 +401,7 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         positions: set[int] = set()
         for predicate, positive in given_keys:
             positions.update(partners.get((predicate, not positive), ()))
-        new: list[tuple[Clause, ProofStep]] = []
+        new: list[tuple[Optional[Clause], ProofStep]] = []
         for partner_id in (usable[p] for p in sorted(positions)):
             if partner_id in deleted:
                 continue
@@ -400,8 +418,9 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
             generated += 1
             if generated > limits.max_generated_clauses:
                 return LimitReached("generated clause budget")
-            if len(clause) > limits.max_clause_literals:
-                dropped = True
+            if clause is None or len(clause) > limits.max_clause_literals:
+                dropped = ("term nesting limit" if clause is None
+                           else "clause literal limit")
                 continue
             clause_keys = _keys(clause)
             if any(deletes(clauses[k], clause)
@@ -425,7 +444,7 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
             by_keys[clause_keys].append(cid)
             heapq.heappush(sos, (len(clause), next(arrival), cid))
     if dropped:
-        return LimitReached("clause literal limit")
+        return LimitReached(dropped)
     return Saturated()
 
 

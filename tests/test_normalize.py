@@ -1,5 +1,6 @@
-"""Clausification pipeline: NNF (connectives rewritten and negations pushed
-in, one walk), standardize-apart with skolemization (one walk), CNF."""
+"""Clausification: one walk per formula that rewrites connectives, pushes
+negations in, standardizes apart, skolemizes and distributes to CNF,
+checked against a four-walk reference plus a CNF pass kept here."""
 
 import random
 import time
@@ -8,13 +9,12 @@ import pytest
 
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.fol import (
-    And, Answered, Atom, Constant, DeadlineExceeded, ExecError, ExecFailed,
-    Exists, ForAll, Function, Iff, Implies, Not, Or, ResourceLimits, Term,
-    Variable, Xor, free_variables, substitute_term,
+    And, Answered, Atom, Clause, Constant, DEFAULT_LIMITS, DeadlineExceeded,
+    ExecError, ExecFailed, Exists, ForAll, Function, Iff, Implies, Literal,
+    Not, Or, Problem, ResourceLimits, Term, Variable, Xor, substitute_term,
 )
 from trilogic.normalize import (
-    clausify, clausify_all, clock, skolem_supply, skolemize, to_nnf,
-    variable_supply,
+    clausify_all, clock, skolem_supply, variable_supply,
 )
 from trilogic.resolution import entail_resolution
 from trilogic.sat import entail_sat
@@ -37,48 +37,45 @@ def cf(f, limits=None):
 
 class TestEliminateConnectives:
     def test_implies(self):
-        f = to_nnf(Implies(atom("p", A), atom("q", A)))
-        assert f == Or((Not(atom("p", A)), atom("q", A)))
+        assert cf(Implies(atom("p", A), atom("q", A))) == ["-p(A) | q(A)"]
 
     def test_xor_expands_to_two_disjunctions(self):
-        f = to_nnf(Xor(atom("p", A), atom("q", A)))
-        assert str(f) == "(p(A) | q(A)) & (-p(A) | -q(A))"
+        f = Xor(atom("p", A), atom("q", A))
+        assert cf(f) == ["p(A) | q(A)", "-p(A) | -q(A)"]
+        # negated, (-p & -q) | (p & q) distributes into the clauses of <->
+        assert cf(Not(f)) == ["-p(A) | q(A)", "p(A) | -q(A)"]
 
     def test_iff_expands_to_two_implications(self):
-        f = to_nnf(Iff(atom("p", A), atom("q", A)))
-        assert str(f) == "(-p(A) | q(A)) & (-q(A) | p(A))"
+        f = Iff(atom("p", A), atom("q", A))
+        assert cf(f) == ["-p(A) | q(A)", "p(A) | -q(A)"]
+        assert cf(Not(f)) == ["p(A) | q(A)", "-p(A) | -q(A)"]
 
 
 class TestNnf:
     def test_negation_over_forall(self):
-        f = to_nnf(Not(ForAll("x", atom("p", X))))
-        assert f == Exists("x", Not(atom("p", X)))
+        assert cf(Not(ForAll("x", atom("p", X)))) == ["-p(_sk0)"]
 
     def test_negation_over_exists(self):
-        f = to_nnf(Not(Exists("x", atom("p", X))))
-        assert f == ForAll("x", Not(atom("p", X)))
+        assert cf(Not(Exists("x", atom("p", X)))) == ["-p(_v0)"]
 
     def test_de_morgan(self):
-        f = to_nnf(Not(And((atom("p", A), atom("q", A)))))
-        assert f == Or((Not(atom("p", A)), Not(atom("q", A))))
+        assert cf(Not(And((atom("p", A), atom("q", A))))) == ["-p(A) | -q(A)"]
 
     def test_double_negation(self):
-        assert to_nnf(Not(Not(atom("p", A)))) == atom("p", A)
+        assert cf(Not(Not(atom("p", A)))) == ["p(A)"]
 
 
 class TestStandardizeApart:
     def test_shadowed_binders_get_distinct_names(self):
         f = And((ForAll("x", atom("p", X)), Exists("x", atom("q", X))))
         variables = variable_supply()
-        g = skolemize(f, variables, skolem_supply())
+        clauses = clausify_all([f], variables, skolem_supply())
         # the existential draws _v1 before it takes its witness
-        assert str(g) == "all _v0 (p(_v0)) & q(_sk0)"
+        assert [str(c) for c in clauses] == ["p(_v0)", "q(_sk0)"]
         assert variables.next_index == 2
 
     def test_free_variables_survive(self):
-        f = ForAll("x", atom("r", X, Y))
-        g = skolemize(f, variable_supply(), skolem_supply())
-        assert free_variables(g) == {"y"}
+        assert cf(ForAll("x", atom("r", X, Y))) == ["r(_v0, y)"]
 
 
 class TestSkolemize:
@@ -90,9 +87,7 @@ class TestSkolemize:
         assert cf(f) == ["r(_v0, _sk0(_v0))"]
 
     def test_skolemize_keeps_universals(self):
-        f = skolemize(ForAll("x", atom("p", X)), variable_supply(),
-                      skolem_supply())
-        assert isinstance(f, ForAll)
+        assert cf(ForAll("x", atom("p", X))) == ["p(_v0)"]
 
 
 class TestClausify:
@@ -119,6 +114,13 @@ class TestClausify:
         with pytest.raises(ExecError, match="clause explosion"):
             cf(worst, small)
 
+    def test_conjunction_budget_raises(self):
+        small = ResourceLimits(max_cnf_clauses=4)
+        five = And(tuple(atom(f"a{i}", A) for i in range(5)))
+        assert len(cf(And(five.parts[:4]), small)) == 4
+        with pytest.raises(ExecError, match="clause explosion"):
+            cf(five, small)
+
     def test_clausify_all_shares_supplies(self):
         formulas = [ForAll("x", atom("p", X)), ForAll("x", atom("q", X))]
         clauses = clausify_all(formulas, variable_supply(), skolem_supply())
@@ -135,10 +137,11 @@ class TestClausify:
         assert again == first
 
 
-# The four-walk clausification that to_nnf and skolemize merge, one rewrite
-# per walk, kept as the reference they must match clause for clause and
-# name for name: Clause orders literals by their text and resolution selects
-# the first negative literal, so a renumbered variable can change a proof.
+# The four-walk clausification and the CNF pass that clausify_all merges
+# into one walk, one rewrite per walk, kept as the reference it must match
+# clause for clause and name for name: Clause orders literals by their text
+# and resolution selects the first negative literal, so a renumbered
+# variable can change a proof.
 
 def reference_eliminate_connectives(f):
     """Rewrite Implies/Iff/Xor in terms of And/Or/Not."""
@@ -249,6 +252,49 @@ def reference_skolemize(f, supply):
     return walk(f, (), {})
 
 
+def reference_clausify(f):
+    """Distribute a skolemized NNF formula into clauses."""
+    budget = DEFAULT_LIMITS.max_cnf_clauses
+
+    def cnf(f):
+        if isinstance(f, Atom):
+            return [(Literal(True, f),)]
+        if isinstance(f, Not):
+            if not isinstance(f.body, Atom):
+                raise ValueError(f"input is not in NNF: {f!r}")
+            return [(Literal(False, f.body),)]
+        if isinstance(f, ForAll):
+            return cnf(f.body)
+        if isinstance(f, And):
+            out = []
+            for p in f.parts:
+                out.extend(cnf(p))
+                if len(out) > budget:
+                    raise ExecError("clause explosion")
+            return out
+        if isinstance(f, Or):
+            acc = [()]
+            for p in f.parts:
+                rows = cnf(p)
+                if len(acc) * len(rows) > budget:
+                    raise ExecError("clause explosion")
+                acc = [a + r for a in acc for r in rows]
+            return acc
+        if isinstance(f, Exists):
+            raise ValueError("skolemize before clausify")
+        raise TypeError(f"not a formula: {f!r}")
+
+    clauses = []
+    seen = set()
+    for lits in cnf(f):
+        c = Clause(lits)
+        if c.is_tautology() or c in seen:
+            continue
+        seen.add(c)
+        clauses.append(c)
+    return clauses
+
+
 def reference_clausify_all(formulas, var_supply, sk_supply):
     clauses = []
     seen = set()
@@ -257,7 +303,7 @@ def reference_clausify_all(formulas, var_supply, sk_supply):
         g = reference_to_nnf(g)
         g = reference_standardize_apart(g, var_supply)
         g = reference_skolemize(g, sk_supply)
-        for c in clausify(g):
+        for c in reference_clausify(g):
             if c not in seen:
                 seen.add(c)
                 clauses.append(c)
@@ -331,14 +377,6 @@ class TestMergedWalks:
                         == [s.next_index for s in want_supplies]), formulas
 
 
-def iff_chain(links):
-    """p(A) <-> (p(A) <-> ...) with links + 1 atoms."""
-    f = atom("p", A)
-    for _ in range(links):
-        f = Iff(atom("p", A), f)
-    return f
-
-
 # texts whose clausification grows exponentially in their length
 EXPLOSIVE_TEXTS = {
     "prover9 <-> chain of 16": (
@@ -357,20 +395,16 @@ EXPLOSIVE_TEXTS = {
 class TestDeadline:
     def test_past_deadline_raises_in_each_walk(self):
         past = time.monotonic() - 1
-        f = iff_chain(12)
-        nnf = to_nnf(f)
-        for walk in (lambda tick: to_nnf(f, tick),
-                     lambda tick: skolemize(nnf, variable_supply(),
-                                            skolem_supply(), tick),
-                     # 2^11 clauses of 11 literals
-                     lambda tick: clausify(Or(tuple(
-                         And((atom(f"a{i}", A), atom(f"b{i}", A)))
-                         for i in range(11))), tick=tick)):
+        # the walk visits 1,100 <-> links before it puts out a literal (a
+        # chain of them passes the CNF budget at 6 links, after about 130
+        # visits), and the Or of Ands puts out 2^11 clauses of 11 literals
+        links = And(tuple(Iff(atom(f"a{i}", A), atom(f"b{i}", A))
+                          for i in range(1100)))
+        for f in (links, Or(tuple(
+                And((atom(f"a{i}", A), atom(f"b{i}", A))) for i in range(11)))):
             with pytest.raises(DeadlineExceeded):
-                walk(clock(past))
-        with pytest.raises(DeadlineExceeded):
-            clausify_all([f], variable_supply(), skolem_supply(),
-                         deadline=past)
+                clausify_all([f], variable_supply(), skolem_supply(),
+                             deadline=past)
 
     def test_clock_reads_once_per_1024_ticks(self):
         tick = clock(time.monotonic() - 1)
@@ -398,3 +432,46 @@ class TestDeadline:
             assert out == ExecFailed("clause explosion")
         # the budget, with room for a loaded host
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("engine", [entail_resolution, entail_sat])
+    def test_explosion_found_before_the_deadline(self, engine):
+        text = ("Premises:\np(A)\nConclusion:\n"
+                + " <-> ".join(["p(A)"] * 21) + "\n")
+        start = time.monotonic()
+        out = engine(parse_prover9(text), ResourceLimits(wall_ms=2000))
+        assert out == ExecFailed("clause explosion")
+        assert time.monotonic() - start < 0.5
+
+
+# one level of each connective and quantifier around a formula
+WRAPS = {
+    "not": Not,
+    "and": lambda f: And((atom("p", A), f)),
+    "or": lambda f: Or((atom("p", A), f)),
+    "implies": lambda f: Implies(atom("p", A), f),
+    "iff": lambda f: Iff(atom("p", A), f),
+    "xor": lambda f: Xor(atom("p", A), f),
+    "all": lambda f: ForAll("x", f),
+    "exists": lambda f: Exists("x", f),
+}
+
+
+def chain(kind, levels):
+    """p(A), or p(x) under quantifiers, nested levels deep in one kind."""
+    f = atom("p", X) if kind in ("all", "exists") else atom("p", A)
+    for _ in range(levels):
+        f = WRAPS[kind](f)
+    return f
+
+
+class TestDeepFormulas:
+    """The walk recurses once per formula level, so the deepest formula a
+    parser lets through never meets Python's recursion limit."""
+
+    @pytest.mark.parametrize("engine", [entail_resolution, entail_sat])
+    @pytest.mark.parametrize("levels", [199, 200])
+    @pytest.mark.parametrize("kind", sorted(WRAPS))
+    def test_chain_answers(self, kind, levels, engine):
+        f = chain(kind, levels)
+        out = engine(Problem((atom("q", A),), f))
+        assert isinstance(out, (Answered, ExecFailed))

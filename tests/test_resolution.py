@@ -626,3 +626,24 @@ class TestEntailResolution:
                                 ResourceLimits(wall_ms=300))
         assert out.verdict.value is Truth.FALSE
         assert not out.verdict.resource_limited
+
+    def test_terms_past_the_nesting_cap_are_dropped(self):
+        # saturation grows p(f(...f(A))) until ordering a clause's literals
+        # recursed past Python's stack; a derived term nested deeper than
+        # fol.MAX_NESTING_DEPTH is dropped as an over-long clause is, so
+        # neither run is complete
+        deep = "f(" * 150 + "A" + ")" * 150
+        f10 = "f(" * 10 + "x" + ")" * 10
+        deep_text = (f"Premises:\np({deep})\nall x (p(x) -> p({f10}))\n"
+                     "Conclusion:\nq(A)\n")
+        limited = Answered(Verdict(Truth.UNKNOWN, resource_limited=True))
+        assert resolution_runs(parse_prover9(deep_text)) == (
+            limited, LimitReached("term nesting limit"),
+            LimitReached("term nesting limit"))
+        grow = "Premises:\np(A)\nall x (p(x) -> p(f(x)))\n"
+        for text in (deep_text, grow + "Conclusion:\nq(A)\n"):
+            assert run_translation(text, "prover9", "resolution") == limited
+        # the prove-C side ends at the cap, the prove-not-C side is refuted
+        text = grow + "-q(B)\nConclusion:\nq(B)\n"
+        assert (run_translation(text, "prover9", "resolution")
+                == Answered(Verdict(Truth.FALSE)))
