@@ -1,4 +1,5 @@
-"""What the three dialect parsers share: lexer, comments, sections, cursor.
+"""What the dialect parsers share: lexer, comments, sections, cursor,
+arity table.
 
 A dialect's lexer is one compiled pattern and a kind table, as `Lexer`
 describes. One `findall` per line gives the line's tokens as plain
@@ -204,3 +205,39 @@ class Cursor:
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
             raise too_deep(self.span(i))
+
+
+class ArityTable:
+    """Predicate arities: declared ones are enforced, the rest inferred.
+
+    A clash is raised at token `at` of `line`. The solver-API dialect
+    declares nothing, so all its arities are inferred.
+    """
+
+    def __init__(self) -> None:
+        self.declared: dict[str, int] = {}
+        self.inferred: dict[str, int] = {}
+
+    def declare(self, name: str, arity: int, line: Cursor, at: int) -> None:
+        known = self.declared.get(name)
+        if known is not None and known != arity:
+            raise line.error(
+                f"conflicting declaration for '{name}': {known} vs {arity}",
+                at)
+        self.declared[name] = arity
+
+    def check_use(self, name: str, arity: int, line: Cursor, at: int
+                  ) -> None:
+        if name in self.declared:
+            if self.declared[name] != arity:
+                raise line.error(
+                    f"arity mismatch for predicate '{name}': declared "
+                    f"{self.declared[name]}, used with {arity}", at)
+            return
+        known = self.inferred.get(name)
+        if known is None:
+            self.inferred[name] = arity
+        elif known != arity:
+            raise line.error(
+                f"inconsistent arity for predicate '{name}': {known} vs {arity}",
+                at)

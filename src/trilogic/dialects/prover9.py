@@ -13,7 +13,7 @@ from ..fol import (
     Not, Or, ParseError, Problem, SourceSpan, Term, Variable, Xor,
 )
 from ._lex import (
-    PUNCTUATION, Cursor, Lexer, end_span, section_lines,
+    PUNCTUATION, ArityTable, Cursor, Lexer, end_span, section_lines,
 )
 
 _LEXER = Lexer(("<->", "->"), {
@@ -25,44 +25,9 @@ _LEXER = Lexer(("<->", "->"), {
 _SECTIONS = ("predicates", "premises", "conclusion")
 
 
-class _ArityTable:
-    """Predicate arities: declared ones are enforced, the rest inferred.
-
-    A clash is raised at token `at` of `line`.
-    """
-
-    def __init__(self) -> None:
-        self.declared: dict[str, int] = {}
-        self.inferred: dict[str, int] = {}
-
-    def declare(self, name: str, arity: int, line: Cursor, at: int) -> None:
-        known = self.declared.get(name)
-        if known is not None and known != arity:
-            raise line.error(
-                f"conflicting declaration for '{name}': {known} vs {arity}",
-                at)
-        self.declared[name] = arity
-
-    def check_use(self, name: str, arity: int, line: Cursor, at: int
-                  ) -> None:
-        if name in self.declared:
-            if self.declared[name] != arity:
-                raise line.error(
-                    f"arity mismatch for predicate '{name}': declared "
-                    f"{self.declared[name]}, used with {arity}", at)
-            return
-        known = self.inferred.get(name)
-        if known is None:
-            self.inferred[name] = arity
-        elif known != arity:
-            raise line.error(
-                f"inconsistent arity for predicate '{name}': {known} vs {arity}",
-                at)
-
-
 class _FormulaParser(Cursor):
     def __init__(self, content: str, line_no: int, line_len: int,
-                 arities: _ArityTable) -> None:
+                 arities: ArityTable) -> None:
         super().__init__(_LEXER, content, line_no, line_len)
         self.arities = arities
         self.scope: list[str] = []
@@ -172,7 +137,7 @@ class _FormulaParser(Cursor):
         return Constant(name)
 
 
-def _parse_declaration(line: Cursor, arities: _ArityTable) -> None:
+def _parse_declaration(line: Cursor, arities: ArityTable) -> None:
     tokens, kinds = line.tokens, line.kinds
     if kinds[0] != "ident":  # a content line has a token
         raise line.error("expected a predicate declaration", 0)
@@ -214,7 +179,7 @@ def parse_prover9(text: str) -> Problem:
     Raises ParseError with a source span on malformed input: untranslated
     prose, unknown characters, arity clashes, or a missing conclusion.
     """
-    arities = _ArityTable()
+    arities = ArityTable()
     premises: list[Formula] = []
     conclusion: Formula | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):

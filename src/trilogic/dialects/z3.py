@@ -17,7 +17,8 @@ from ..fol import (
     ParseError, Problem, SourceSpan, Term, Variable, Xor,
 )
 from ._lex import (
-    PUNCTUATION, Cursor, Lexer, content_lines, end_span, indent_span,
+    PUNCTUATION, ArityTable, Cursor, Lexer, content_lines, end_span,
+    indent_span,
 )
 
 _DEF_LINE = re.compile(r"^def\s+[A-Za-z_]\w*\s*\(\s*\)\s*:\s*$")
@@ -32,7 +33,7 @@ class _LineParser(Cursor):
     end_message = "unbalanced brackets"
 
     def __init__(self, content: str, line_no: int, line_len: int,
-                 arities: dict[str, int]) -> None:
+                 arities: ArityTable) -> None:
         super().__init__(_LEXER, content, line_no, line_len)
         self.arities = arities
         self.scope: list[str] = []
@@ -81,7 +82,7 @@ class _LineParser(Cursor):
                 raise self.error("boolean literal is not supported", at)
             if name in self.scope:
                 raise self.error(f"variable '{name}' used as a formula", at)
-            self.check_arity(name, 0, at)
+            self.arities.check_use(name, 0, self, at)
             return Atom(name)
         if name in ("ForAll", "Exists"):
             return self.quantifier_call(at)
@@ -143,7 +144,7 @@ class _LineParser(Cursor):
         while self.accept("comma"):
             args.append(self.term(at))
         self.expect("rparen", "')'")
-        self.check_arity(name, len(args), at)
+        self.arities.check_use(name, len(args), self, at)
         return Atom(name, tuple(args))
 
     def term(self, callee: int) -> Term:
@@ -163,15 +164,6 @@ class _LineParser(Cursor):
             return Variable(name)
         return Constant(name)
 
-    def check_arity(self, name: str, arity: int, at: int) -> None:
-        known = self.arities.get(name)
-        if known is None:
-            self.arities[name] = arity
-        elif known != arity:
-            raise self.error(
-                f"inconsistent arity for predicate '{name}': {known} vs {arity}",
-                at)
-
 
 def parse_z3(text: str) -> Problem:
     """Parse the solver-API dialect into a Problem.
@@ -179,7 +171,7 @@ def parse_z3(text: str) -> Problem:
     Every non-comment line is one assertion; the final line must be
     `return <expr>` and names the conclusion.
     """
-    arities: dict[str, int] = {}
+    arities = ArityTable()
     premises: list[Formula] = []
     conclusion: Formula | None = None
     for index, (line_no, raw, content) in enumerate(

@@ -28,7 +28,7 @@ import heapq
 import itertools
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from .fol import (
@@ -164,16 +164,37 @@ def eligible(c: Clause) -> tuple[Literal, ...]:
 
 
 @dataclass(frozen=True)
-class Resolvent:
-    clause: Optional[Clause]  # None: too deep to build, see _too_deep
-    left_literal: Literal   # as it appears in the left parent
-    right_literal: Literal  # as it appears in the renamed right parent
+class ProofStep:
+    """One inference. resolvents and factors give it unnumbered (index 0,
+    no parents); saturate numbers the steps whose clauses it keeps."""
+
+    index: int
+    rule: str  # "resolve" or "factor"
+    parents: tuple[int, ...]
+    left_literal: Literal
+    right_literal: Literal
     unifier: tuple[tuple[str, Term], ...]
+    clause: Optional[Clause]  # None: too deep to build, see _too_deep
+
+    def __str__(self):
+        sub = ", ".join(f"{v} -> {t}" for v, t in self.unifier)
+        args = ", ".join(str(p) for p in self.parents)
+        return f"step {self.index}: {self.rule}({args}) with {{{sub}}} => {self.clause}"
 
 
-def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
+def _inference(rule: str, literals: list[Literal] | Clause, left: Literal,
+               right: Literal, sub: dict[str, Term]) -> Optional[ProofStep]:
+    """The unnumbered step that derives literals under sub, or None if that
+    is a tautology. Its clause is None when too deep to build (_too_deep)."""
+    clause = None if _too_deep(literals, sub) else clause_substitute(literals, sub)
+    if clause is not None and clause.is_tautology():
+        return None
+    return ProofStep(0, rule, (), left, right, tuple(sorted(sub.items())), clause)
+
+
+def resolvents(c1: Clause, c2: Clause) -> list[ProofStep]:
     """The binary resolvents of c1 and c2 on eligible literals, tautologies
-    dropped.
+    dropped, as unnumbered steps.
 
     c2's eligible literals are picked on c2 as stored and then renamed:
     the renamed copy is sorted anew, so its first negative literal may be
@@ -186,45 +207,34 @@ def resolvents(c1: Clause, c2: Clause) -> list[Resolvent]:
         picked = c2r.literals
     elif ren:
         picked = clause_substitute(picked, ren).literals
-    out: list[Resolvent] = []
+    out: list[ProofStep] = []
     for l1 in eligible(c1):
-        for l2 in c2r:
-            if l1.positive == l2.positive or l2 not in picked:
+        for l2 in picked:
+            if l1.positive == l2.positive:
                 continue
             sub = unify(l1.atom, l2.atom)
             if sub is None:
                 continue
             rest = [l for l in c1 if l != l1] + [l for l in c2r if l != l2]
-            clause = None if _too_deep(rest, sub) else clause_substitute(rest, sub)
-            if clause is not None and clause.is_tautology():
-                continue
-            out.append(Resolvent(clause, l1, l2, _freeze_sub(sub)))
+            step = _inference("resolve", rest, l1, l2, sub)
+            if step is not None:
+                out.append(step)
     return out
 
 
-@dataclass(frozen=True)
-class Factor:
-    clause: Optional[Clause]  # None: too deep to build, see _too_deep
-    first: Literal
-    second: Literal
-    unifier: tuple[tuple[str, Term], ...]
-
-
-def factors(c: Clause) -> list[Factor]:
-    """Factors of c: one for every unifiable same-sign literal pair."""
-    out: list[Factor] = []
-    lits = c.literals
-    for i in range(len(lits)):
-        for j in range(i + 1, len(lits)):
-            if lits[i].positive != lits[j].positive:
-                continue
-            sub = unify(lits[i].atom, lits[j].atom)
-            if sub is None:
-                continue
-            clause = None if _too_deep(c, sub) else clause_substitute(c, sub)
-            if clause is not None and clause.is_tautology():
-                continue
-            out.append(Factor(clause, lits[i], lits[j], _freeze_sub(sub)))
+def factors(c: Clause) -> list[ProofStep]:
+    """Factors of c, as unnumbered steps: one for every unifiable same-sign
+    literal pair."""
+    out: list[ProofStep] = []
+    for first, second in itertools.combinations(c.literals, 2):
+        if first.positive != second.positive:
+            continue
+        sub = unify(first.atom, second.atom)
+        if sub is None:
+            continue
+        step = _inference("factor", c, first, second, sub)
+        if step is not None:
+            out.append(step)
     return out
 
 
@@ -259,28 +269,8 @@ def deletes(c1: Clause, c2: Clause) -> bool:
     return len(c1) <= len(c2) and subsumes(c1, c2)
 
 
-def _freeze_sub(sub: dict[str, Term]) -> tuple[tuple[str, Term], ...]:
-    return tuple(sorted(sub.items()))
-
-
 # ---------------------------------------------------------------------------
 # Saturation
-
-
-@dataclass(frozen=True)
-class ProofStep:
-    index: int
-    rule: str  # "resolve" or "factor"
-    parents: tuple[int, ...]
-    left_literal: Literal
-    right_literal: Literal
-    unifier: tuple[tuple[str, Term], ...]
-    clause: Clause
-
-    def __str__(self):
-        sub = ", ".join(f"{v} -> {t}" for v, t in self.unifier)
-        args = ", ".join(str(p) for p in self.parents)
-        return f"step {self.index}: {self.rule}({args}) with {{{sub}}} => {self.clause}"
 
 
 @dataclass(frozen=True)
@@ -341,7 +331,6 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         deadline = limits.deadline()
     clauses: dict[int, Clause] = {}
     steps: dict[int, ProofStep] = {}
-    next_id = 1
     premise_ids: list[int] = []
     goal_ids: list[int] = []
     seen: set[Clause] = set()
@@ -349,9 +338,8 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         for c in source:
             if c not in seen:
                 seen.add(c)
-                clauses[next_id] = c
-                ids.append(next_id)
-                next_id += 1
+                clauses[len(clauses) + 1] = c
+                ids.append(len(clauses))
 
     def build_proof(empty_id: int) -> Proved:
         wanted: set[int] = set()
@@ -378,10 +366,9 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     heapq.heapify(sos)
     usable: list[int] = []
     partners: defaultdict[tuple[str, bool], list[int]] = defaultdict(list)
-    keys = {i: _keys(clauses[i]) for i in queued}
     by_keys: defaultdict[frozenset, list[int]] = defaultdict(list)
     for i in queued:
-        by_keys[keys[i]].append(i)
+        by_keys[_keys(clauses[i])].append(i)
     deleted: set[int] = set()
     generated = 0
     dropped = ""  # the reason for the last clause dropped
@@ -401,20 +388,17 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         positions: set[int] = set()
         for predicate, positive in given_keys:
             positions.update(partners.get((predicate, not positive), ()))
-        new: list[tuple[Optional[Clause], ProofStep]] = []
+        # (parents, unnumbered step) per inference of this round
+        new: list[tuple[tuple[int, ...], ProofStep]] = []
         for partner_id in (usable[p] for p in sorted(positions)):
             if partner_id in deleted:
                 continue
-            for r in resolvents(given, clauses[partner_id]):
-                step = ProofStep(0, "resolve", (given_id, partner_id),
-                                 r.left_literal, r.right_literal, r.unifier, r.clause)
-                new.append((r.clause, step))
-        for fa in factors(given):
-            step = ProofStep(0, "factor", (given_id,),
-                             fa.first, fa.second, fa.unifier, fa.clause)
-            new.append((fa.clause, step))
+            parents = (given_id, partner_id)
+            new.extend((parents, r) for r in resolvents(given, clauses[partner_id]))
+        new.extend(((given_id,), fa) for fa in factors(given))
 
-        for clause, step in new:
+        for parents, step in new:
+            clause = step.clause
             generated += 1
             if generated > limits.max_generated_clauses:
                 return LimitReached("generated clause budget")
@@ -427,14 +411,11 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
                    for group, members in by_keys.items() if group <= clause_keys
                    for k in members):
                 continue
-            cid = next_id
-            next_id += 1
+            cid = len(clauses) + 1
             clauses[cid] = clause
-            steps[cid] = ProofStep(cid, step.rule, step.parents, step.left_literal,
-                                   step.right_literal, step.unifier, clause)
+            steps[cid] = replace(step, index=cid, parents=parents)
             if clause.is_empty():
                 return build_proof(cid)
-            keys[cid] = clause_keys
             for group, members in by_keys.items():
                 if clause_keys <= group:
                     doomed = {k for k in members if deletes(clause, clauses[k])}

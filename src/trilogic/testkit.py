@@ -432,9 +432,9 @@ def _z3_expr(f: Formula) -> str:
     if isinstance(f, Atom):
         if not f.args:
             return f.predicate
-        args = ", ".join(t.name for t in f.args
-                         if isinstance(t, (Variable, Constant)))
-        return f"{f.predicate}({args})"
+        if not all(isinstance(t, (Variable, Constant)) for t in f.args):
+            raise ExecError("function terms are outside the solver-API dialect")
+        return f"{f.predicate}({', '.join(t.name for t in f.args)})"
     if isinstance(f, Not):
         return f"Not({_z3_expr(f.body)})"
     if isinstance(f, And):

@@ -89,6 +89,15 @@ class TestFreeVariables:
         f = atom("p", Function("f", (X, Constant("c"))))
         assert free_variables(f) == {"x"}
 
+    @pytest.mark.parametrize("where", ["premise", "conclusion"])
+    def test_problem_must_be_closed(self, where):
+        closed = ForAll("x", atom("p", X))
+        free = Exists("y", atom("r", X, Y))
+        premises, conclusion = ((free,), closed) if where == "premise" \
+            else ((closed,), free)
+        with pytest.raises(ValueError, match="^formula has free variables"):
+            Problem(premises, conclusion)
+
 
 class TestSubstitution:
     def test_term_substitution_recurses_into_functions(self):

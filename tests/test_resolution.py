@@ -13,7 +13,7 @@ from trilogic.dialects import parse_prover9
 from trilogic.harness import run_translation
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.resolution import (
-    LimitReached, Proved, ProofStep, Resolvent, Saturated, eligible,
+    LimitReached, Proved, ProofStep, Saturated, eligible,
     entail_resolution, factors, rename_apart, render_trace, replay_trace,
     resolution_runs, resolvents, saturate, subsumes, unify,
 )
@@ -46,7 +46,8 @@ def all_resolvents(c1, c2):
             rest = [l for l in c1 if l != l1] + [l for l in c2r if l != l2]
             clause = clause_substitute(rest, sub)
             if not clause.is_tautology():
-                out.append(Resolvent(clause, l1, l2, tuple(sorted(sub.items()))))
+                out.append(ProofStep(0, "resolve", (), l1, l2,
+                                      tuple(sorted(sub.items())), clause))
     return out
 
 
@@ -106,8 +107,8 @@ def reference_saturate(premise_clauses, goal_clauses, limits=DEFAULT_LIMITS):
                                                 r.left_literal, r.right_literal,
                                                 r.unifier, r.clause)))
         for fa in factors(given):
-            new.append((fa.clause, ProofStep(0, "factor", (given_id,), fa.first,
-                                             fa.second, fa.unifier, fa.clause)))
+            new.append((fa.clause, ProofStep(0, "factor", (given_id,), fa.left_literal,
+                                             fa.right_literal, fa.unifier, fa.clause)))
         for clause, step in new:
             generated += 1
             if generated > limits.max_generated_clauses:
@@ -174,8 +175,8 @@ def backward_reference_saturate(premise_clauses, goal_clauses,
                                                 r.left_literal, r.right_literal,
                                                 r.unifier, r.clause)))
         for fa in factors(given):
-            new.append((fa.clause, ProofStep(0, "factor", (given_id,), fa.first,
-                                             fa.second, fa.unifier, fa.clause)))
+            new.append((fa.clause, ProofStep(0, "factor", (given_id,), fa.left_literal,
+                                             fa.right_literal, fa.unifier, fa.clause)))
         for clause, step in new:
             generated += 1
             if generated > limits.max_generated_clauses:
@@ -337,6 +338,16 @@ class TestSaturate:
                     Clause((lit("w", A, pos=False),))]
         got = saturate(premises, [], ResourceLimits(max_clause_literals=1))
         assert isinstance(got, Proved) and replay_trace(got)
+
+    def test_factor_steps_name_their_parent(self):
+        # p(x) | p(y) and -p(u) | -p(v) are refuted only through factors
+        u, v = Variable("u"), Variable("v")
+        premises = [Clause((lit("p", X), lit("p", Y))),
+                    Clause((lit("p", u, pos=False), lit("p", v, pos=False)))]
+        got = saturate(premises, [])
+        assert isinstance(got, Proved) and replay_trace(got)
+        used = [s for s in got.steps if s.rule == "factor"]
+        assert used and all(len(s.parents) == 1 for s in used)
 
 
 class TestBackwardDeletion:

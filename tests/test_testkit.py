@@ -12,9 +12,9 @@ import pytest
 from trilogic import testkit
 from trilogic.dialects import parse_prover9, parse_pyke, parse_z3
 from trilogic.fol import (
-    And, Answered, Atom, DEFAULT_LIMITS, ExecError, Iff, Implies,
-    Inconsistent, Not, Or, Outcome, ParseFailed, Problem, Truth, Verdict,
-    WorldAssumption, Xor,
+    And, Answered, Atom, Constant, DEFAULT_LIMITS, ExecError, Function, Iff,
+    Implies, Inconsistent, Not, Or, Outcome, ParseFailed, Problem, Truth,
+    Verdict, WorldAssumption, Xor,
 )
 from trilogic.testkit import (
     DEFAULT_ENGINES, FULL_FOL, HORN, ORACLE_MAX_ATOMS, DiffReport, GenConfig,
@@ -360,6 +360,15 @@ class TestGenerator:
             z = parse_z3(gp.texts["z3"])
             assert z.premises == gp.problem.premises
             assert z.conclusion == gp.problem.conclusion
+
+    def test_z3_text_refuses_a_function_term(self):
+        # the solver-API dialect has no function terms: leaving f(A) out
+        # would print p(B), an atom of another arity
+        f = Atom("p", (Function("f", (Constant("A"),)), Constant("B")))
+        with pytest.raises(ExecError, match="function terms"):
+            testkit._render_z3(Problem((), f))
+        assert testkit._render_z3(Problem((), Atom("p", (Constant("B"),)))) \
+            == "return p(B)\n"
 
     def test_pyke_text_parses(self):
         gp = generate_problem(GenConfig(seed=7), 0)
