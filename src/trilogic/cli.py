@@ -47,9 +47,6 @@ def _limits_from_env() -> ResourceLimits:
     unknown = sorted(set(data) - names)
     if unknown:
         raise ValueError(f"unknown limit field(s): {', '.join(unknown)}")
-    for key, value in data.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ValueError(f"{key} must be a positive integer")
     return dataclasses.replace(DEFAULT_LIMITS, **data)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -504,10 +504,10 @@ class ResourceLimits:
     max_ground_literals: int = 1_000_000
 
     def __post_init__(self):
-        for f in (self.max_generated_clauses, self.max_clause_literals,
-                  self.wall_ms, self.max_cnf_clauses, self.max_ground_literals):
-            if f <= 0:
-                raise ValueError("limits must be strictly positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise ValueError(f"{f.name} must be a positive integer")
 
     def deadline(self, share: float = 1.0) -> float:
         """The time.monotonic() instant share of wall_ms from now; see

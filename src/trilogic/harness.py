@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from io import StringIO
@@ -33,8 +34,6 @@ from .resolution import Proved, entail_resolution, resolution_runs
 from .sat import entail_sat
 
 ENGINES = ("resolution", "sat", "chaining")
-# every dialect parses to a Problem, so every engine reads every dialect
-ENGINE_DIALECTS = {engine: DIALECTS for engine in ENGINES}
 
 
 class FigureCategory(enum.Enum):
@@ -358,8 +357,11 @@ def _percent(x: float) -> str:
     return f"{x * 100:.2f}%"
 
 
-def _one_line(text: str) -> str:
-    return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+def _md_group(group: str) -> str:
+    """A group label on one markdown line, with a backslash before each `|`
+    that would end the table cell: one after an even run of backslashes."""
+    line = group.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+    return re.sub(r"(?<!\\)((?:\\\\)*)\|", r"\1\\|", line)
 
 
 def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
@@ -371,7 +373,7 @@ def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
         ]
         for m in metrics:
             lines.append(
-                f"| {_one_line(m.group)} | {m.dialect} | {m.engine} "
+                f"| {_md_group(m.group)} | {m.dialect} | {m.engine} "
                 f"| {m.total} | {_percent(m.exec_rate)} "
                 f"| {_percent(m.accuracy)} |")
         lines.append("")
@@ -379,7 +381,7 @@ def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
         for m in metrics:
             total = m.total or 1
             lines.append(
-                f"- {_one_line(m.group)} ({m.dialect}/{m.engine}): "
+                f"- {_md_group(m.group)} ({m.dialect}/{m.engine}): "
                 f"ExecCorrect {_percent(m.exec_correct / total)}, "
                 f"ExecIncorrect {_percent(m.exec_incorrect / total)}, "
                 f"NonExecParse {_percent(m.nonexec_parse / total)}, "

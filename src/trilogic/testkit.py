@@ -461,30 +461,39 @@ def _render_z3(p: Problem) -> str:
 
 
 def _render_pyke(p: Problem) -> str:
-    """The rule-engine text of a Horn problem: its atom premises are the
-    facts and its `all x (body -> head)` premises the rules, in order."""
-    def literal(a: Formula) -> str:
-        assert isinstance(a, Atom)
+    """The rule-engine text of a problem, the inverse of parse_pyke: its
+    literal premises are the facts and the others, each an implication
+    under its `all`s, the rules, in order. Raises ExecError on any other
+    premise and on a query that is not an atom."""
+    def literal(f: Formula) -> str:
+        a = f.body if isinstance(f, Not) else f
+        if not isinstance(a, Atom):
+            raise ExecError("formula outside the rule dialect")
         args = [f"${t}" if isinstance(t, Variable) else str(t)
                 for t in a.args]
-        return f"{a.predicate}({', '.join(args + ['True'])})"
+        slot = "False" if isinstance(f, Not) else "True"
+        return f"{a.predicate}({', '.join(args + [slot])})"
 
+    facts, rules = [], []
+    for f in p.premises:
+        if isinstance(f, (Atom, Not)):
+            facts.append(literal(f))
+            continue
+        while isinstance(f, ForAll):
+            f = f.body
+        if not isinstance(f, Implies):
+            raise ExecError("formula outside the rule dialect")
+        parts = f.left.parts if isinstance(f.left, And) else (f.left,)
+        rules.append(f"{' && '.join(map(literal, parts))} >>> "
+                     f"{literal(f.right)}")
+    if not isinstance(p.conclusion, Atom):
+        raise ExecError("the query must be an atom")
     lines = ["Predicates:"]
     for pred, arity in _collect_atoms(p)[0]:
         slots = [f"$x{i}" for i in range(arity)] + ["bool"]
         lines.append(f"{pred}({', '.join(slots)})")
-    lines.append("Facts:")
-    lines.extend(literal(f) for f in p.premises if isinstance(f, Atom))
-    lines.append("Rules:")
-    for f in p.premises:
-        if isinstance(f, ForAll) and isinstance(f.body, Implies):
-            body = f.body.left
-            parts = body.parts if isinstance(body, And) else (body,)
-            lines.append(f"{' && '.join(map(literal, parts))} >>> "
-                         f"{literal(f.body.right)}")
-    lines.append("Query:")
-    lines.append(str(p.conclusion))
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, "Facts:", *facts, "Rules:", *rules,
+                      "Query:", str(p.conclusion)]) + "\n"
 
 
 # labels a definite-program or full-FOL draw can actually take under OWA

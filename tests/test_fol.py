@@ -8,8 +8,9 @@ import pytest
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.fol import (
     And, Atom, Clause, Constant, ExecError, Exists, ForAll, Function, Iff,
-    Implies, Literal, Not, Or, ParseError, Problem, Term, Variable, Xor, free_variables,
-    pretty, subformulas, substitute_term, subterms,
+    Implies, Literal, Not, Or, ParseError, Problem, ResourceLimits, Term,
+    Variable, Xor, free_variables, pretty, subformulas, substitute_term,
+    subterms,
 )
 from trilogic.testkit import (
     FULL_FOL, HORN, GenConfig, _collect_atoms, _existential_witnesses,
@@ -68,6 +69,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Verdict(Truth.TRUE, resource_limited=True)
         assert Verdict(Truth.UNKNOWN, resource_limited=True).resource_limited
+
+    @pytest.mark.parametrize("field,value", [
+        ("wall_ms", True), ("wall_ms", "fast"), ("wall_ms", 0),
+        ("max_cnf_clauses", 2.5), ("max_ground_literals", -1),
+        ("max_clause_literals", None)])
+    def test_limits_take_only_positive_integers(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a positive integer$"):
+            ResourceLimits(**{field: value})
+        assert getattr(ResourceLimits(**{field: 7}), field) == 7
 
 
 class TestFreeVariables:

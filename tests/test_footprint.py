@@ -51,3 +51,19 @@ def test_one_solve_loads_no_lazy_module():
     assert loaded_lazy_modules("solve", str(DATA_DIR / "anne.p9"),
                                "--dialect", "prover9",
                                "--engine", "resolution") == []
+
+
+def test_package_namespace_holds_only_its_modules():
+    # every name is reached through its module; `import trilogic` loads
+    # the eight modules and binds nothing else
+    code = ("import json, sys, types; sys.path.insert(0, sys.argv[1]); "
+            "import trilogic; print(json.dumps(sorted("
+            "(n, isinstance(v, types.ModuleType)) for n, v in "
+            "vars(trilogic).items() if not n.startswith('_'))))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert json.loads(out.stdout) == [
+        [name, True] for name in ("chaining", "dialects", "fol", "harness",
+                                  "normalize", "resolution", "sat",
+                                  "testkit")]

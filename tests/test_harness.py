@@ -430,9 +430,11 @@ class TestRenderReport:
 
     @staticmethod
     def tagged(value):
-        """The micro runs' metrics with every run's dataset tag set to value."""
-        return compute_metrics([dataclasses.replace(r, tags={"dataset": value})
-                                for r in micro_runs()])
+        """The micro runs' metrics with every run's dataset tag set to value,
+        or with value as every run's tags, grouped by all of them."""
+        tags = value if isinstance(value, dict) else {"dataset": value}
+        return compute_metrics([dataclasses.replace(r, tags=tags)
+                                for r in micro_runs()], tuple(tags))
 
     @pytest.mark.parametrize("value,group", [
         ("x\ny", "dataset=x\ny"), ("x\r\ny", "dataset=x\r\ny"),
@@ -447,7 +449,12 @@ class TestRenderReport:
 
     @pytest.mark.parametrize("value,shown", [
         ("x\ny", "x y"), ("x\r\ny", "x y"), ("x\ry", "x y"),
-        ("p|q", "p\\|q"), ("p\\|q", "p\\\\\\|q")])
+        ("p|q", "p\\|q"), ("p\\|q", "p\\\\\\|q"),
+        # two keys, as eval-batch's fragment,world grouping gives
+        pytest.param({"dataset": "p", "world": "OWA"}, "p\\|world=OWA",
+                     id="two-keys"),
+        pytest.param({"dataset": "p\\", "world": "OWA"},
+                     "p\\\\\\|world=OWA", id="two-keys-backslash")])
     def test_markdown_keeps_one_row_per_group(self, value, shown):
         lines = render_report(self.tagged(value)).decode().split("\n")
         assert lines[3] == ""  # the table is header, rule and one row

@@ -4,19 +4,21 @@ Every mutated generator text, through every engine and dialect pair,
 lands in exactly one run category without raising, within its budget.
 """
 
+import itertools
 import time
 
 import pytest
 
+from trilogic.dialects import DIALECTS
 from trilogic.fol import ResourceLimits
 from trilogic.harness import (
-    ENGINE_DIALECTS, FigureCategory, classify_outcome, run_translation,
+    ENGINES, FigureCategory, classify_outcome, run_translation,
 )
 
 from hostile import mutants
 
 LIMITS = ResourceLimits(wall_ms=300)
-PAIRS = [(e, d) for e, dialects in ENGINE_DIALECTS.items() for d in dialects]
+PAIRS = list(itertools.product(ENGINES, DIALECTS))
 
 
 @pytest.mark.parametrize("engine,dialect", PAIRS)

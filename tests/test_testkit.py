@@ -12,15 +12,18 @@ import pytest
 from trilogic import testkit
 from trilogic.dialects import parse_prover9, parse_pyke, parse_z3
 from trilogic.fol import (
-    And, Answered, Atom, Constant, DEFAULT_LIMITS, ExecError, Function, Iff,
-    Implies, Inconsistent, Not, Or, Outcome, ParseFailed, Problem, Truth,
-    Verdict, WorldAssumption, Xor,
+    And, Answered, Atom, Constant, DEFAULT_LIMITS, ExecError, ForAll,
+    Function, Iff, Implies, Inconsistent, Not, Or, Outcome, ParseError,
+    ParseFailed, Problem, Truth, Variable, Verdict, WorldAssumption, Xor,
 )
 from trilogic.testkit import (
     DEFAULT_ENGINES, FULL_FOL, HORN, ORACLE_MAX_ATOMS, DiffReport, GenConfig,
     GeneratedProblem, differential_check, enumerate_models, generate_problem,
-    generate_suite, oracle_universe, _BLOCK_ATOMS, _Evaluator, _tiled_column,
+    generate_suite, oracle_universe, _BLOCK_ATOMS, _Evaluator, _render_pyke,
+    _tiled_column,
 )
+
+from conftest import DATA_DIR
 
 
 def p9(text):
@@ -423,6 +426,61 @@ class TestGenerator:
         chi2 = sum((counts.get(t, 0) - expected) ** 2 / expected
                    for t in (Truth.TRUE, Truth.FALSE, Truth.UNKNOWN))
         assert chi2 < 9.210
+
+
+class TestRenderPyke:
+    @staticmethod
+    def round_trips(text):
+        problem = parse_pyke(text)
+        assert parse_pyke(_render_pyke(problem)) == problem
+
+    def test_fixtures_round_trip(self):
+        # anne.pyke has a rule with no variable, contradict.pyke a False fact
+        parsed = []
+        for path in sorted(DATA_DIR.glob("*.pyke")):
+            try:
+                problem = parse_pyke(path.read_text(encoding="utf-8"))
+            except (ParseError, ExecError):
+                continue
+            assert parse_pyke(_render_pyke(problem)) == problem, path.name
+            parsed.append(path.name)
+        assert parsed == ["anne.pyke", "contradict.pyke"]
+
+    def test_generated_horn_texts_round_trip(self):
+        for cfg, depths in EVAL_BATCH_SUITES:
+            if cfg.fragment == HORN:
+                for gp in generate_suite(cfg, 12, depths):
+                    self.round_trips(gp.texts["pyke"])
+
+    @pytest.mark.parametrize("rule", [
+        "quiet(Anne, True) >>> red(Anne, True)",  # no variable
+        "quiet($x, False) >>> red($x, True)",  # negated body literal
+        "quiet($x, True) >>> red($x, False)",  # negated head
+        "red($x, True) && quiet($y, False) >>> near($x, $y, True)",
+        "odd(True) >>> red(Anne, True)",  # zero-arity predicate
+    ])
+    def test_rule_shapes_round_trip(self, rule):
+        self.round_trips("Facts:\nquiet(Anne, False)\nnear(Anne, Bob, True)\n"
+                         f"Rules:\n{rule}\nQuery:\nred(Anne)\n")
+
+    @pytest.mark.parametrize("premise", [
+        Or((Atom("p", (Constant("A"),)), Atom("q", (Constant("A"),)))),
+        Not(Not(Atom("p", (Constant("A"),)))),
+        ForAll("x", Atom("p", (Variable("x"),))),
+        Implies(Or((Atom("p", (Constant("A"),)), Atom("q", (Constant("A"),)))),
+                Atom("r", (Constant("A"),))),
+        ForAll("x", Implies(Atom("p", (Variable("x"),)),
+                            And((Atom("q", (Variable("x"),)),
+                                 Atom("r", (Variable("x"),)))))),
+    ])
+    def test_premise_outside_the_dialect_raises(self, premise):
+        with pytest.raises(ExecError, match="outside the rule dialect"):
+            _render_pyke(Problem((premise,), Atom("p", (Constant("A"),))))
+
+    def test_query_must_be_an_atom(self):
+        a = Atom("p", (Constant("A"),))
+        with pytest.raises(ExecError, match="must be an atom"):
+            _render_pyke(Problem((a,), Not(a)))
 
 
 class TestDifferential:

@@ -5,13 +5,14 @@ bypassed function would silently drop a per-layer metric; these checks
 catch that in the fast suite.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
 
 from trilogic import harness
-from trilogic.harness import ENGINE_DIALECTS
+from trilogic.dialects import DIALECTS
 
 from conftest import read_fixture
 
@@ -38,8 +39,8 @@ def test_wrap_points_resolve(tracer):
             f"{module.__name__}.{attr}"
 
 
-@pytest.mark.parametrize("engine,dialect", [
-    (e, d) for e, dialects in ENGINE_DIALECTS.items() for d in dialects])
+@pytest.mark.parametrize("engine,dialect",
+                         itertools.product(harness.ENGINES, DIALECTS))
 def test_run_translation_is_traced(tracer, engine, dialect):
     text = read_fixture(TEXTS[dialect])
     t = tracer.Tracer()
@@ -52,8 +53,8 @@ def test_run_translation_is_traced(tracer, engine, dialect):
     assert t.counts[SEARCH_COUNTER[engine]] >= 1
 
 
-@pytest.mark.parametrize("engine,dialect", [
-    (e, d) for e, dialects in ENGINE_DIALECTS.items() for d in dialects])
+@pytest.mark.parametrize("engine,dialect",
+                         itertools.product(harness.ENGINES, DIALECTS))
 def test_clausification_is_traced(tracer, engine, dialect):
     # dual_run clausifies the premises and both goals through
     # resolution.clausify_all, which the tracer rebinds; a driver that
