@@ -17,8 +17,9 @@ body literal), and a literal conclusion. Anything else is an ExecError.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .fol import (
     MAX_NESTING_DEPTH, And, Answered, Atom, Constant, DeadlineExceeded,
@@ -35,13 +36,21 @@ _Compiled = tuple[str, bool, tuple[_Code, ...]]
 # a fact's index key: (predicate, truth, arity)
 _Key = tuple[str, bool, int]
 
+# a key's argument index: (argument position, constant) -> the ascending
+# positions, in the key's fact list, of the facts that hold that constant
+# there
+_ArgIndex = dict[tuple[int, str], list[int]]
+
 # a compiled rule: (body, head, number of variable slots)
 _Rule = tuple[tuple[_Compiled, ...], _Compiled, int]
-# a join step: match these codes against facts[lo:hi]
-_Step = tuple[list[tuple[str, ...]], int, int, tuple[_Code, ...]]
+# a join step: match these codes against facts[lo:hi], the facts of key
+_Step = tuple[list[tuple[str, ...]], int, int, tuple[_Code, ...], _Key]
 
 # join probes between two looks at the clock
 _PROBES_PER_CHECK = 4096
+# a join step scans a slice this short rather than read the argument
+# index: on small stores the lookup costs more than the facts it skips
+_SCAN_AT_MOST = 8
 
 
 class InconsistentFacts(ExecError):
@@ -116,17 +125,35 @@ def compile_rules(problem: Problem) -> RuleBase:
 
 
 def _join(plan: list[_Step], binding: list[Optional[str]], deadline: float,
-          probes: list[int], d: int = 0) -> Iterator[list[Optional[str]]]:
+          probes: list[int], args_of: Callable[[_Key], _ArgIndex], d: int = 0
+          ) -> Iterator[list[Optional[str]]]:
     """Every extension of binding that matches plan[d:] in turn.
 
-    It yields binding itself, updated in place between yields. probes[0]
-    counts the facts tried; the clock is read every _PROBES_PER_CHECK.
+    A step reads its facts[lo:hi] in store order. Where that slice holds
+    more than _SCAN_AT_MOST facts and the step has a bound argument (a
+    constant, or a variable that binding holds), it reads only the facts
+    that args_of(key) lists for the first such argument's value; either
+    way, each fact read is checked on every argument. It yields binding
+    itself, updated in place between yields. probes[0] counts the facts
+    read; the clock is read every _PROBES_PER_CHECK.
     """
     if d == len(plan):
         yield binding
         return
-    facts, lo, hi, codes = plan[d]
-    for args in facts[lo:hi]:
+    facts, lo, hi, codes, key = plan[d]
+    value = None
+    if hi - lo > _SCAN_AT_MOST:
+        for at, code in enumerate(codes):
+            value = code if type(code) is str else binding[code]
+            if value is not None:
+                break
+    if value is None:
+        rows: Iterable[tuple[str, ...]] = facts[lo:hi]
+    else:
+        hits = args_of(key).get((at, value), [])
+        rows = map(facts.__getitem__,
+                   hits[bisect_left(hits, lo):bisect_left(hits, hi)])
+    for args in rows:
         probes[0] += 1
         if not probes[0] % _PROBES_PER_CHECK and time.monotonic() > deadline:
             raise DeadlineExceeded("wall clock budget")
@@ -142,9 +169,14 @@ def _join(plan: list[_Step], binding: list[Optional[str]], deadline: float,
             elif code != name:
                 break
         else:
-            yield from _join(plan, binding, deadline, probes, d + 1)
+            yield from _join(plan, binding, deadline, probes, args_of, d + 1)
         for slot in newly:
             binding[slot] = None
+
+
+def _index_args(by_arg: _ArgIndex, n: int, args: tuple[str, ...]) -> None:
+    for at, name in enumerate(args):
+        by_arg.setdefault((at, name), []).append(n)
 
 
 def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
@@ -157,19 +189,27 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
     facts older than the delta, those right of it read the facts up to the
     delta's end, so no combination of facts is joined twice. Facts are
     indexed by (predicate, truth, arity), so a join only reads facts that
-    can match.
+    can match. The first time a join step would read more than
+    _SCAN_AT_MOST of a key's facts with an argument bound, the key also
+    gets an argument index, from (argument position, constant) to the
+    positions of the facts that hold the constant there, and from then on
+    such steps read only those facts (see _join). A closure join then
+    reads one edge per new path, not every edge.
 
     The store holds the given facts and then each round's new facts. That
     order is deterministic, but it is not the order in which a naive loop
-    derives them. The run has wall_ms to finish; the clock is read once per
-    round and every few thousand join probes, and past the deadline the run
-    raises DeadlineExceeded.
+    derives them. The argument index hands out facts in store order, so
+    it changes which facts a join reads, never the store or the fact at
+    which an error is raised. The run has wall_ms to finish; the clock is
+    read once per round and every few thousand join probes, and past the
+    deadline the run raises DeadlineExceeded.
     """
     deadline = limits.deadline()
     probes = [0]
     store: list[Fact] = []
     present: set[Fact] = set()
     index: dict[_Key, list[tuple[str, ...]]] = {}
+    arg_index: dict[_Key, _ArgIndex] = {}
 
     def add(fact: Fact) -> None:
         if fact in present:
@@ -183,7 +223,19 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
             raise ExecError("fact store budget exceeded")
         present.add(fact)
         store.append(fact)
-        index.setdefault((fact[0], fact[2], len(fact[1])), []).append(fact[1])
+        key = (fact[0], fact[2], len(fact[1]))
+        facts = index.setdefault(key, [])
+        if key in arg_index:
+            _index_args(arg_index[key], len(facts), fact[1])
+        facts.append(fact[1])
+
+    def args_of(key: _Key) -> _ArgIndex:
+        by_arg = arg_index.get(key)
+        if by_arg is None:
+            by_arg = arg_index[key] = {}
+            for n, args in enumerate(index[key]):
+                _index_args(by_arg, n, args)
+        return by_arg
 
     def instantiate(head: _Compiled, binding: list[Optional[str]]) -> Fact:
         predicate, value, codes = head
@@ -193,6 +245,8 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
     for fact in rb.facts:
         add(fact)
 
+    rules = [(body, head, width, [(p, v, len(codes)) for p, v, codes in body])
+             for body, head, width in rb.rules]
     empty: list[tuple[str, ...]] = []
     # facts older than the delta, per index key
     older: dict[_Key, int] = {}
@@ -204,21 +258,20 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
         upto = {key: len(facts) for key, facts in index.items()}
         if all(older.get(key, 0) == end for key, end in upto.items()):
             return tuple(store)
-        for body, head, width in rb.rules:
-            keys = [(p, v, len(codes)) for p, v, codes in body]
+        for body, head, width, keys in rules:
             for i, key in enumerate(keys):
                 start, end = older.get(key, 0), upto.get(key, 0)
                 if start == end:
                     continue
-                plan = [(index[key], start, end, body[i][2])]
+                plan = [(index[key], start, end, body[i][2], key)]
                 for j, other in enumerate(keys):
                     if j != i:
                         hi = older.get(other, 0) if j < i \
                             else upto.get(other, 0)
                         plan.append((index.get(other, empty), 0, hi,
-                                     body[j][2]))
+                                     body[j][2], other))
                 for binding in _join(plan, [None] * width, deadline,
-                                     probes):
+                                     probes, args_of):
                     add(instantiate(head, binding))
         older = upto
 

@@ -20,8 +20,7 @@ from typing import Iterable
 
 from ..fol import (
     MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, ForAll, Formula,
-    Implies, Not, ParseError, Problem, SourceSpan, Term, Variable,
-    subformulas, too_deep,
+    Implies, Not, ParseError, Problem, SourceSpan, Term, Variable, too_deep,
 )
 from ._lex import (
     PUNCTUATION, Cursor, Lexer, end_span, section_lines,
@@ -110,7 +109,8 @@ def _parse_fact(parser: _LineParser) -> Formula:
     return fact
 
 
-def _parse_rule(parser: _LineParser) -> Formula:
+def _parse_rule(parser: _LineParser) -> tuple[Formula, list[Formula]]:
+    """The rule, and its literals: the body's in order, then the head."""
     # the engine's join nests one level per body literal
     body = [parser.literal()]
     while parser.peek() == "andand":
@@ -143,7 +143,7 @@ def _parse_rule(parser: _LineParser) -> Formula:
     rule: Formula = Implies(body[0] if len(body) == 1 else And(body), head)
     for name in reversed(variables):
         rule = ForAll(name, rule)
-    return rule
+    return rule, [*body, head]
 
 
 def _parse_query(parser: _LineParser) -> Atom:
@@ -164,19 +164,19 @@ def _parse_query(parser: _LineParser) -> Atom:
 
 def _check_arities(declarations: list[tuple[str, int]],
                    uses: Iterable[tuple[Formula, str]]) -> None:
-    """ExecError at the first atom of uses, a (formula, where) pair, whose
-    arity clashes with its predicate's declaration or, with no
-    declarations, with the predicate's first use."""
+    """ExecError at the first literal of uses, a (literal, where) pair
+    whose literal is an atom or a negated atom, whose arity clashes with
+    its predicate's declaration or, with no declarations, with the
+    predicate's first use."""
     declared: dict[str, int] = {}
     for name, arity in declarations:
         if declared.setdefault(name, arity) != arity:
             raise ExecError(f"predicate '{name}' declared twice with "
                             f"different arities")
     inferred: dict[str, int] = {}
-    for g, where in uses:
-        if not isinstance(g, Atom):
-            continue
-        name, arity = g.predicate, len(g.args)
+    for literal, where in uses:
+        atom = literal.body if isinstance(literal, Not) else literal
+        name, arity = atom.predicate, len(atom.args)
         if declared:
             if name not in declared:
                 raise ExecError(f"undeclared predicate '{name}' in {where}")
@@ -202,6 +202,8 @@ def parse_pyke(text: str) -> Problem:
     declarations: list[tuple[str, int]] = []
     facts: list[Formula] = []
     rules: list[Formula] = []
+    # the rules' literals, rule by rule, for the arity check
+    rule_literals: list[Formula] = []
     query: Atom | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
         parser = _LineParser(_LEXER, content, line_no, len(raw))
@@ -212,7 +214,9 @@ def parse_pyke(text: str) -> Problem:
             if not has_arrow:
                 raise ParseError("expected a rule (missing '>>>')",
                                  SourceSpan(line_no, 1))
-            rules.append(_parse_rule(parser))
+            rule, literals = _parse_rule(parser)
+            rules.append(rule)
+            rule_literals += literals
         elif section == "facts":
             facts.append(_parse_fact(parser))
         else:
@@ -224,7 +228,7 @@ def parse_pyke(text: str) -> Problem:
     if query is None:
         raise ParseError("missing Query section", end_span(text))
     _check_arities(declarations, [
-        *((g, "a fact") for g in subformulas(*facts)),
-        *((g, "a rule") for g in subformulas(*rules)),
+        *((f, "a fact") for f in facts),
+        *((f, "a rule") for f in rule_literals),
         (query, "the query")])
     return Problem((*facts, *rules), query)

@@ -1,9 +1,11 @@
 """Forward-chaining engine: rule compilation, fixpoints, query answers."""
 
 import random
+import time
 
 import pytest
 
+from trilogic import chaining
 from trilogic.chaining import (
     InconsistentFacts, answer_query, compile_rules, dump_fixpoint,
     entail_chaining, forward_chain,
@@ -145,6 +147,12 @@ class TestForwardChain:
                            ResourceLimits(wall_ms=5000))
         assert len(fp) == 59 + 59 * 60 // 2
 
+    def test_closure_over_200_constants_within_budget(self):
+        # the scan join read every edge for each new path: about 3 s here
+        fp = forward_chain(compile_rules(parse_pyke(closure(200))),
+                           ResourceLimits(wall_ms=2000))
+        assert len(fp) == 199 + 199 * 200 // 2
+
     def test_past_deadline_raises(self):
         rb = compile_rules(parse_pyke(closure(80)))
         with pytest.raises(DeadlineExceeded):
@@ -223,10 +231,11 @@ def naive_fixpoint(problem, limits):
 ARITY = {"p": 1, "q": 1, "s": 1, "r": 2, "t": 2}
 
 
-def random_program(rng):
+def random_program(rng, constants=(2, 4), facts=(1, 8)):
     """A Problem of facts and 1-5 rules over unary and binary predicates,
-    both truths; a False truth is a Not."""
-    names = [f"c{k}" for k in range(rng.randint(2, 4))]
+    both truths; a False truth is a Not. constants and facts bound how
+    many of each it draws."""
+    names = [f"c{k}" for k in range(rng.randint(*constants))]
     preds = sorted(ARITY)
 
     def truth():
@@ -235,8 +244,9 @@ def random_program(rng):
     def signed(atom, value):
         return atom if value else Not(atom)
 
+    drawn = rng.randint(*facts)
     facts = []
-    for _ in range(rng.randint(1, 8)):
+    for _ in range(drawn):
         pred = rng.choice(preds)
         fact = signed(Atom(pred, tuple(Constant(rng.choice(names))
                                        for _ in range(ARITY[pred]))), truth())
@@ -267,6 +277,20 @@ def random_program(rng):
     return Problem((*facts, *rules), Atom("p", (Constant(names[0]),)))
 
 
+def wide_program(rng):
+    """A random_program over 3-6 constants and 10-30 facts, less each
+    given fact whose negation an earlier premise states, so that its
+    stores grow past a few facts per key."""
+    problem = random_program(rng, constants=(3, 6), facts=(10, 30))
+    kept, seen = [], set()
+    for premise in problem.premises:
+        if (premise.body if isinstance(premise, Not) else Not(premise)) \
+                not in seen:
+            seen.add(premise)
+            kept.append(premise)
+    return Problem(tuple(kept), problem.conclusion)
+
+
 def chain_problem(problem, limits):
     return forward_chain(compile_rules(problem), limits)
 
@@ -277,6 +301,165 @@ def run_to_fixpoint(chain, problem, limits):
         return dump_fixpoint(chain(problem, limits))
     except ExecError as e:  # InconsistentFacts is an ExecError too
         return type(e)
+
+
+def scan_join(plan, binding, deadline, probes, d=0):
+    """The join before the argument index: every step scans its slice."""
+    if d == len(plan):
+        yield binding
+        return
+    facts, lo, hi, codes = plan[d]
+    for args in facts[lo:hi]:
+        probes[0] += 1
+        if not probes[0] % 4096 and time.monotonic() > deadline:
+            raise DeadlineExceeded("wall clock budget")
+        newly = []
+        for code, name in zip(codes, args):
+            if type(code) is int:
+                held = binding[code]
+                if held is None:
+                    binding[code] = name
+                    newly.append(code)
+                elif held != name:
+                    break
+            elif code != name:
+                break
+        else:
+            yield from scan_join(plan, binding, deadline, probes, d + 1)
+        for slot in newly:
+            binding[slot] = None
+
+
+def scan_forward_chain(rb, limits):
+    """forward_chain before the argument index, the reference for it."""
+    deadline = limits.deadline()
+    probes = [0]
+    store, present, index = [], set(), {}
+
+    def add(fact):
+        if fact in present:
+            return
+        if (fact[0], fact[1], not fact[2]) in present:
+            raise InconsistentFacts(
+                f"inconsistent facts: {fact[0]}({', '.join(fact[1])}) "
+                "asserted both True and False")
+        if len(store) >= limits.max_ground_literals:
+            raise ExecError("fact store budget exceeded")
+        present.add(fact)
+        store.append(fact)
+        index.setdefault((fact[0], fact[2], len(fact[1])), []).append(fact[1])
+
+    def instantiate(head, binding):
+        predicate, value, codes = head
+        return predicate, tuple(binding[c] if type(c) is int else c
+                                for c in codes), value
+
+    for fact in rb.facts:
+        add(fact)
+    older = {}
+    while True:
+        if time.monotonic() > deadline:
+            raise DeadlineExceeded("wall clock budget")
+        upto = {key: len(facts) for key, facts in index.items()}
+        if all(older.get(key, 0) == end for key, end in upto.items()):
+            return tuple(store)
+        for body, head, width in rb.rules:
+            keys = [(p, v, len(codes)) for p, v, codes in body]
+            for i, key in enumerate(keys):
+                start, end = older.get(key, 0), upto.get(key, 0)
+                if start == end:
+                    continue
+                plan = [(index[key], start, end, body[i][2])]
+                for j, other in enumerate(keys):
+                    if j != i:
+                        hi = older.get(other, 0) if j < i \
+                            else upto.get(other, 0)
+                        plan.append((index.get(other, []), 0, hi,
+                                     body[j][2]))
+                for binding in scan_join(plan, [None] * width, deadline,
+                                         probes):
+                    add(instantiate(head, binding))
+        older = upto
+
+
+def chain_outcome(chain, rb, limits):
+    """The fact store, in order, or the class and message of the error."""
+    try:
+        return chain(rb, limits)
+    except ExecError as e:  # InconsistentFacts is an ExecError too
+        return type(e), str(e)
+
+
+# rule shapes the argument index must read as the scan does, each over a
+# store large enough that every join step has more than eight facts
+SHAPES = {
+    "repeated variable": "r($x, $x, True) && r($x, $y, True) >>> s($y, True)",
+    "constant in body": "r(C3, $x, True) && r($x, $y, True) >>> t(C3, $y, True)",
+    "false body literal":
+        "r($x, $y, True) && q($y, $x, False) >>> t($x, $y, True)",
+    "three literals":
+        "r($x, $y, True) && r($y, $z, True) && q($z, $w, False)"
+        " >>> t($x, $w, True)",
+    "head clashes": "r($x, $y, True) && r($y, $z, True) >>> q($x, $z, True)",
+}
+
+
+def shaped(rule):
+    """rule, then transitivity of r, over a 12-constant cycle of r facts
+    with loops at every third constant, and q(C_i, C_j, False) for every
+    i + 2 = j; pyke text."""
+    n = 12
+    facts = [f"r(C{i}, C{(i + 1) % n}, True)" for i in range(n)]
+    facts += [f"r(C{i}, C{i}, True)" for i in range(0, n, 3)]
+    facts += [f"q(C{i}, C{i + 2}, False)" for i in range(n - 2)]
+    return ("Predicates:\nr($x, $y, bool)\nq($x, $y, bool)\ns($x, bool)\n"
+            "t($x, $y, bool)\n\nFacts:\n" + "\n".join(facts) + "\n\n"
+            f"Rules:\n{rule}\nr($x, $y, True) && r($y, $z, True)"
+            " >>> r($x, $z, True)\n\nQuery:\ns(C0)\n")
+
+
+@pytest.fixture(params=["default", "always"])
+def index_cut(request, monkeypatch):
+    """The slice size up to which a join step scans, as it ships, and at
+    0, so that every join step with a bound argument reads the index."""
+    if request.param == "always":
+        monkeypatch.setattr(chaining, "_SCAN_AT_MOST", 0)
+
+
+@pytest.mark.usefixtures("index_cut")
+class TestArgumentIndex:
+    """forward_chain returns the scan join's store, in the same order, or
+    raises its error at the same fact."""
+
+    @pytest.mark.parametrize("draw", [random_program, wide_program],
+                             ids=["small", "wide"])
+    def test_matches_the_scan_join_on_random_programs(self, draw):
+        outcomes = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            problem = draw(rng)
+            cap = rng.choice([DEFAULT_LIMITS.max_ground_literals,
+                              rng.randint(3, 20)])
+            limits = ResourceLimits(max_ground_literals=cap)
+            rb = compile_rules(problem)
+            want = chain_outcome(scan_forward_chain, rb, limits)
+            assert chain_outcome(forward_chain, rb, limits) == want, seed
+            outcomes.add(want[0] if isinstance(want[0], type) else tuple)
+        assert outcomes == {tuple, InconsistentFacts, ExecError}
+
+    @pytest.mark.parametrize("rule", SHAPES.values(), ids=SHAPES)
+    @pytest.mark.parametrize("cap", [DEFAULT_LIMITS.max_ground_literals, 100])
+    def test_matches_the_scan_join_on_rule_shapes(self, rule, cap):
+        rb = compile_rules(parse_pyke(shaped(rule)))
+        limits = ResourceLimits(max_ground_literals=cap)
+        want = chain_outcome(scan_forward_chain, rb, limits)
+        assert chain_outcome(forward_chain, rb, limits) == want
+
+    def test_matches_the_scan_join_on_closures(self):
+        for n in (2, 9, 10, 30):
+            rb = compile_rules(parse_pyke(closure(n)))
+            assert forward_chain(rb, DEFAULT_LIMITS) == \
+                scan_forward_chain(rb, DEFAULT_LIMITS), n
 
 
 class TestAnswerQuery:
