@@ -280,10 +280,12 @@ def answer_query(fixpoint: tuple[Fact, ...], query: Fact) -> Verdict:
     """True when the fact store holds the query, False when it holds the
     query with the other truth, Unknown when it holds neither."""
     name, args, value = query
-    present = set(fixpoint)
-    if query in present:
+    flip = (name, args, not value)
+    # one pass over the store, each fact looked up in a two-fact set
+    held = {query, flip}.intersection(fixpoint)
+    if query in held:
         return Verdict(Truth.TRUE)
-    if (name, args, not value) in present:
+    if flip in held:
         return Verdict(Truth.FALSE)
     return Verdict(Truth.UNKNOWN)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -30,18 +31,37 @@ DUMMY_CONSTANT = "_c0"
 # clause instances grounded between two looks at the clock
 _COMBOS_PER_CHECK = 1024
 
+# the highest atom a set's clauses name, its unit literals, and its
+# clauses of two or more literals, each without repeats or tautologies
+_Intake = tuple[int, list[int], list[tuple[int, ...]]]
+_NO_CLAUSES: _Intake = (0, [], [])
+
 
 @dataclass
 class PropClauseSet:
     """Ground clauses as DIMACS-style signed 1-based indices.
 
     table maps each ground atom, as its plain (predicate, names) tuple, to
-    its index, in the order the indices were handed out.
+    its index, in the order the indices were handed out. A set is not
+    changed once built: what ground and dpll read off a base set is
+    worked out once, on first use, and kept on it.
     """
 
     clauses: list[tuple[int, ...]]
     atom_count: int
     table: dict[tuple[str, tuple[str, ...]], int]
+
+    @cached_property
+    def _instances(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.clauses)
+
+    @cached_property
+    def _literal_count(self) -> int:
+        return sum(map(len, self.clauses))
+
+    @cached_property
+    def _intake(self) -> Optional[_Intake]:
+        return _take_in(self.clauses)
 
 
 def ground(clauses: Iterable[Clause], constants: Iterable[str],
@@ -61,6 +81,9 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
     clauses extend, as a problem's goal extends its premises. The result
     numbers its atoms on from a copy of base's table and holds only the
     instances base lacks; the literal budget counts base's literals too.
+    base's instance set and literal count are read in once per base, not
+    once per call, so of the premises each goal grounded on them copies
+    only the atom table.
     """
     if deadline is None:
         deadline = limits.deadline()
@@ -69,12 +92,13 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
         universe = [DUMMY_CONSTANT]
     if base is None:
         table: dict[tuple[str, tuple[str, ...]], int] = {}
-        seen: set[tuple[int, ...]] = set()
+        known: frozenset[tuple[int, ...]] = frozenset()
         total_literals = 0
     else:
         table = dict(base.table)
-        seen = set(base.clauses)
-        total_literals = sum(map(len, base.clauses))
+        known = base._instances
+        total_literals = base._literal_count
+    seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     literal_budget = limits.max_ground_literals
 
@@ -113,7 +137,7 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
             else:
                 # no tautology, so abs alone orders the literals
                 instance = tuple(sorted(signed, key=abs))
-                if instance in seen:
+                if instance in seen or instance in known:
                     continue
                 seen.add(instance)
                 total_literals += len(instance)
@@ -145,8 +169,32 @@ def _clause_constants(clauses: Iterable[Clause]) -> set[str]:
             for t in subterms(arg) if isinstance(t, Constant)}
 
 
-def dpll(cs: PropClauseSet, deadline: Optional[float] = None
-         ) -> Optional[dict[int, bool]]:
+def _take_in(clauses: list[tuple[int, ...]]) -> Optional[_Intake]:
+    """dpll's reading of clauses, in their order; None if one is empty.
+
+    A clause with a repeated literal loses the repeats, and a tautology
+    is dropped, before its atoms count towards the highest atom.
+    """
+    units: list[int] = []
+    long_clauses: list[tuple[int, ...]] = []
+    for c in clauses:
+        if len(set(map(abs, c))) < len(c):  # a repeat, or a tautology
+            c = tuple(dict.fromkeys(c))
+            if any(-l in c for l in c):
+                continue
+        if len(c) > 1:
+            long_clauses.append(c)
+        elif c:
+            units.append(c[0])
+        else:
+            return None
+    top = max(map(abs, itertools.chain(
+        units, itertools.chain.from_iterable(long_clauses))), default=0)
+    return top, units, long_clauses
+
+
+def dpll(cs: PropClauseSet, deadline: Optional[float] = None,
+         base: Optional[PropClauseSet] = None) -> Optional[dict[int, bool]]:
     """Conflict-driven clause learning; a total model, or None if UNSAT.
 
     The search is iterative, after MiniSat (Een & Sorensson, SAT 2003): an
@@ -157,21 +205,21 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None
     atom that no clause forces comes out False. deadline is a
     time.monotonic() instant, checked once per conflict; past it the
     search raises DeadlineExceeded.
+
+    base is the grounding that cs extends, as ground's base: the search
+    reads base.clauses followed by cs.clauses. base is read in once, on
+    its first search, and each search watches its own copies of base's
+    clauses, so a problem's two runs read the premises in once.
     """
-    n = cs.atom_count
-    units: list[int] = []
-    long_clauses: list[list[int]] = []
-    for c in cs.clauses:
-        if not c:
-            return None
-        lits = list(c)
-        atoms = set(map(abs, lits))
-        if len(atoms) < len(lits):  # a repeated literal, or a tautology
-            lits = list(dict.fromkeys(lits))
-            if any(-l in lits for l in lits):
-                continue
-        n = max(n, max(atoms))
-        (units if len(lits) == 1 else long_clauses).append(lits)
+    below = _NO_CLAUSES if base is None else base._intake
+    own = _take_in(cs.clauses)
+    if below is None or own is None:
+        return None
+    n = max(cs.atom_count, below[0], own[0])
+    units = below[1] + own[1]
+    # watching reorders a clause's literals, so each search gets lists of
+    # its own
+    long_clauses = list(map(list, itertools.chain(below[2], own[2])))
 
     # value[l] is 1 when literal l is true, -1 when false, 0 when unassigned.
     # With 2n + 1 slots, -l lands at index 2n + 1 - l, so value[-l] works.
@@ -290,7 +338,7 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None
     for lits in long_clauses:
         watches[lits[0]].append(lits)
         watches[lits[1]].append(lits)
-    for (lit,) in units:
+    for lit in units:
         if value[lit] == -1:
             return None
         if not value[lit]:
@@ -343,7 +391,9 @@ def _prepare_grounding(p: Problem, premises: list[Clause],
     the premises and of its own goal. The premises are grounded once, at
     the first run whose goal brings no skolem constant of its own (the
     usual case), under the problem's deadline; such a run grounds only its
-    goal on top, and its clause set is byte for byte the one it would
+    goal on top and hands the premise grounding to dpll as its base, so
+    the premises are read in once per problem and copied per run, and the
+    search is step for step the one over the clause set the run would
     ground alone. A goal with skolem constants of its own is grounded
     together with the premises, over them. One universe for both runs
     would keep the verdicts, but each run's literal budget would then
@@ -356,14 +406,14 @@ def _prepare_grounding(p: Problem, premises: list[Clause],
         nonlocal shared
         own = _clause_constants(goal) - constants
         if own:
+            base = None
             cs = ground(premises + goal, constants | own, limits, run_deadline)
         else:
             if shared is None:
                 shared = ground(premises, constants, limits, deadline)
-            cs = ground(goal, constants, limits, run_deadline, shared)
-            cs = PropClauseSet(shared.clauses + cs.clauses, cs.atom_count,
-                               cs.table)
-        if dpll(cs, run_deadline) is None:
+            base = shared
+            cs = ground(goal, constants, limits, run_deadline, base)
+        if dpll(cs, run_deadline, base) is None:
             return Proved((), ())
         return Saturated()
 

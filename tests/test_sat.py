@@ -1,8 +1,10 @@
 """Grounding and CDCL engine: propositionalization, models, verdicts."""
 
 import itertools
+import math
 import random
 import time
+import types
 
 import pytest
 
@@ -59,19 +61,38 @@ class TestGround:
     def test_extends_a_base_grounding(self):
         premises = [Clause((lit("p", X, pos=False), lit("q", X))),
                     Clause((lit("p", A),))]
-        # the second goal clause repeats a premise instance
+        # the second clause of each goal repeats a premise instance
         goal = [Clause((lit("q", X, pos=False), lit("r", X))),
                 Clause((lit("p", A),))]
-        base = ground(premises, ["A", "B"])
-        on_top = ground(goal, ["A", "B"], base=base)
-        assert on_top.clauses == [(-2, 5), (-4, 6)]
-        assert on_top.atom_count == 6
-        assert on_top.table[("r", ("B",))] == 6
-        assert len(base.table) == base.atom_count == 4  # base is untouched
-        both = PropClauseSet(base.clauses + on_top.clauses,
-                             on_top.atom_count, on_top.table)
-        assert to_dimacs(both) == to_dimacs(ground(premises + goal,
-                                                   ["A", "B"]))
+        other = [Clause((lit("s", A),)),
+                 Clause((lit("p", X, pos=False), lit("q", X)))]
+        want = {id(goal): ([(-2, 5), (-4, 6)], 6),
+                id(other): ([(5,)], 5)}
+        # the base holds 5 literals; goal adds 4 and other adds 1
+        fits_other_only = ResourceLimits(max_ground_literals=8)
+        fits_both = ResourceLimits(max_ground_literals=9)
+        for order in ((goal, other), (other, goal)):
+            base = ground(premises, ["A", "B"])
+            clauses, table = list(base.clauses), dict(base.table)
+            for g in order:
+                on_top = ground(g, ["A", "B"], base=base)
+                assert (on_top.clauses, on_top.atom_count) == want[id(g)]
+                assert ground(g, ["A", "B"], fits_both, base=base) == on_top
+                if g is goal:
+                    assert on_top.table[("r", ("B",))] == 6
+                    with pytest.raises(ExecError, match="grounding budget"):
+                        ground(g, ["A", "B"], fits_other_only, base=base)
+                else:
+                    assert ground(g, ["A", "B"], fits_other_only,
+                                  base=base) == on_top
+                both = PropClauseSet(base.clauses + on_top.clauses,
+                                     on_top.atom_count, on_top.table)
+                assert to_dimacs(both) == to_dimacs(ground(premises + g,
+                                                           ["A", "B"]))
+            # base is untouched
+            assert base.clauses == clauses == [(-1, 2), (-3, 4), (1,)]
+            assert base.table == table
+            assert len(base.table) == base.atom_count == 4
 
     def test_budget_enforced(self):
         tight = ResourceLimits(max_generated_clauses=10, max_clause_literals=64,
@@ -223,6 +244,116 @@ class TestDpll:
     def test_unforced_atom_comes_out_false(self):
         cs = PropClauseSet([(1, 2)], 2, {})
         assert dpll(cs) == {1: False, 2: True}
+
+
+class TestDpllOnABase:
+    """dpll(top, base=base) is the search over base's clauses followed by
+    top's: the same model, or None, after the same number of conflicts."""
+
+    @pytest.fixture
+    def search(self, monkeypatch):
+        # the deadline is read once per conflict, so the clock reads count
+        # conflicts; a model alone would not show a changed search, since
+        # the search ends in the least model (False first, lowest index
+        # first) whatever path it takes
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0
+
+        monkeypatch.setattr("trilogic.sat.time",
+                            types.SimpleNamespace(monotonic=clock))
+
+        def search(cs, base=None):
+            reads.clear()
+            model = dpll(cs, math.inf, base)
+            return model, len(reads)
+        return search
+
+    @staticmethod
+    def joined(base, top):
+        return PropClauseSet(base.clauses + top.clauses, top.atom_count,
+                             top.table)
+
+    def splits(self):
+        """(base clauses, base atoms, two tops) triples; a top's atom
+        count is at least its base's, as ground numbers atoms on."""
+        rng = random.Random(24)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            clauses = []
+            for _ in range(rng.randint(1, 5 * n)):
+                # drawn with replacement: repeats and tautologies happen
+                width = rng.choice((0,) + (1, 2, 3, 4) * 15)
+                clauses.append(tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                                     for _ in range(width)))
+            yield self.split(rng, clauses, n)
+        for _ in range(150):
+            # random 3-CNF near the threshold, where searches conflict
+            n = rng.randint(15, 40)
+            clauses = [tuple(rng.choice((1, -1)) * v
+                             for v in rng.sample(range(1, n + 1), 3))
+                       for _ in range(round(n * rng.uniform(3.0, 4.3)))]
+            yield self.split(rng, clauses, n)
+        for pigeons, holes in ((5, 4), (4, 4), (6, 5)):
+            cs = pigeonhole(pigeons, holes)
+            for k in (0, pigeons, len(cs.clauses) // 2, len(cs.clauses)):
+                top = PropClauseSet(cs.clauses[k:], cs.atom_count, {})
+                yield (cs.clauses[:k], cs.atom_count, top,
+                       PropClauseSet(cs.clauses[pigeons:k], cs.atom_count,
+                                     {}))
+
+    @staticmethod
+    def split(rng, clauses, n):
+        k = rng.randint(0, len(clauses))
+        below = rng.randint(0, n)
+        return (clauses[:k], below,
+                PropClauseSet(clauses[k:], n, {}),
+                PropClauseSet(rng.sample(clauses, rng.randint(0, k)),
+                              rng.randint(below, n), {}))
+
+    def groundings(self):
+        """(premise grounding, goal groundings), as entail_sat has them."""
+        texts = [closure_text(n, forward) for n in (4, 6)
+                 for forward in (True, False)]
+        texts += [pigeonhole_text(5, 4), pigeonhole_text(4, 4)]
+        for text in texts:
+            p = parse_z3(text)
+            var_supply, sk_supply = variable_supply(), skolem_supply()
+            premises = clausify_all(p.premises, var_supply, sk_supply)
+            goals = [clausify_all([c], var_supply, sk_supply)
+                     for c in (Not(p.conclusion), p.conclusion)]
+            constants = p.constants()
+            base = ground(premises, constants)
+            yield base, [ground(g, constants, base=base) for g in goals]
+
+    def test_matches_the_joined_clause_set(self, search):
+        answers, conflicts = set(), 0
+        for clauses, atoms, *tops in self.splits():
+            for order in (tops, tops[::-1]):
+                base = PropClauseSet(list(clauses), atoms, {})
+                for top in order:
+                    want = search(self.joined(base, top))
+                    assert search(top, base) == want
+                    answers.add(want[0] is None)
+                    conflicts += want[1]
+                # the searches left base's clauses as they were
+                assert base.clauses == clauses
+        assert answers == {True, False}
+        assert conflicts > 1000
+
+    def test_matches_the_joined_groundings(self, search):
+        answers, conflicts = set(), 0
+        for base, tops in self.groundings():
+            want = [search(self.joined(base, top)) for top in tops]
+            for order in ((0, 1), (1, 0)):
+                got = [search(tops[i], base) for i in order]
+                assert got == [want[i] for i in order]
+            answers.update(model is None for model, _ in want)
+            conflicts += sum(n for _, n in want)
+        assert answers == {True, False}
+        assert conflicts > 0
 
 
 def pigeonhole(pigeons, holes):

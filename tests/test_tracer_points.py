@@ -68,3 +68,18 @@ def test_clausification_is_traced(tracer, engine, dialect):
         t.uninstall()
     want = 0 if engine == "chaining" else 3
     assert t.counts["normalize.clausify_calls"] == want
+
+
+def test_sat_grounds_the_premises_once_and_searches_per_run(tracer):
+    # anne.z3's conclusion is ground, so the premises are grounded once and
+    # each run grounds its goal on top (3 ground calls), and each run
+    # searches on its own (2 dpll calls); one search shared by both runs
+    # would count 1
+    t = tracer.Tracer()
+    t.install()
+    try:
+        harness.run_translation(read_fixture("anne.z3"), "z3", "sat")
+    finally:
+        t.uninstall()
+    assert t.counts["sat.ground_calls"] == 3
+    assert t.counts["sat.dpll_calls"] == 2
