@@ -108,17 +108,14 @@ def _compile_rule(f: Formula) -> _Rule:
 
 def compile_rules(problem: Problem) -> RuleBase:
     """The rule base of a problem inside the rule fragment (see above):
-    ground literal premises are facts, kept once each in premise order,
-    the other premises are rules, and the conclusion is the query."""
-    seen: set[Fact] = set()
+    ground literal premises are facts, in premise order (forward_chain
+    stores a repeated one once), the other premises are rules, and the
+    conclusion is the query."""
     facts: list[Fact] = []
     rules: list[_Rule] = []
     for premise in problem.premises:
         if isinstance(premise, (Atom, Not)):
-            fact = _fact(premise)
-            if fact not in seen:
-                seen.add(fact)
-                facts.append(fact)
+            facts.append(_fact(premise))
         else:
             rules.append(_compile_rule(premise))
     return RuleBase(tuple(facts), tuple(rules), _fact(problem.conclusion))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..fol import (
     And, Atom, Constant, Formula, ForAll, Exists, Function, Iff, Implies,
-    Not, Or, ParseError, Problem, SourceSpan, Term, Variable, Xor,
+    Not, Or, ParseError, Problem, Term, Variable, Xor,
 )
 from ._lex import (
     PUNCTUATION, ArityTable, Cursor, Lexer, end_span, section_lines,
@@ -137,40 +137,27 @@ class _FormulaParser(Cursor):
         return Constant(name)
 
 
+class _DeclarationCursor(Cursor):
+    end_message = "unbalanced parentheses in declaration"
+
+
 def _parse_declaration(line: Cursor, arities: ArityTable) -> None:
-    tokens, kinds = line.tokens, line.kinds
-    if kinds[0] != "ident":  # a content line has a token
+    if not line.accept("ident"):  # a content line has a token
         raise line.error("expected a predicate declaration", 0)
-    if len(tokens) == 1:
-        arities.declare(tokens[0], 0, line, 0)
-        return
-    if kinds[1] != "lparen":
-        raise line.error(f"expected '(' in declaration, found {tokens[1]!r}",
-                         1)
     arity = 0
-    expect_arg = True
-    i = 2
-    while i < len(tokens):
-        kind = kinds[i]
-        if expect_arg:
-            if kind != "ident":
+    if line.peek() is not None:
+        line.expect("lparen", "'(' in declaration")
+        line.expect("ident", "a placeholder name")
+        arity = 1
+        while not line.accept("rparen"):
+            if not line.accept("comma"):
+                at = line.advance()  # raises at the end of the line
                 raise line.error(
-                    f"expected a placeholder name, found {tokens[i]!r}", i)
+                    f"unexpected token {line.tokens[at]!r} in declaration", at)
+            line.expect("ident", "a placeholder name")
             arity += 1
-            expect_arg = False
-        elif kind == "comma":
-            expect_arg = True
-        elif kind == "rparen":
-            if i != len(tokens) - 1:
-                raise line.error(f"unexpected token {tokens[i + 1]!r}", i + 1)
-            arities.declare(tokens[0], arity, line, 0)
-            return
-        else:
-            raise line.error(f"unexpected token {tokens[i]!r} in declaration",
-                             i)
-        i += 1
-    raise ParseError("unbalanced parentheses in declaration",
-                     SourceSpan(line.line_no, max(1, line.line_len)))
+        line.done()
+    arities.declare(line.tokens[0], arity, line, 0)
 
 
 def parse_prover9(text: str) -> Problem:
@@ -184,8 +171,9 @@ def parse_prover9(text: str) -> Problem:
     conclusion: Formula | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
         if section == "predicates":
-            _parse_declaration(Cursor(_LEXER, content, line_no, len(raw)),
-                               arities)
+            _parse_declaration(
+                _DeclarationCursor(_LEXER, content, line_no, len(raw)),
+                arities)
             continue
         parser = _FormulaParser(content, line_no, len(raw), arities)
         formula = parser.parse()

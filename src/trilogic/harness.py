@@ -96,23 +96,18 @@ class Metrics:
 
 
 def _parse_truth(value: object, where: str) -> Truth:
-    if value is True:
-        return Truth.TRUE
-    if value is False:
-        return Truth.FALSE
-    if isinstance(value, str):
-        for t in Truth:
-            if t.value == value:
-                return t
-    raise ValueError(f"{where}: bad gold label {value!r}")
+    try:
+        # a JSON boolean reads as its name, which is the label's value
+        return Truth(str(value) if isinstance(value, bool) else value)
+    except ValueError:
+        raise ValueError(f"{where}: bad gold label {value!r}") from None
 
 
 def _parse_assumption(value: object, where: str) -> WorldAssumption:
-    if isinstance(value, str):
-        for a in WorldAssumption:
-            if a.value == value:
-                return a
-    raise ValueError(f"{where}: bad assumption {value!r}")
+    try:
+        return WorldAssumption(value)
+    except ValueError:
+        raise ValueError(f"{where}: bad assumption {value!r}") from None
 
 
 def _jsonl_records(path: str | Path, keys: tuple[str, ...]

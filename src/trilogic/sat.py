@@ -34,7 +34,6 @@ _COMBOS_PER_CHECK = 1024
 # the highest atom a set's clauses name, its unit literals, and its
 # clauses of two or more literals, each without repeats or tautologies
 _Intake = tuple[int, list[int], list[tuple[int, ...]]]
-_NO_CLAUSES: _Intake = (0, [], [])
 
 
 @dataclass
@@ -64,6 +63,10 @@ class PropClauseSet:
         return _take_in(self.clauses)
 
 
+# the base of a grounding or a search that extends no other
+_EMPTY = PropClauseSet([], 0, {})
+
+
 def ground(clauses: Iterable[Clause], constants: Iterable[str],
            limits: ResourceLimits = DEFAULT_LIMITS,
            deadline: Optional[float] = None,
@@ -78,9 +81,12 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
     grounding raises DeadlineExceeded.
 
     base is an earlier grounding over the same constants that these
-    clauses extend, as a problem's goal extends its premises. The result
-    numbers its atoms on from a copy of base's table and holds only the
-    instances base lacks; the literal budget counts base's literals too.
+    clauses extend, as a problem's goal extends its premises; none reads
+    as a base with no clauses. The result numbers its atoms on from a
+    copy of base's table and holds only the instances base lacks, and the
+    literal budget counts base's literals too, so base's clauses followed
+    by the result's are the grounding of base's clauses and these in one
+    call.
     base's instance set and literal count are read in once per base, not
     once per call, so of the premises each goal grounded on them copies
     only the atom table.
@@ -90,14 +96,10 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
     universe = sorted(set(constants))
     if not universe:
         universe = [DUMMY_CONSTANT]
-    if base is None:
-        table: dict[tuple[str, tuple[str, ...]], int] = {}
-        known: frozenset[tuple[int, ...]] = frozenset()
-        total_literals = 0
-    else:
-        table = dict(base.table)
-        known = base._instances
-        total_literals = base._literal_count
+    base = base or _EMPTY
+    table = dict(base.table)
+    known = base._instances
+    total_literals = base._literal_count
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     literal_budget = limits.max_ground_literals
@@ -206,12 +208,13 @@ def dpll(cs: PropClauseSet, deadline: Optional[float] = None,
     time.monotonic() instant, checked once per conflict; past it the
     search raises DeadlineExceeded.
 
-    base is the grounding that cs extends, as ground's base: the search
-    reads base.clauses followed by cs.clauses. base is read in once, on
-    its first search, and each search watches its own copies of base's
-    clauses, so a problem's two runs read the premises in once.
+    base is the grounding that cs extends, as ground's base (none reads
+    as a base with no clauses): the search reads base.clauses followed by
+    cs.clauses. base is read in once, on its first search, and each
+    search watches its own copies of base's clauses, so runs that share
+    a base read it in once.
     """
-    below = _NO_CLAUSES if base is None else base._intake
+    below = (base or _EMPTY)._intake
     own = _take_in(cs.clauses)
     if below is None or own is None:
         return None
@@ -387,32 +390,33 @@ def _prepare_grounding(p: Problem, premises: list[Clause],
     """A refute that grounds and searches; UNSAT is a refutation that
     records no steps, and a model leaves the goal open.
 
-    Each run grounds over the named constants and the skolem constants of
-    the premises and of its own goal. The premises are grounded once, at
-    the first run whose goal brings no skolem constant of its own (the
-    usual case), under the problem's deadline; such a run grounds only its
-    goal on top and hands the premise grounding to dpll as its base, so
-    the premises are read in once per problem and copied per run, and the
-    search is step for step the one over the clause set the run would
-    ground alone. A goal with skolem constants of its own is grounded
-    together with the premises, over them. One universe for both runs
-    would keep the verdicts, but each run's literal budget would then
-    count instances over the other goal's constants.
+    Every run takes the same two steps over its universe: the named
+    constants and the skolem constants of the premises and of its own
+    goal. It grounds the premises as a base, then grounds its goal on top
+    of the base and hands both to dpll, so its clause set, literal budget
+    and search are step for step those of the premises and goal grounded
+    in one call. Runs whose goal brings no skolem constant of its own
+    (the usual case) share one universe and one base, grounded at the
+    first of them under the problem's deadline, so the premises are read
+    in once per problem and copied per run. A goal with skolem constants
+    of its own gets a base over them, grounded under the run's deadline.
+    One universe for both runs would keep the verdicts, but each run's
+    literal budget would then count instances over the other goal's
+    constants.
     """
     constants = p.constants() | _clause_constants(premises)
     shared: Optional[PropClauseSet] = None  # the premises, once grounded
 
     def refute(goal: list[Clause], run_deadline: float) -> ProofResult:
         nonlocal shared
-        own = _clause_constants(goal) - constants
-        if own:
-            base = None
-            cs = ground(premises + goal, constants | own, limits, run_deadline)
+        universe = constants | _clause_constants(goal)
+        if universe != constants:
+            base = ground(premises, universe, limits, run_deadline)
         else:
             if shared is None:
                 shared = ground(premises, constants, limits, deadline)
             base = shared
-            cs = ground(goal, constants, limits, run_deadline, base)
+        cs = ground(goal, universe, limits, run_deadline, base)
         if dpll(cs, run_deadline, base) is None:
             return Proved((), ())
         return Saturated()

@@ -355,6 +355,33 @@ class TestDpllOnABase:
         assert answers == {True, False}
         assert conflicts > 0
 
+    def test_a_goal_on_a_premise_base_is_the_joined_grounding(self, search):
+        # each goal over its own universe, skolem constants included, as
+        # entail_sat grounds a goal that brings constants of its own
+        def constants_of(clauses):
+            return {t.name for c in clauses for lit in c
+                    for arg in lit.atom.args for t in subterms(arg)
+                    if isinstance(t, Constant)}
+
+        own = 0
+        for text in QUANTIFIED_TEXTS:
+            p = parse_z3(text)
+            var_supply, sk_supply = variable_supply(), skolem_supply()
+            premises = clausify_all(p.premises, var_supply, sk_supply)
+            constants = p.constants() | constants_of(premises)
+            for c in (Not(p.conclusion), p.conclusion):
+                goal = clausify_all([c], var_supply, sk_supply)
+                universe = constants | constants_of(goal)
+                own += universe != constants
+                base = ground(premises, universe)
+                top = ground(goal, universe, base=base)
+                joined = ground(premises + goal, universe)
+                assert base.clauses + top.clauses == joined.clauses
+                assert list(top.table.items()) == list(joined.table.items())
+                assert top.atom_count == joined.atom_count
+                assert search(top, base) == search(joined)
+        assert own == 9  # as QUANTIFIED_TEXTS sorts its goals
+
 
 def pigeonhole(pigeons, holes):
     """Each pigeon in some hole, no two in one; atom p*holes + h + 1."""
