@@ -2,9 +2,12 @@
 
 Exit codes: 0 for an answered verdict (or a clean batch), 1 for a
 non-executable problem or a differential mismatch, 2 for usage, IO, or
-configuration errors. Resource limits can be overridden process-wide via
-the TRILOGIC_LIMITS environment variable holding a JSON object whose keys
-name ResourceLimits fields.
+configuration errors. Commands raise ValueError, OSError or ExecError for
+such an error, and `main` alone reports it as one `error: <message>` line
+on stderr with exit 2 (argparse reports bad flags itself, also with 2).
+Resource limits can be overridden process-wide via the TRILOGIC_LIMITS
+environment variable holding a JSON object whose keys name ResourceLimits
+fields; its errors read `error: TRILOGIC_LIMITS: <message>`.
 """
 
 from __future__ import annotations
@@ -85,11 +88,7 @@ def _parse_depths(value: Optional[str]) -> Optional[list[int]]:
 
 
 def cmd_solve(args: argparse.Namespace, limits: ResourceLimits) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    text = Path(args.file).read_text(encoding="utf-8")
     outcome, proof = solve_translation(text, args.dialect, args.engine, limits)
     outcome = apply_world_assumption(outcome,
                                      WorldAssumption(args.assumption))
@@ -103,24 +102,16 @@ def cmd_solve(args: argparse.Namespace, limits: ResourceLimits) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, limits: ResourceLimits) -> int:
-    try:
-        records = load_dataset(args.dataset)
-        translations = load_translations(args.translations)
-        runs = evaluate(records, translations, args.dialect, args.engine,
-                        limits, jobs=args.jobs)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    records = load_dataset(args.dataset)
+    translations = load_translations(args.translations)
+    runs = evaluate(records, translations, args.dialect, args.engine,
+                    limits, jobs=args.jobs)
     group_by = [k.strip() for k in args.group_by.split(",") if k.strip()]
     metrics = compute_metrics(runs, group_by or ("dataset",))
-    try:
-        if args.md:
-            Path(args.md).write_bytes(render_report(metrics, "markdown"))
-        if args.csv:
-            Path(args.csv).write_bytes(render_report(metrics, "csv"))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.md:
+        Path(args.md).write_bytes(render_report(metrics, "markdown"))
+    if args.csv:
+        Path(args.csv).write_bytes(render_report(metrics, "csv"))
     if runs:
         (overall,) = compute_metrics(runs, ())
         print(f"{overall.total} runs  ExecR {overall.exec_rate * 100:.2f}%  "
@@ -132,12 +123,8 @@ def cmd_eval(args: argparse.Namespace, limits: ResourceLimits) -> int:
 
 def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
     del limits
-    try:
-        cfg, depths = _gen_config(args)
-        suite = generate_suite(cfg, args.n, depths)
-    except (ValueError, ExecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg, depths = _gen_config(args)
+    suite = generate_suite(cfg, args.n, depths)
     labels: Counter[str] = Counter()
     dataset_lines = []
     per_dialect: dict[str, list[str]] = {}
@@ -153,17 +140,13 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
                 "provider": "generator"}))
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "dataset.jsonl").write_text(
-            "\n".join(dataset_lines) + "\n", encoding="utf-8")
-        for dialect in sorted(per_dialect):
-            path = out_dir / f"translations_{dialect}.jsonl"
-            path.write_text("\n".join(per_dialect[dialect]) + "\n",
-                            encoding="utf-8")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "dataset.jsonl").write_text(
+        "\n".join(dataset_lines) + "\n", encoding="utf-8")
+    for dialect in sorted(per_dialect):
+        path = out_dir / f"translations_{dialect}.jsonl"
+        path.write_text("\n".join(per_dialect[dialect]) + "\n",
+                        encoding="utf-8")
     if "pyke" not in per_dialect:
         print("note: no rule-engine texts for this fragment")
     for label in ("True", "False", "Unknown"):
@@ -173,26 +156,16 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
 
 
 def cmd_diff(args: argparse.Namespace, limits: ResourceLimits) -> int:
-    try:
-        cfg, depths = _gen_config(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg, depths = _gen_config(args)
     engines = None
     if args.engines is not None:
         names = [n.strip() for n in args.engines.split(",") if n.strip()]
         unknown = sorted(set(names) - set(DEFAULT_ENGINES))
         if unknown:
-            print(f"error: unknown engine(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown engine(s): {', '.join(unknown)}")
         engines = {n: DEFAULT_ENGINES[n] for n in names}
-    try:
-        report = differential_check(args.n, cfg, engines=engines,
-                                    depths=depths, limits=limits)
-    except (ValueError, ExecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = differential_check(args.n, cfg, engines=engines,
+                                depths=depths, limits=limits)
     if report.ok:
         print(f"checked {report.checked} problems: all engines agree "
               "with the oracle")
@@ -275,7 +248,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:
         print(f"error: TRILOGIC_LIMITS: {e}", file=sys.stderr)
         return 2
-    return args.func(args, limits)
+    try:
+        return args.func(args, limits)
+    except (ValueError, OSError, ExecError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trilogic import testkit
+from trilogic import cli, testkit
 from trilogic.cli import main
 from trilogic.fol import ExecError
 
@@ -142,6 +142,22 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    def test_directory_as_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", tmp_path,
+                             "--dialect", "prover9", "--engine", "resolution")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_program_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        # only ValueError, OSError and ExecError mean exit 2
+        def crash(*args):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(cli, "solve_translation", crash)
+        with pytest.raises(RuntimeError, match="engine bug"):
+            run(capsys, "solve", DATA_DIR / "anne.p9",
+                "--dialect", "prover9", "--engine", "resolution")
+
 
 class TestEval:
     def args(self, **extra):
@@ -187,6 +203,19 @@ class TestEval:
                            "--dialect", "prover9", "--engine", "resolution")
         assert code == 2
         assert "error:" in err
+
+    def test_md_to_a_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, *self.args(md=str(tmp_path)))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_failed_csv_write_keeps_the_markdown(self, capsys, tmp_path):
+        md = tmp_path / "r.md"
+        code, out, err = run(capsys, *self.args(md=str(md),
+                                                csv=str(tmp_path)))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "| dataset=micro |" in md.read_text()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
@@ -276,6 +305,20 @@ class TestGen:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_generator_exec_error_exit_2(self, capsys, monkeypatch,
+                                         tmp_path):
+        def give_up(cfg, index=0):
+            raise ExecError(f"generator gave up on index {index} "
+                            "after 60 attempts")
+
+        monkeypatch.setattr(testkit, "generate_problem", give_up)
+        out_dir = tmp_path / "suite"
+        code, out, err = run(capsys, "gen", "--n", "3", "--out", out_dir)
+        assert (code, out) == (2, "")
+        assert err == ("error: generator gave up on index 0 "
+                       "after 60 attempts\n")
+        assert not out_dir.exists()
+
 
 class TestDiff:
     def test_clean_run_exit_0(self, capsys):
@@ -289,10 +332,9 @@ class TestDiff:
         assert code == 0
 
     def test_unknown_engine_flag_exit_2(self, capsys):
-        code, _, err = run(capsys, "diff", "--n", "4",
-                           "--engines", "resolution,magic")
-        assert code == 2
-        assert "unknown engine(s): magic" in err
+        code, out, err = run(capsys, "diff", "--n", "4",
+                             "--engines", "resolution,magic")
+        assert (code, out, err) == (2, "", "error: unknown engine(s): magic\n")
 
     def test_n_below_one_exit_2(self, capsys):
         code, out, err = run(capsys, "diff", "--n", "-5")
