@@ -103,10 +103,14 @@ def cmd_solve(args: argparse.Namespace, limits: ResourceLimits) -> int:
 
 def cmd_eval(args: argparse.Namespace, limits: ResourceLimits) -> int:
     records = load_dataset(args.dataset)
+    group_by = [k.strip() for k in args.group_by.split(",") if k.strip()]
+    unknown = sorted(set(group_by) - {"dialect", "engine", "provider"}
+                     - {key for record in records for key in record.tags})
+    if records and unknown:
+        raise ValueError(f"unknown group-by key(s): {', '.join(unknown)}")
     translations = load_translations(args.translations)
     runs = evaluate(records, translations, args.dialect, args.engine,
                     limits, jobs=args.jobs)
-    group_by = [k.strip() for k in args.group_by.split(",") if k.strip()]
     metrics = compute_metrics(runs, group_by or ("dataset",))
     if args.md:
         Path(args.md).write_bytes(render_report(metrics, "markdown"))
@@ -222,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--md", default=None, help="markdown report path")
     ev.add_argument("--csv", default=None, help="CSV report path")
     ev.add_argument("--jobs", type=int, default=1)
-    ev.add_argument("--group-by", default="dataset",
-                    help="comma list: tag keys, dialect, engine, provider")
+    ev.add_argument("--group-by", default="",
+                    help="comma list: tag keys, dialect, engine, provider "
+                         "(default: dataset)")
     ev.set_defaults(func=cmd_eval)
 
     gen = sub.add_parser("gen", help="emit a seeded dataset with texts")

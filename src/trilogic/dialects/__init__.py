@@ -5,10 +5,3 @@ from .pyke import parse_pyke
 from .z3 import parse_z3
 
 DIALECTS = ("prover9", "z3", "pyke")
-
-__all__ = [
-    "DIALECTS",
-    "parse_prover9",
-    "parse_pyke",
-    "parse_z3",
-]

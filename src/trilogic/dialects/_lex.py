@@ -135,13 +135,16 @@ class Cursor:
     `peek` is the next token's kind, None past the last token. `advance`
     and `expect` return the index of the token they consume, which
     `span` and `error` take.
+
+    A formula line also holds the text's arity table, `arities`, and
+    `scope`, the quantifier-bound names around the current token.
     """
 
     # set where every early end of line means one thing
     end_message: str | None = None
 
     def __init__(self, lexer: Lexer, content: str, line_no: int,
-                 line_len: int) -> None:
+                 line_len: int, arities: ArityTable | None = None) -> None:
         self.lexer = lexer
         self.content = content
         self.tokens, self.kinds = lexer.tokenize(content, line_no)
@@ -150,6 +153,8 @@ class Cursor:
         self.line_no = line_no
         self.line_len = line_len
         self.depth = 0
+        self.arities = arities
+        self.scope: list[str] = []
 
     def span(self, i: int) -> SourceSpan:
         return SourceSpan(self.line_no, self.lexer.column(self.content, i),

@@ -26,12 +26,6 @@ _SECTIONS = ("predicates", "premises", "conclusion")
 
 
 class _FormulaParser(Cursor):
-    def __init__(self, content: str, line_no: int, line_len: int,
-                 arities: ArityTable) -> None:
-        super().__init__(_LEXER, content, line_no, line_len)
-        self.arities = arities
-        self.scope: list[str] = []
-
     def parse(self) -> Formula:
         f = self.implication()
         self.done()
@@ -96,10 +90,8 @@ class _FormulaParser(Cursor):
         else:
             var = self.tokens[self.expect("ident", "a quantified variable name")]
             self.scope.append(var)
-            try:
-                body = self.unary()
-            finally:
-                self.scope.pop()
+            body = self.unary()
+            self.scope.pop()
             cls = ForAll if kind == "forall" else Exists
             f = cls(var, body)
         self.depth -= 1
@@ -175,7 +167,7 @@ def parse_prover9(text: str) -> Problem:
                 _DeclarationCursor(_LEXER, content, line_no, len(raw)),
                 arities)
             continue
-        parser = _FormulaParser(content, line_no, len(raw), arities)
+        parser = _FormulaParser(_LEXER, content, line_no, len(raw), arities)
         formula = parser.parse()
         if section == "premises":
             premises.append(formula)

@@ -32,12 +32,6 @@ _LEXER = Lexer(("==",), {
 class _LineParser(Cursor):
     end_message = "unbalanced brackets"
 
-    def __init__(self, content: str, line_no: int, line_len: int,
-                 arities: ArityTable) -> None:
-        super().__init__(_LEXER, content, line_no, line_len)
-        self.arities = arities
-        self.scope: list[str] = []
-
     def parse(self) -> Formula:
         f = self.expression()
         self.done()
@@ -126,10 +120,8 @@ class _LineParser(Cursor):
         self.expect("rbracket", "']'")
         self.expect("comma", "','")
         self.scope += variables
-        try:
-            body = self.expression()
-        finally:
-            del self.scope[len(self.scope) - len(variables):]
+        body = self.expression()
+        del self.scope[len(self.scope) - len(variables):]
         self.expect("rparen", "')'")
         self.depth -= len(variables)
         cls = ForAll if self.tokens[at] == "ForAll" else Exists
@@ -181,7 +173,7 @@ def parse_z3(text: str) -> Problem:
         if conclusion is not None:
             raise ParseError("content after the return line",
                              indent_span(line_no, content))
-        parser = _LineParser(content, line_no, len(raw), arities)
+        parser = _LineParser(_LEXER, content, line_no, len(raw), arities)
         # a content line has a token
         is_return = parser.tokens[0] == "return"
         if is_return:

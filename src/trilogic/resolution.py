@@ -301,10 +301,11 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
              deadline: Optional[float] = None) -> ProofResult:
     """Run the given-clause loop to the empty clause, saturation, or a limit.
 
-    deadline is a time.monotonic() instant; by default wall_ms from now.
-    Saturation after a clause was dropped for having more than
-    max_clause_literals literals, or a term nested deeper than
-    MAX_NESTING_DEPTH, is not complete, so it ends in LimitReached.
+    deadline is a time.monotonic() instant, by default wall_ms from now;
+    past it the loop raises DeadlineExceeded. Saturation after a clause
+    was dropped for having more than max_clause_literals literals, or a
+    term nested deeper than MAX_NESTING_DEPTH, is not complete, so it ends
+    in LimitReached.
 
     A new clause that a kept clause `deletes` is dropped. A kept new clause
     deletes every kept clause it `deletes`: a deleted clause leaves its
@@ -356,7 +357,8 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
         return Proved(used_steps, used_inputs)
 
     queued = goal_ids + premise_ids
-    # an input may already be the empty clause (contradictory premises clausify to it)
+    # an input is the empty clause only if the caller passed Clause() itself:
+    # clausifying never makes one (p(A) & -p(A) gives two unit clauses)
     for i in queued:
         if clauses[i].is_empty():
             return build_proof(i)
@@ -375,7 +377,7 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
 
     while sos:
         if time.monotonic() > deadline:
-            return LimitReached("wall clock budget")
+            raise DeadlineExceeded("wall clock budget")
         given_id = heapq.heappop(sos)[2]
         if given_id in deleted:
             continue

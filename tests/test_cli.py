@@ -6,7 +6,7 @@ import pytest
 
 from trilogic import cli, testkit
 from trilogic.cli import main
-from trilogic.fol import ExecError
+from trilogic.fol import ExecError, ExecFailed
 
 from conftest import DATA_DIR
 
@@ -160,8 +160,8 @@ class TestSolve:
 
 
 class TestEval:
-    def args(self, **extra):
-        base = ["eval", "--dataset", MICRO / "dataset.jsonl",
+    def args(self, dataset=MICRO / "dataset.jsonl", **extra):
+        base = ["eval", "--dataset", dataset,
                 "--translations", MICRO / "translations_prover9.jsonl",
                 "--dialect", "prover9", "--engine", "resolution"]
         for key, value in extra.items():
@@ -228,6 +228,38 @@ class TestEval:
         code, _, _ = run(capsys, *self.args(md=str(md), **{"group-by": "engine"}))
         assert code == 0
         assert "| engine=resolution |" in md.read_text()
+
+    def test_unknown_group_by_key_exit_2(self, capsys, monkeypatch,
+                                         tmp_path):
+        def no_run(*args, **kwargs):
+            raise AssertionError("evaluate ran")
+
+        monkeypatch.setattr(cli, "evaluate", no_run)
+        md = tmp_path / "r.md"
+        code, out, err = run(capsys, *self.args(
+            md=str(md), **{"group-by": "dataset,nosuchkey,engine,also"}))
+        assert (code, out, err) == (
+            2, "", "error: unknown group-by key(s): also, nosuchkey\n")
+        assert not md.exists()
+
+    def test_default_group_by_needs_no_dataset_tag(self, capsys, tmp_path):
+        # the dataset tag is the default key, not one given on the command line
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text('{"id": "m1", "gold": "True", "assumption": "OWA"}\n')
+        md = tmp_path / "r.md"
+        code, out, err = run(capsys, *self.args(dataset, md=str(md)))
+        assert (code, out, err) == (
+            0, "1 runs  ExecR 100.00%  Acc 100.00%\n", "")
+        assert "| dataset=- | prover9 | resolution | 1 |" in md.read_text()
+
+    @pytest.mark.parametrize("extra", [{}, {"group-by": "nosuchkey"}],
+                             ids=["default", "unknown-group-by-key"])
+    def test_empty_dataset_is_0_runs(self, capsys, tmp_path, extra):
+        # an empty dataset carries no tags, so no key is checked against it
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text("")
+        code, out, err = run(capsys, *self.args(dataset, **extra))
+        assert (code, out, err) == (0, "0 runs\n", "")
 
     def test_group_by_provider(self, capsys, tmp_path):
         # the four micro translations all name the provider "fixture"
@@ -346,6 +378,25 @@ class TestDiff:
         assert code == 2
         assert "bad depth list" in err
 
+    def test_empty_depth_list_exit_2(self, capsys):
+        code, out, err = run(capsys, "diff", "--n", "4", "--depths", ",")
+        assert (code, out, err) == (2, "", "error: bad depth list ','\n")
+
+    def test_mismatch_exit_1(self, capsys, monkeypatch):
+        # every sat run is wrong, so 11 mismatches show as 10 lines and the
+        # first one's texts
+        monkeypatch.setitem(testkit.DEFAULT_ENGINES, "sat",
+                            lambda gp, limits: ExecFailed("planted fault"))
+        code, out, err = run(capsys, "diff", "--n", "11", "--seed", "17")
+        suite = testkit.generate_suite(testkit.GenConfig(seed=17), 11)
+        first = suite[0]
+        want = ["checked 11 problems: 11 mismatch(es)\n"]
+        want += [f"  {gp.id} [sat]: expected {gp.gold.value}, "
+                 "got ExecError: planted fault\n" for gp in suite[:10]]
+        for dialect in ("prover9", "pyke", "z3"):
+            want += [f"--- {first.id} [{dialect}] ---\n", first.texts[dialect]]
+        assert (code, out, err) == (1, "".join(want), "")
+
     @pytest.mark.parametrize("flags", [
         ("--engines", ","),
         ("--engines", ""),
@@ -409,6 +460,13 @@ class TestLimitsEnv:
                            "--dialect", "prover9", "--engine", "resolution")
         assert code == 2
         assert "TRILOGIC_LIMITS" in err
+
+    def test_non_object_json_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRILOGIC_LIMITS", "[1]")
+        code, out, err = run(capsys, "solve", str(DATA_DIR / "anne.p9"),
+                             "--dialect", "prover9", "--engine", "resolution")
+        assert (code, out, err) == (
+            2, "", "error: TRILOGIC_LIMITS: expected a JSON object\n")
 
     def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("TRILOGIC_LIMITS", "[" * 100_000)

@@ -86,6 +86,20 @@ class TestLoadDataset:
                            match="^line 2: tag 'dataset' must be a string$"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("line,message", [
+        ({"id": "a", "gold": "True", "assumption": "open"},
+         "line 1: bad assumption 'open'"),
+        (["a"], "line 1: expected a JSON object"),
+        ({"id": "a", "gold": "True", "assumption": "OWA", "tags": ["x"]},
+         "line 1: tags must be an object"),
+    ], ids=["assumption", "not-an-object", "tags"])
+    def test_rejected_line_message(self, tmp_path, line, message):
+        p = tmp_path / "d.jsonl"
+        write_jsonl(p, [line])
+        with pytest.raises(ValueError) as info:
+            load_dataset(p)
+        assert str(info.value) == message
+
     def test_boolean_gold_accepted(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_jsonl(p, [{"id": "a", "gold": True, "assumption": "CWA"}])

@@ -1,13 +1,15 @@
 """Resolution engine: unification, inference rules, saturation, traces."""
 
 import time
+from dataclasses import replace
 
 import pytest
 
 from trilogic import resolution
 from trilogic.fol import (
-    DEFAULT_LIMITS, Answered, Atom, Clause, Constant, Function, Inconsistent,
-    Literal, Not, ResourceLimits, Truth, Variable, Verdict, clause_substitute,
+    DEFAULT_LIMITS, Answered, Atom, Clause, Constant, DeadlineExceeded,
+    Function, Inconsistent, Literal, Not, ResourceLimits, Truth, Variable,
+    Verdict, clause_substitute,
 )
 from trilogic.dialects import parse_prover9
 from trilogic.harness import run_translation
@@ -223,6 +225,7 @@ class TestUnify:
 
     def test_occurs_check(self):
         assert unify(at("p", X), at("p", Function("f", (X,)))) is None
+        assert unify(at("p", Function("f", (X,))), at("p", X)) is None
 
     def test_constant_clash(self):
         assert unify(at("p", X, X), at("p", A, B)) is None
@@ -298,6 +301,17 @@ class TestSaturate:
                                max_ground_literals=1000)
         result = saturate(premises, goal, tight)
         assert isinstance(result, LimitReached)
+
+    def test_past_deadline_raises(self):
+        premises = [Clause((lit("p", A),))]
+        goal = [Clause((lit("q", A, pos=False),))]
+        with pytest.raises(DeadlineExceeded, match="wall clock budget"):
+            saturate(premises, goal, deadline=time.monotonic() - 1)
+
+    def test_empty_input_clause_is_a_step_free_proof(self):
+        got = saturate([Clause()], [])
+        assert got == Proved((), ((1, Clause()),))
+        assert replay_trace(got)
 
 
     def test_prefilter_offers_two_literals_mapped_onto_one(self, monkeypatch):
@@ -530,6 +544,17 @@ class TestSelection:
         assert complete
 
 
+OTHER = Clause((lit("other", A),))
+
+
+def retouch(proof, rule, /, **change):
+    """proof with its first `rule` step changed."""
+    steps = list(proof.steps)
+    i = next(i for i, s in enumerate(steps) if s.rule == rule)
+    steps[i] = replace(steps[i], **change)
+    return Proved(tuple(steps), proof.inputs)
+
+
 class TestTrace:
     def problem(self):
         text = ("Premises:\n"
@@ -552,10 +577,33 @@ class TestTrace:
         assert "step" in text
         assert "$false" in text
 
-    def test_tampered_trace_fails_replay(self):
-        _, neg_run, _ = resolution_runs(self.problem())
-        bad_inputs = tuple((i, Clause((lit("other", A),))) for i, _ in neg_run.inputs)
-        assert not replay_trace(Proved(neg_run.steps, bad_inputs))
+    def factor_proof(self):
+        # p(x) | p(y) and -p(u) | -p(v) are refuted only through factors
+        u, v = Variable("u"), Variable("v")
+        return saturate([Clause((lit("p", X), lit("p", Y))),
+                         Clause((lit("p", u, pos=False),
+                                 lit("p", v, pos=False)))], [])
+
+    # proof -> the same proof with one rejection planted
+    TAMPERS = {
+        "resolve-literal-not-in-parent": lambda proof: Proved(
+            proof.steps, tuple((i, OTHER) for i, _ in proof.inputs)),
+        "factor-literal-not-in-parent": lambda proof: retouch(
+            proof, "factor", left_literal=lit("other", A)),
+        "unknown-rule": lambda proof: retouch(
+            proof, "resolve", rule="paramodulate"),
+        "clause-not-derived": lambda proof: retouch(
+            proof, "resolve", clause=OTHER),
+    }
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    def test_tampered_trace_fails_replay(self, tamper):
+        if tamper.startswith("factor"):
+            proof = self.factor_proof()
+        else:
+            _, proof, _ = resolution_runs(self.problem())
+        assert replay_trace(proof)
+        assert not replay_trace(self.TAMPERS[tamper](proof))
 
 
 class TestEntailResolution:
