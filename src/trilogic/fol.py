@@ -10,15 +10,20 @@ PYTHONHASHSEED.
 from __future__ import annotations
 
 import enum
+import re
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 
+# finds what str.isspace calls whitespace: the two agree on every code point
+_WHITESPACE = re.compile(r"\s").search
+
+
 def _check_name(name: str) -> None:
     # names are non-empty and contain no whitespace
-    if not name or any(ch.isspace() for ch in name):
+    if not name or _WHITESPACE(name):
         raise ValueError(f"bad identifier: {name!r}")
 
 

@@ -11,10 +11,21 @@ with none resolves on every literal. Factoring is unrestricted: every
 unifiable same-sign pair. Selection keeps resolution refutationally
 complete, with subsumption as the redundancy criterion, and it cuts the k!
 orders in which a rule with k negative literals could meet its partners
-down to one. Goal clauses are queued ahead of premise clauses, so
-goal-directed inferences happen first, but premises do get selected too:
-otherwise a contradiction sitting entirely inside the premises could never
-surface, and dual_run relies on exactly that to report Inconsistent.
+down to one.
+
+dual_run's two runs of a problem share one PremiseBase: the premise clauses
+saturated alone, once per problem, inside the first run's saturate call.
+Each run then resumes a copy of that loop with its goal clauses queued on
+top, so no premise-with-premise inference is made twice. This keeps the
+search complete by the set-of-support argument: a saturated, consistent
+premise set plus the goal as support is refutationally complete, and
+premises that refute themselves answer both runs with that proof, which
+dual_run reports as Inconsistent. A base is tried only when no premise
+clause holds a function term and only up to BASE_GENERATED_CAP generated
+clauses; where it is not tried or stops short, each run is the joined
+run, which queues the goal clauses ahead of the premise clauses in one
+loop, so goal-directed inferences happen first while the premises still
+get selected.
 
 Subsumption deletes both ways under one rule (`deletes`): a new clause that
 a kept clause deletes is dropped, and a kept new clause deletes every kept
@@ -296,9 +307,211 @@ def _keys(literals: Iterable[Literal]) -> frozenset[tuple[str, bool]]:
     return frozenset((l.atom.predicate, l.positive) for l in literals)
 
 
+class _Loop:
+    """The state of one given-clause loop, which saturate runs.
+
+    clauses and steps number every kept clause, and inputs holds the input
+    clauses, each numbered once. usable, partners, by_keys, deleted and
+    sos are the lists and indexes that saturate's docstring describes;
+    arrivals counts the clauses pushed on sos and generated the
+    inferences made. A loop that ran to saturation can take more inputs
+    and run on from where it stopped, which is how a PremiseBase is
+    resumed; a run that ends any other way leaves the loop spent.
+    """
+
+    def __init__(self) -> None:
+        self.clauses: dict[int, Clause] = {}
+        self.steps: dict[int, ProofStep] = {}
+        self.inputs: set[Clause] = set()
+        self.usable: list[int] = []
+        self.partners: defaultdict[tuple[str, bool], list[int]] = defaultdict(list)
+        self.by_keys: defaultdict[frozenset, list[int]] = defaultdict(list)
+        self.deleted: set[int] = set()
+        self.sos: list[tuple[int, int, int]] = []
+        self.arrivals = 0
+        self.generated = 0
+
+    def copy(self) -> _Loop:
+        other = _Loop()
+        other.clauses = dict(self.clauses)
+        other.steps = dict(self.steps)
+        other.inputs = set(self.inputs)
+        other.usable = list(self.usable)
+        other.partners = defaultdict(list, {k: list(v) for k, v in self.partners.items()})
+        other.by_keys = defaultdict(list, {k: list(v) for k, v in self.by_keys.items()})
+        other.deleted = set(self.deleted)
+        other.sos = list(self.sos)
+        other.arrivals = self.arrivals
+        other.generated = self.generated
+        return other
+
+    def add(self, source: Iterable[Clause]) -> list[int]:
+        """Number the clauses of source that are not inputs yet as inputs;
+        their ids, in order."""
+        ids: list[int] = []
+        for c in source:
+            if c not in self.inputs:
+                self.inputs.add(c)
+                ids.append(len(self.clauses) + 1)
+                self.clauses[ids[-1]] = c
+        return ids
+
+    def queue(self, ids: list[int]) -> Optional[Proved]:
+        """Queue input ids on sos in this order; the proof if one of them is
+        the empty clause."""
+        # an input is the empty clause only if the caller passed Clause()
+        # itself: clausifying never makes one (p(A) & -p(A) gives two units)
+        for i in ids:
+            if self.clauses[i].is_empty():
+                return self.proof(i)
+        for i in ids:
+            heapq.heappush(self.sos, (len(self.clauses[i]), self.arrivals, i))
+            self.arrivals += 1
+            self.by_keys[_keys(self.clauses[i])].append(i)
+        return None
+
+    def proof(self, empty_id: int) -> Proved:
+        steps, clauses = self.steps, self.clauses
+        wanted: set[int] = set()
+        stack = [empty_id]
+        while stack:
+            i = stack.pop()
+            if i in wanted:
+                continue
+            wanted.add(i)
+            if i in steps:
+                stack.extend(steps[i].parents)
+        used_steps = tuple(steps[i] for i in sorted(wanted) if i in steps)
+        used_inputs = tuple((i, clauses[i]) for i in sorted(wanted) if i not in steps)
+        return Proved(used_steps, used_inputs)
+
+    def run(self, max_generated: int, max_literals: int,
+            deadline: float) -> ProofResult:
+        """Run the loop to the empty clause, saturation, or a limit: past
+        max_generated inferences in all, or past the deadline (raises
+        DeadlineExceeded). A clause over max_literals literals is dropped."""
+        clauses, steps, usable, partners, by_keys, deleted, sos = (
+            self.clauses, self.steps, self.usable, self.partners,
+            self.by_keys, self.deleted, self.sos)
+        arrival, generated = self.arrivals, self.generated
+        dropped = ""  # the reason for the last clause dropped
+
+        while sos:
+            if time.monotonic() > deadline:
+                raise DeadlineExceeded("wall clock budget")
+            given_id = heapq.heappop(sos)[2]
+            if given_id in deleted:
+                continue
+            given = clauses[given_id]
+            given_keys = _keys(eligible(given))
+            for key in given_keys:
+                partners[key].append(len(usable))
+            usable.append(given_id)
+
+            positions: set[int] = set()
+            for predicate, positive in given_keys:
+                positions.update(partners.get((predicate, not positive), ()))
+            # (parents, unnumbered step) per inference of this round
+            new: list[tuple[tuple[int, ...], ProofStep]] = []
+            for partner_id in (usable[p] for p in sorted(positions)):
+                if partner_id in deleted:
+                    continue
+                parents = (given_id, partner_id)
+                new.extend((parents, r) for r in resolvents(given, clauses[partner_id]))
+            new.extend(((given_id,), fa) for fa in factors(given))
+
+            for parents, step in new:
+                clause = step.clause
+                generated += 1
+                if generated > max_generated:
+                    return LimitReached("generated clause budget")
+                if clause is None or len(clause) > max_literals:
+                    dropped = ("term nesting limit" if clause is None
+                               else "clause literal limit")
+                    continue
+                clause_keys = _keys(clause)
+                if any(deletes(clauses[k], clause)
+                       for group, members in by_keys.items() if group <= clause_keys
+                       for k in members):
+                    continue
+                cid = len(clauses) + 1
+                clauses[cid] = clause
+                steps[cid] = replace(step, index=cid, parents=parents)
+                if clause.is_empty():
+                    return self.proof(cid)
+                for group, members in by_keys.items():
+                    if clause_keys <= group:
+                        doomed = {k for k in members if deletes(clause, clauses[k])}
+                        if doomed:
+                            deleted |= doomed
+                            members[:] = [k for k in members if k not in doomed]
+                by_keys[clause_keys].append(cid)
+                heapq.heappush(sos, (len(clause), arrival, cid))
+                arrival += 1
+        if dropped:
+            return LimitReached(dropped)
+        self.arrivals, self.generated = arrival, generated
+        return Saturated()
+
+
+# a premise base stops past this many generated clauses (or past
+# limits.max_generated_clauses, if lower), and each run goes joined
+BASE_GENERATED_CAP = 256
+
+
+class PremiseBase:
+    """One problem's premise clauses, saturated once for the runs that
+    resume on them.
+
+    The first saturate call that passes the base builds it, from its own
+    premise_clauses and under its own limits and deadline, so the work is
+    that call's. The premises are saturated alone, with nothing else
+    queued, only when no premise clause holds a function term (so no term
+    can grow), and only up to BASE_GENERATED_CAP generated clauses. If
+    that ends in saturation, every run resumes a copy of the loop; if it
+    refutes the premises, every run answers with that proof. If it stops
+    for any other reason (the cap, a dropped clause or the clock), or is
+    not tried, every run is saturate's joined run.
+    """
+
+    def __init__(self) -> None:
+        self._built = False
+        self._start: _Loop | Proved | None = None  # None: each run joined
+
+    def start(self, premise_clauses: Iterable[Clause], limits: ResourceLimits,
+              deadline: float) -> _Loop | Proved | None:
+        """A fresh copy of the saturated premise loop, their refutation, or
+        None for a joined run."""
+        if not self._built:
+            self._built = True
+            self._start = _saturate_premises(list(premise_clauses), limits,
+                                             deadline)
+        if isinstance(self._start, _Loop):
+            return self._start.copy()
+        return self._start
+
+
+def _saturate_premises(premises: list[Clause], limits: ResourceLimits,
+                       deadline: float) -> _Loop | Proved | None:
+    if any(isinstance(t, Function) for c in premises for l in c
+           for t in l.atom.args):
+        return None
+    loop = _Loop()
+    try:
+        result = loop.queue(loop.add(premises)) or loop.run(
+            min(BASE_GENERATED_CAP, limits.max_generated_clauses),
+            limits.max_clause_literals, deadline)
+    except DeadlineExceeded:
+        return None
+    if isinstance(result, Saturated):
+        return loop
+    return result if isinstance(result, Proved) else None
+
+
 def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
              limits: ResourceLimits = DEFAULT_LIMITS,
-             deadline: Optional[float] = None) -> ProofResult:
+             deadline: Optional[float] = None,
+             base: Optional[PremiseBase] = None) -> ProofResult:
     """Run the given-clause loop to the empty clause, saturation, or a limit.
 
     deadline is a time.monotonic() instant, by default wall_ms from now;
@@ -306,6 +519,17 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     was dropped for having more than max_clause_literals literals, or a
     term nested deeper than MAX_NESTING_DEPTH, is not complete, so it ends
     in LimitReached.
+
+    The joined run numbers the premise clauses, then the goal clauses,
+    each distinct clause once, and queues the goal clauses ahead of the
+    premises. base, shared by the runs of one problem that all pass the
+    same premise_clauses, holds the premises saturated once (see
+    PremiseBase): the run then resumes a copy of that loop with its goal
+    clauses queued on top, numbered after the base's clauses, skipping a
+    goal clause that is already a premise. Its generated clause count
+    starts from the base's, so max_generated_clauses counts the same
+    inferences as in the joined run. Where base holds no saturated loop,
+    the run is the joined one.
 
     A new clause that a kept clause `deletes` is dropped. A kept new clause
     deletes every kept clause it `deletes`: a deleted clause leaves its
@@ -330,105 +554,18 @@ def saturate(premise_clauses: Iterable[Clause], goal_clauses: Iterable[Clause],
     """
     if deadline is None:
         deadline = limits.deadline()
-    clauses: dict[int, Clause] = {}
-    steps: dict[int, ProofStep] = {}
-    premise_ids: list[int] = []
-    goal_ids: list[int] = []
-    seen: set[Clause] = set()
-    for ids, source in ((premise_ids, premise_clauses), (goal_ids, goal_clauses)):
-        for c in source:
-            if c not in seen:
-                seen.add(c)
-                clauses[len(clauses) + 1] = c
-                ids.append(len(clauses))
-
-    def build_proof(empty_id: int) -> Proved:
-        wanted: set[int] = set()
-        stack = [empty_id]
-        while stack:
-            i = stack.pop()
-            if i in wanted:
-                continue
-            wanted.add(i)
-            if i in steps:
-                stack.extend(steps[i].parents)
-        used_steps = tuple(steps[i] for i in sorted(wanted) if i in steps)
-        used_inputs = tuple((i, clauses[i]) for i in sorted(wanted) if i not in steps)
-        return Proved(used_steps, used_inputs)
-
-    queued = goal_ids + premise_ids
-    # an input is the empty clause only if the caller passed Clause() itself:
-    # clausifying never makes one (p(A) & -p(A) gives two unit clauses)
-    for i in queued:
-        if clauses[i].is_empty():
-            return build_proof(i)
-
-    arrival = itertools.count()
-    sos = [(len(clauses[i]), next(arrival), i) for i in queued]
-    heapq.heapify(sos)
-    usable: list[int] = []
-    partners: defaultdict[tuple[str, bool], list[int]] = defaultdict(list)
-    by_keys: defaultdict[frozenset, list[int]] = defaultdict(list)
-    for i in queued:
-        by_keys[_keys(clauses[i])].append(i)
-    deleted: set[int] = set()
-    generated = 0
-    dropped = ""  # the reason for the last clause dropped
-
-    while sos:
-        if time.monotonic() > deadline:
-            raise DeadlineExceeded("wall clock budget")
-        given_id = heapq.heappop(sos)[2]
-        if given_id in deleted:
-            continue
-        given = clauses[given_id]
-        given_keys = _keys(eligible(given))
-        for key in given_keys:
-            partners[key].append(len(usable))
-        usable.append(given_id)
-
-        positions: set[int] = set()
-        for predicate, positive in given_keys:
-            positions.update(partners.get((predicate, not positive), ()))
-        # (parents, unnumbered step) per inference of this round
-        new: list[tuple[tuple[int, ...], ProofStep]] = []
-        for partner_id in (usable[p] for p in sorted(positions)):
-            if partner_id in deleted:
-                continue
-            parents = (given_id, partner_id)
-            new.extend((parents, r) for r in resolvents(given, clauses[partner_id]))
-        new.extend(((given_id,), fa) for fa in factors(given))
-
-        for parents, step in new:
-            clause = step.clause
-            generated += 1
-            if generated > limits.max_generated_clauses:
-                return LimitReached("generated clause budget")
-            if clause is None or len(clause) > limits.max_clause_literals:
-                dropped = ("term nesting limit" if clause is None
-                           else "clause literal limit")
-                continue
-            clause_keys = _keys(clause)
-            if any(deletes(clauses[k], clause)
-                   for group, members in by_keys.items() if group <= clause_keys
-                   for k in members):
-                continue
-            cid = len(clauses) + 1
-            clauses[cid] = clause
-            steps[cid] = replace(step, index=cid, parents=parents)
-            if clause.is_empty():
-                return build_proof(cid)
-            for group, members in by_keys.items():
-                if clause_keys <= group:
-                    doomed = {k for k in members if deletes(clause, clauses[k])}
-                    if doomed:
-                        deleted |= doomed
-                        members[:] = [k for k in members if k not in doomed]
-            by_keys[clause_keys].append(cid)
-            heapq.heappush(sos, (len(clause), next(arrival), cid))
-    if dropped:
-        return LimitReached(dropped)
-    return Saturated()
+    start = None if base is None else base.start(premise_clauses, limits, deadline)
+    if isinstance(start, Proved):
+        return start
+    if start is None:
+        loop = _Loop()
+        premise_ids = loop.add(premise_clauses)
+        queued = loop.add(goal_clauses) + premise_ids
+    else:
+        loop = start
+        queued = loop.add(goal_clauses)
+    return loop.queue(queued) or loop.run(limits.max_generated_clauses,
+                                          limits.max_clause_literals, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +670,12 @@ def resolution_runs(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS
 
 def _prepare_saturation(p: Problem, premises: list[Clause],
                         limits: ResourceLimits, deadline: float) -> Refute:
+    """A refute that saturates each goal on one PremiseBase of the
+    problem's premises, built inside the first run's saturate call under
+    that run's deadline."""
+    base = PremiseBase()
     return lambda goal, run_deadline: saturate(premises, goal, limits,
-                                               run_deadline)
+                                               run_deadline, base)
 
 
 def entail_resolution(p: Problem, limits: ResourceLimits = DEFAULT_LIMITS) -> Outcome:

@@ -70,7 +70,8 @@ class TestSolve:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "True"
-        assert "clause 15: -white(Anne)" in lines
+        # the goal clause is numbered after the saturated premise base
+        assert "clause 28: -white(Anne)" in lines
         assert lines[-1].endswith("=> $false")
 
     def test_trace_of_false_answer_refutes_conclusion(self, capsys, tmp_path):
@@ -79,7 +80,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", f, "--dialect", "prover9",
                            "--engine", "resolution", "--trace")
         assert (code, out) == (0, "False\nclause 2: -q(A)\nclause 3: q(A)\n"
-                                  "step 4: resolve(2, 3) with {} => $false\n")
+                                  "step 4: resolve(3, 2) with {} => $false\n")
 
     def test_trace_on_parse_error(self, capsys):
         code, out, _ = run(capsys, "solve", DATA_DIR / "exist_typo.z3",

@@ -53,6 +53,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Atom("", (X,))
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\x1c", "\u00a0",
+                                       "\u2028", "\u3000"])
+    @pytest.mark.parametrize("build", [
+        Variable, Constant, lambda name: Function(name, (A,)),
+        lambda name: Atom(name, (A,)), lambda name: ForAll(name, atom("p", X)),
+        lambda name: Exists(name, atom("p", X))])
+    def test_names_holding_whitespace_are_rejected(self, build, space):
+        name = f"a{space}b"
+        with pytest.raises(ValueError) as raised:
+            build(name)
+        assert str(raised.value) == f"bad identifier: {name!r}"
+
     def test_equality_is_structural(self):
         assert atom("p", X, A) == atom("p", X, A)
         assert atom("p", X) != atom("p", Y)

@@ -1,5 +1,6 @@
 """Resolution engine: unification, inference rules, saturation, traces."""
 
+import itertools
 import time
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from trilogic.fol import (
     Function, Inconsistent, Literal, Not, ResourceLimits, Truth, Variable,
     Verdict, clause_substitute,
 )
-from trilogic.dialects import parse_prover9
+from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.harness import run_translation
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.resolution import (
@@ -473,6 +474,117 @@ class TestIndexedLoop:
                 want = reference_saturate(premises, goal, limits)
                 got = saturate(premises, goal, limits)
                 assert type(got) is type(want), gp.id
+
+
+def chain_text(n):
+    """r(C0, C1), ..., r(Cn-1, Cn) and transitivity; does r(C0, Cn) hold?"""
+    facts = "".join(f"r(C{i}, C{i + 1})\n" for i in range(n))
+    return (f"Premises:\n{facts}"
+            "all x all y all z (r(x, y) & r(y, z) -> r(x, z))\n"
+            f"Conclusion:\nr(C0, C{n})\n")
+
+
+def premise_start(text, limits=DEFAULT_LIMITS):
+    """What a fresh PremiseBase hands a run of text: a copy of the saturated
+    premise loop, their refutation, or None for a joined run."""
+    premises, _ = both_goal_sides(parse_prover9(text))
+    return resolution.PremiseBase().start(premises, limits, limits.deadline())
+
+
+class TestPremiseBase:
+    def test_function_terms_never_build_a_base(self):
+        # saturating these premises alone never ends: a base tried here
+        # spent the first run's half of the budget on p(f(...f(A)))
+        text = ("Premises:\np(A)\nall x (p(x) -> p(f(x)))\n"
+                "Conclusion:\np(f(f(A)))\n")
+        assert premise_start(text) is None
+        out = entail_resolution(parse_prover9(text), ResourceLimits(wall_ms=300))
+        assert out == Answered(Verdict(Truth.TRUE))
+
+    def test_base_past_the_cap_runs_joined(self):
+        text = chain_text(12)
+        assert premise_start(text) is None
+        out = entail_resolution(parse_prover9(text), ResourceLimits(wall_ms=1000))
+        assert out == Answered(Verdict(Truth.TRUE))
+        premises, goals = both_goal_sides(parse_prover9(text))
+        base = resolution.PremiseBase()
+        for goal in goals:
+            assert saturate(premises, goal, base=base) == \
+                saturate(premises, goal)
+
+    def test_cap_never_exceeds_the_generated_clause_limit(self):
+        text = chain_text(3)
+        built = premise_start(text)
+        assert built.generated > 1
+        assert premise_start(text, ResourceLimits(
+            max_generated_clauses=built.generated - 1)) is None
+        # a base that uses up the whole limit leaves no inference to a run
+        limits = ResourceLimits(max_generated_clauses=built.generated)
+        premises, (neg_goal, _) = both_goal_sides(parse_prover9(text))
+        assert saturate(premises, neg_goal, limits,
+                        base=resolution.PremiseBase()) == \
+            LimitReached("generated clause budget")
+        assert isinstance(saturate(premises, neg_goal), Proved)
+
+    def test_inconsistent_premises_answer_both_runs_from_the_base(self):
+        text = "Premises:\np(A)\nall x (p(x) -> -p(x))\nConclusion:\nq(A)\n"
+        refutation = premise_start(text)
+        assert isinstance(refutation, Proved) and replay_trace(refutation)
+        _, *runs = resolution_runs(parse_prover9(text))
+        assert [render_trace(run) for run in runs] == \
+            [render_trace(refutation)] * 2
+        assert type(entail_resolution(parse_prover9(text))) is Inconsistent
+
+    def test_goal_clause_that_is_a_premise_is_skipped(self):
+        premises = [Clause((lit("p", A),)), Clause((lit("q", A, pos=False),))]
+        goal = [Clause((lit("q", A, pos=False),)), Clause((lit("q", A),))]
+        got = saturate(premises, goal, base=resolution.PremiseBase())
+        assert got.inputs == ((2, premises[1]), (3, goal[1]))
+        assert [s.parents for s in got.steps] == [(3, 2)]
+
+
+class TestResumedRuns:
+    """Runs resumed on a PremiseBase against saturate's joined runs, over
+    generated problems in both dialects, by result type."""
+
+    @staticmethod
+    def differences(limits):
+        """(id, dialect, side, joined, resumed) for every run whose result
+        type differs; every Proved resumed run must replay."""
+        out = []
+        for fragment, seed in itertools.product((HORN, FULL_FOL), (23, 101)):
+            cfg = GenConfig(fragment=fragment, seed=seed)
+            for gp in generate_suite(cfg, 40, (1, 2, 3, 5)):
+                for dialect, parse in (("prover9", parse_prover9),
+                                       ("z3", parse_z3)):
+                    premises, goals = both_goal_sides(parse(gp.texts[dialect]))
+                    base = resolution.PremiseBase()
+                    for side, goal in zip(("C", "not C"), goals):
+                        joined = saturate(premises, goal, limits)
+                        resumed = saturate(premises, goal, limits, base=base)
+                        if isinstance(resumed, Proved):
+                            assert replay_trace(resumed), gp.id
+                        if type(resumed) is not type(joined):
+                            out.append((gp.id, dialect, side, joined, resumed))
+        return out
+
+    def test_default_limits_give_the_joined_result_types(self):
+        assert self.differences(ResourceLimits(wall_ms=60_000)) == []
+
+    @pytest.mark.parametrize("cap,moved", [
+        # the base's inferences count against the limit before any goal
+        # inference, so a short proof from the goal can fall past it
+        (10, {("gen-horn-s23-00030", "C"), ("gen-full-fol-s23-00007", "not C")}),
+        (30, set()),
+    ])
+    def test_tight_limits_move_only_limit_points(self, cap, moved):
+        limits = ResourceLimits(wall_ms=60_000, max_generated_clauses=cap)
+        budget = LimitReached("generated clause budget")
+        found = set()
+        for pid, dialect, side, joined, resumed in self.differences(limits):
+            assert budget in (joined, resumed), (pid, dialect, side)
+            found.add((pid, side))
+        assert found == moved
 
 
 class TestSelection:

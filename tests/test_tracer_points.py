@@ -83,3 +83,17 @@ def test_sat_grounds_the_premises_once_and_searches_per_run(tracer):
         t.uninstall()
     assert t.counts["sat.ground_calls"] == 3
     assert t.counts["sat.dpll_calls"] == 2
+
+
+def test_resolution_saturates_once_per_run(tracer):
+    # the premise base is saturated inside the first run's saturate call,
+    # so each run is still one traced call; a base saturated outside
+    # saturate would count 3, or leave its time out of the layer
+    t = tracer.Tracer()
+    t.install()
+    try:
+        harness.run_translation(read_fixture("anne.p9"), "prover9",
+                                "resolution")
+    finally:
+        t.uninstall()
+    assert t.counts["resolution.saturate_calls"] == 2
