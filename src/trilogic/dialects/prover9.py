@@ -27,65 +27,66 @@ _SECTIONS = ("predicates", "premises", "conclusion")
 
 class _FormulaParser(Cursor):
     def parse(self) -> Formula:
-        f = self.implication()
+        f = self.formula()
         self.done()
         return f
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        kind = self.peek()
-        if kind != "implies" and kind != "iff":
-            return left
-        self.deeper(self.advance())
-        right = self.implication()
-        self.depth -= 1
-        return (Implies if kind == "implies" else Iff)(left, right)
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
+    def formula(self) -> Formula:
+        """`&` chains of unary formulas joined left to right by `|` and
+        `^`, then at most one right-nested `->` or `<->`."""
         outer = self.depth
-        merged_or = False
+        link = None
         while True:
-            kind = self.peek()
-            if kind != "or" and kind != "xor":
-                self.depth = outer
-                return node
+            parts = [self.unary()]
+            while self.accept("and"):
+                parts.append(self.unary())
+            right = parts[0] if len(parts) == 1 else And(tuple(parts))
+            if link is None:
+                node = right
+            elif link == "xor":
+                node = Xor(node, right)
+            elif merged_or and isinstance(node, Or):
+                node = Or(node.parts + (right,))
+            else:
+                node = Or((node, right))
+            merged_or = link == "or"
+            link = self.peek()
+            if link != "or" and link != "xor":
+                break
             i = self.advance()
-            if not (merged_or and kind == "or"):
+            if not (merged_or and link == "or"):
                 # this link wraps the node built so far one level deeper
                 self.deeper(i)
-            right = self.conjunction()
-            if kind == "or":
-                if merged_or and isinstance(node, Or):
-                    node = Or(node.parts + (right,))
-                else:
-                    node = Or((node, right))
-                merged_or = True
-            else:
-                node = Xor(node, right)
-                merged_or = False
-
-    def conjunction(self) -> Formula:
-        parts = [self.unary()]
-        while self.accept("and"):
-            parts.append(self.unary())
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
+        self.depth = outer
+        if link != "implies" and link != "iff":
+            return node
+        self.deeper(self.advance())
+        right = self.formula()
+        self.depth -= 1
+        return (Implies if link == "implies" else Iff)(node, right)
 
     def unary(self) -> Formula:
         kind = self.peek()
         if kind is None:
             raise self.end_of_line("a formula")
         if kind == "ident":
-            return self.atom()
+            at = self.advance()
+            name = self.tokens[at]
+            args: list[Term] = []
+            if self.accept("lparen"):
+                args.append(self.term())
+                while self.accept("comma"):
+                    args.append(self.term())
+                self.expect("rparen", "')'")
+            self.arities.check_use(name, len(args), self, at)
+            return Atom(name, tuple(args))
         if kind not in ("not", "forall", "exists", "lparen"):
             raise self.unexpected()
         self.deeper(self.advance())
         if kind == "not":
             f: Formula = Not(self.unary())
         elif kind == "lparen":
-            f = self.implication()
+            f = self.formula()
             self.expect("rparen", "')'")
         else:
             var = self.tokens[self.expect("ident", "a quantified variable name")]
@@ -96,19 +97,6 @@ class _FormulaParser(Cursor):
             f = cls(var, body)
         self.depth -= 1
         return f
-
-    def atom(self) -> Formula:
-        at = self.advance()
-        name = self.tokens[at]
-        if not self.accept("lparen"):
-            self.arities.check_use(name, 0, self, at)
-            return Atom(name)
-        args = [self.term()]
-        while self.accept("comma"):
-            args.append(self.term())
-        self.expect("rparen", "')'")
-        self.arities.check_use(name, len(args), self, at)
-        return Atom(name, tuple(args))
 
     def term(self) -> Term:
         at = self.expect("ident", "a term")

@@ -62,14 +62,11 @@ class _LineParser(Cursor):
             return inner
         if kind == "lbracket":
             raise self.error("unexpected '['", self.pos)
-        if kind == "ident":
-            return self.name_or_call()
-        raise self.unexpected()
-
-    def name_or_call(self) -> Formula:
+        if kind != "ident":
+            raise self.unexpected()
         at = self.advance()
         name = self.tokens[at]
-        if self.peek() != "lparen":
+        if not self.accept("lparen"):
             if name in _OPERATORS:
                 raise self.error(f"operator '{name}' needs arguments", at)
             if name in _BOOLEANS:
@@ -82,11 +79,15 @@ class _LineParser(Cursor):
             return self.quantifier_call(at)
         if name in _OPERATORS:
             return self.operator_call(at)
-        return self.atom_call(at)
+        args = [self.term(at)]
+        while self.accept("comma"):
+            args.append(self.term(at))
+        self.expect("rparen", "')'")
+        self.arities.check_use(name, len(args), self, at)
+        return Atom(name, tuple(args))
 
     def operator_call(self, at: int) -> Formula:
         name = self.tokens[at]
-        self.expect("lparen", "'('")
         self.deeper(at)
         args = [self.expression()]
         while self.accept("comma"):
@@ -108,7 +109,6 @@ class _LineParser(Cursor):
         return cls(tuple(args))
 
     def quantifier_call(self, at: int) -> Formula:
-        self.expect("lparen", "'('")
         self.deeper(at)
         self.expect("lbracket", "'['")
         variables = [self.tokens[self.expect("ident", "a variable name")]]
@@ -128,16 +128,6 @@ class _LineParser(Cursor):
         for v in reversed(variables):
             body = cls(v, body)
         return body
-
-    def atom_call(self, at: int) -> Formula:
-        name = self.tokens[at]
-        self.expect("lparen", "'('")
-        args = [self.term(at)]
-        while self.accept("comma"):
-            args.append(self.term(at))
-        self.expect("rparen", "')'")
-        self.arities.check_use(name, len(args), self, at)
-        return Atom(name, tuple(args))
 
     def term(self, callee: int) -> Term:
         if self.peek() == "lbracket":

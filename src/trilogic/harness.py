@@ -195,8 +195,10 @@ def solve_translation(text: str, dialect: str, engine: str,
     """Parse one translation and run one engine; never raises ParseError.
 
     A parser's ExecError (pyke's load-time declaration checks) is
-    ExecFailed. The proof is the refutation behind a resolution True or
-    False answer; every other outcome and engine gives None.
+    ExecFailed, and so is a RecursionError: input under the nesting cap
+    can still exhaust the interpreter stack of a caller deep in its own.
+    The proof is the refutation behind a resolution True or False answer;
+    every other outcome and engine gives None.
     """
     check_pair(engine, dialect)
     try:
@@ -206,15 +208,17 @@ def solve_translation(text: str, dialect: str, engine: str,
             problem = parse_z3(text)
         else:
             problem = parse_pyke(text)
+        if engine == "chaining":
+            return entail_chaining(problem, limits), None
+        if engine == "sat":
+            return entail_sat(problem, limits), None
+        outcome, *runs = resolution_runs(problem, limits)
     except ParseError as e:
         return ParseFailed(e.message, e.span), None
     except ExecError as e:
         return ExecFailed(str(e)), None
-    if engine == "chaining":
-        return entail_chaining(problem, limits), None
-    if engine == "sat":
-        return entail_sat(problem, limits), None
-    outcome, *runs = resolution_runs(problem, limits)
+    except RecursionError:
+        return ExecFailed("nested too deeply for the interpreter stack"), None
     # one proof backs a True or False answer; two mean Inconsistent
     proofs = [run for run in runs if isinstance(run, Proved)]
     return outcome, proofs[0] if len(proofs) == 1 else None

@@ -158,6 +158,27 @@ class TestForwardChain:
         with pytest.raises(DeadlineExceeded):
             forward_chain(rb, ResourceLimits(wall_ms=1))
 
+    def test_deadline_checked_inside_a_join(self, monkeypatch):
+        # the round's clock read passes and the read at the join's 4096th
+        # probe fails, so the 70 x 70 join of one round stops there
+        reads = []
+
+        class Clock:
+            @staticmethod
+            def monotonic():
+                reads.append(None)
+                return 0.0 if len(reads) == 1 else float("inf")
+
+        monkeypatch.setattr(chaining, "time", Clock)
+        facts = "".join(f"p(C{i}, True)\n" for i in range(70))
+        rb = compile_rules(parse_pyke(
+            f"Facts:\n{facts}Rules:\np($x, True) && p($y, True) >>> "
+            "r($x, $y, True)\nQuery:\nr(C0, C1)\n"))
+        with pytest.raises(DeadlineExceeded) as info:
+            forward_chain(rb)
+        assert info.traceback[-1].name == "_join"
+        assert len(reads) == 2
+
 
 def closure(n):
     """A chain of n constants under a transitive path rule; pyke text."""

@@ -15,14 +15,14 @@ from trilogic.dialects import DIALECTS, parse_prover9, parse_pyke, parse_z3
 from trilogic.dialects import prover9, pyke, z3
 from trilogic.dialects._lex import NAME, Cursor
 from trilogic.fol import (
-    MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, Exists, ForAll, Iff,
-    Implies, Not, Or, ParseError, Problem, SourceSpan, Truth, Variable, Xor,
-    pretty,
+    MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, Exists, ForAll,
+    Function, Iff, Implies, Not, Or, ParseError, Problem, SourceSpan, Truth,
+    Variable, Xor, pretty,
 )
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
-from conftest import read_fixture
+from conftest import call_at_depth, read_fixture
 from hostile import base_texts, mutants
 
 
@@ -138,6 +138,13 @@ class TestProver9:
     def test_unclosed_parenthesis(self):
         e = p9_err("Premises:\np(A\nConclusion:\nq(A)\n")
         assert e.message == "expected ')'"
+
+    def test_function_terms_of_several_arguments(self):
+        p = parse_prover9("Conclusion:\nall x p(f(A, g(B, x)))\n")
+        g = Function("g", (Constant("B"), Variable("x")))
+        assert p.conclusion == ForAll("x", Atom(
+            "p", (Function("f", (Constant("A"), g)),)))
+        assert parse_prover9(f"Conclusion:\n{pretty(p.conclusion)}\n") == p
 
 
 class TestZ3:
@@ -289,6 +296,16 @@ class TestPyke:
         e = pyke_err(bad)
         assert e.message == "literal 'quiet' needs a final True/False slot"
 
+    def test_empty_call(self):
+        # no final slot for a fact or a declaration; a 0-ary query atom
+        e = pyke_err("Facts:\np()\nQuery:\nq(A)\n")
+        assert (e.message, e.span.line, e.span.column) == (
+            "literal 'p' needs a final True/False slot", 2, 1)
+        e = pyke_err("Predicates:\np()\nQuery:\nq(A)\n")
+        assert e.message == "declaration of 'p' needs a final 'bool' slot"
+        assert parse_pyke("Facts:\nq(A, True)\nQuery:\np()\n").conclusion \
+            == Atom("p")
+
     def test_fact_with_variable_rejected(self):
         bad = self.GOOD.replace("quiet(Anne, True)", "quiet($x, True)")
         assert pyke_err(bad).message == "variable '$x' in a fact"
@@ -347,12 +364,20 @@ class TestCrossDialect:
         assert self.clause_set(p9) == self.clause_set(z3)
 
 
+def _p9_text(conclusion):
+    return f"Premises:\np(A)\nConclusion:\n{conclusion}\n"
+
+
+def _z3_text(conclusion):
+    return f"p(A)\nreturn {conclusion}\n"
+
+
 def _p9(conclusion):
-    return parse_prover9(f"Premises:\np(A)\nConclusion:\n{conclusion}\n")
+    return parse_prover9(_p9_text(conclusion))
 
 
 def _z3(conclusion):
-    return parse_z3(f"p(A)\nreturn {conclusion}\n")
+    return parse_z3(_z3_text(conclusion))
 
 
 def _pyke_rule(n):
@@ -395,6 +420,12 @@ class TestNestingCap:
         NESTED[shape](MAX_NESTING_DEPTH)
         with pytest.raises(ParseError):
             NESTED[shape](MAX_NESTING_DEPTH + 1)
+
+    def test_a_deep_caller_parses_at_the_cap(self):
+        # a level costs two frames in prover9 and three in z3, so 200 of
+        # them fit under a caller 350 frames deep
+        call_at_depth(350, NESTED["prover9-parentheses"], MAX_NESTING_DEPTH)
+        call_at_depth(350, NESTED["z3-not"], MAX_NESTING_DEPTH)
 
     def test_span_points_where_the_cap_was_hit(self):
         err = p9_err("Premises:\np(A)\nConclusion:\n" + "-" * 3000 + "p(A)\n")
@@ -662,6 +693,118 @@ def test_bench_shaped_texts_parse_as_recorded():
     texts = bench_shaped_texts()
     assert len(texts) == 24 + 300
     assert parse_digest(texts) == "".join(BENCH_SHAPED_DIGEST)
+
+
+# --- hand-written texts for what the generated corpus lacks: function
+# terms, 0-ary predicates, Unicode spellings, mixed chains, and nesting at
+# the cap and one past it for every construct the cap counts ---
+
+P9_FORMULAS = [
+    # function terms of two or more arguments
+    "all x p(f(A, g(B, x)))", "all x all y r(f(x, y), g(h(x), y, C))",
+    "p(f(A, B, C))", "p(f(g(A), g(B)))", "exists z q(f(z, z), A)",
+    "p(f(A, ))", "p(f(A B))", "p(f(A,", "all x p(f(x(A), B))", "p(f())",
+    "p(f(A), )", "p(f(A) g(B))", "all x p(f(A, x(B)))",
+    # 0-ary predicates
+    "p", "p -> q", "-p | q", "all x (r(x) -> s)", "p(A) & p", "p()",
+    "t & -t", "(t)", "-(t | u) <-> v",
+    # Unicode connectives and quantifiers
+    "∀x (p(x) → q(x))", "∃x (p(x) ∧ ¬q(x))", "p(A) ↔ q(A)",
+    "p(A) ⊕ q(A) ∨ r(A)", "∀x ∃y r(x, y)", "¬∀x p(x)", "∀ x p(x) ∨ ∃ y q(y)",
+    "p(A) → q(A) ↔ r(A)", "∀x", "p(A) ∧", "¬", "p(A) ⊕ ⊕ q(A)",
+    # mixed | and ^ chains
+    "p(A) | q(A) ^ r(A) | s(A) | t(A)", "p(A) ^ q(A) ^ r(A)",
+    "(p(A) | q(A)) | r(A)", "p(A) | (q(A) | r(A)) | s(A)",
+    "p(A) & q(A) | r(A) & s(A) ^ t(A)", "p(A) ^ q(A) | r(A) ^ s(A) | t(A)",
+    "p(A) | q(A) -> r(A) ^ s(A)", "p(A) |", "p(A) ^", "p(A) | | q(A)",
+    "p(A) | & q(A)", "p(A) & & q(A)", "p(A) | q(A) r(A)",
+    # right-nested -> and <->
+    "p(A) -> q(A) <-> r(A) -> s(A)", "p(A) <-> q(A) <-> r(A)",
+    "(p(A) -> q(A)) -> r(A)", "p(A) -> (q(A) -> r(A))",
+    "p(A) | q(A) -> r(A) | s(A) -> t(A)", "all x (p(x) -> q(x)) -> r(A)",
+    "p(A) ->", "-> p(A)", "p(A) -> q(A) )", "(p(A) -> q(A)", "p(A) -> -> q(A)",
+    "p(A) -> q(A) & ", "exists 1", "all x (p(x)", "all", "( )", "p(A) q(A)",
+]
+
+Z3_LINES = [
+    # == chains
+    "p == q == r", "P(A) == Q(A) == R(A) == S(A)", "(P(A) == Q(A)) == R(A)",
+    "Not(P(A)) == Q(A)", "And(P(A) == Q(A), R(A))",
+    "ForAll([x, y], R(x, y) == R(y, x))", "P(A) ==", "== P(A)",
+    "P(A) == == Q(A)", "P(A) == Q(A) R(A)",
+    # 0-ary atoms and calls
+    "Implies(p, q)", "Or(p, Not(p))", "p()", "Not", "True", "ForAll", "x",
+    "ForAll([x], x)", "And(p, p(A))",
+    # calls and their errors
+    "Exists([x, y], R(x, y))", "ForAll([x], ForAll([x], P(x)))",
+    "P(A,)", "P(A B)", "P(A, [x])", "Foo([x], P(x))", "P(A, True)",
+    "ForAll([x], P(x, Q(x)))", "And(P(A), )", "Not()", "Or(P(A)",
+    "(P(A)", "P(A))", "Implies(P(A), Q(A), R(A))", "Xor(P(A))",
+    "ForAll([x], )", "ForAll([], P(A))", "ForAll([x] , P(x)",
+    "Xor(P(A), Q(A))", "Or(P(A), Q(A), R(A), S(A))", "And([x])", "[P(A)]",
+    "P(A)[", "Exists([x], And(P(x), Not(Q(x))))", "ForAll([x, x], P(x))",
+]
+
+
+def _deep(n):
+    """Texts nested n levels deep, in every way the cap counts one."""
+    p9 = {
+        "not": "-" * n + "p(A)",
+        "parentheses": "(" * n + "p(A)" + ")" * n,
+        "implication": "p(A) -> " * n + "p(A)",
+        "iff": "p(A) <-> " * n + "p(A)",
+        "forall": "all x " * n + "p(x)",
+        "exists": "exists x " * n + "p(x)",
+        "term": "p(" + "f(" * n + "A" + ")" * n + ")",
+        "term-in-scope": "all x p(" + "f(" * (n - 1) + "x" + ")" * (n - 1) + ")",
+        "xor": " ^ ".join(["p(A)"] * (n + 1)),
+        "or-xor": "p(A)" + "".join(f" {'|^'[i % 2]} p(A)" for i in range(n)),
+        "or-parentheses": "p(A) | (" * (n // 2) + "p(A)"
+        + " | p(A)" * (n % 2) + ")" * (n // 2),
+        "flat-or": "(" * (n - 1) + " | ".join(["p(A)"] * 300) + ")" * (n - 1),
+    }
+    variables = [f"x{i}" for i in range(n)]
+    z3 = {
+        "not": "Not(" * n + "p(A)" + ")" * n,
+        "parentheses": "(" * n + "p(A)" + ")" * n,
+        "iff": " == ".join(["p(A)"] * (n + 1)),
+        "and": "And(p(A), " * n + "p(A)" + ")" * n,
+        "or": "Or(" * n + "p(A)" + ", p(A))" * n,
+        "implies": "Implies(p(A), " * n + "p(A)" + ")" * n,
+        "xor": "Xor(p(A), " * n + "p(A)" + ")" * n,
+        "forall": "".join(f"ForAll([{v}], " for v in variables)
+        + "p(A)" + ")" * n,
+        "exists-list": f"Exists([{', '.join(variables)}], p(A))",
+        "iff-parentheses": "(p(A) == " * (n // 2) + "p(A)"
+        + " == p(A)" * (n % 2) + ")" * (n // 2),
+    }
+    return ([(f"p9-{k}", _p9_text(v)) for k, v in p9.items()]
+            + [(f"z3-{k}", _z3_text(v)) for k, v in z3.items()])
+
+
+def handwritten_texts():
+    texts = [("prover9", _p9_text(f)) for f in P9_FORMULAS]
+    texts += [("prover9", "Predicates:\np(x)\nr(x, y)\nPremises:\n"
+               f"{f}\nConclusion:\np(A)\n") for f in P9_FORMULAS]
+    texts += [("z3", _z3_text(line)) for line in Z3_LINES]
+    texts += [("z3", f"{line}\nreturn p\n") for line in Z3_LINES]
+    for n in (MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1):
+        texts += [("prover9" if name.startswith("p9") else "z3", text)
+                  for name, text in _deep(n)]
+    return texts
+
+
+# parse_digest of handwritten_texts(), recorded before prover9's
+# precedence levels folded into one method and z3's identifier branch
+# into `unit`
+HANDWRITTEN_DIGEST = ("0174f43163d67bd48368c8e6c1213a3d"
+                      "0ccefc1433e9634fa3741a725eb89f7d")
+
+
+def test_handwritten_texts_parse_as_recorded():
+    texts = handwritten_texts()
+    assert len(texts) == 260
+    assert parse_digest(texts) == HANDWRITTEN_DIGEST
 
 
 # --- the three tokenizers as they were before the shared lexer ---

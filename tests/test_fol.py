@@ -7,10 +7,10 @@ import pytest
 
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.fol import (
-    And, Atom, Clause, Constant, ExecError, Exists, ForAll, Function, Iff,
-    Implies, Literal, Not, Or, ParseError, Problem, ResourceLimits, Term,
-    Variable, Xor, free_variables, pretty, subformulas, substitute_term,
-    subterms,
+    And, Atom, Clause, Constant, ExecError, ExecFailed, Exists, ForAll,
+    Function, Iff, Implies, Literal, Not, Or, ParseError, ParseFailed,
+    Problem, ResourceLimits, SourceSpan, Term, Variable, Xor, free_variables,
+    pretty, subformulas, substitute_term, subterms,
 )
 from trilogic.testkit import (
     FULL_FOL, HORN, GenConfig, _collect_atoms, _existential_witnesses,
@@ -81,6 +81,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Verdict(Truth.TRUE, resource_limited=True)
         assert Verdict(Truth.UNKNOWN, resource_limited=True).resource_limited
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Function("f", ()), "Function arity must be >= 1; use Constant"),
+        (lambda: SourceSpan(0, 1), "spans are 1-based and non-empty"),
+        (lambda: ParseFailed("", SourceSpan(1, 1)), "detail must be non-empty"),
+        (lambda: ExecFailed(""), "detail must be non-empty"),
+    ], ids=["function", "span", "parse-failed", "exec-failed"])
+    def test_guards(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("field,value", [
         ("wall_ms", True), ("wall_ms", "fast"), ("wall_ms", 0),

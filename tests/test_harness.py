@@ -18,10 +18,10 @@ from trilogic.harness import (
     DatasetRecord, ENGINES, FigureCategory, Metrics, RunRecord,
     TranslationRecord, apply_world_assumption, classify_outcome,
     compute_metrics, evaluate, load_dataset, load_translations, pearson,
-    render_report, run_translation,
+    render_report, run_translation, solve_translation,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, call_at_depth
 
 
 def write_jsonl(path, lines):
@@ -242,6 +242,35 @@ class TestRunTranslation:
             out = run_translation(text(3000), "z3", engine)
             assert isinstance(out, ParseFailed), engine
             assert "nested deeper than" in out.detail
+
+
+class TestDeepCaller:
+    # under the nesting cap, yet a caller deep in its own stack runs out of
+    # it: in the z3 parser, or in clausifying the prover9 function terms
+    TEXTS = {
+        "prover9": "Premises:\np(A)\nConclusion:\np(" + "f(" * 199 + "A"
+        + ")" * 199 + ")\n",
+        "z3": "p(A)\nreturn " + "Not(" * 200 + "p(A)" + ")" * 200 + "\n",
+    }
+    SHALLOW = {
+        ("prover9", "resolution"): Answered(Verdict(Truth.UNKNOWN)),
+        ("prover9", "sat"): ExecFailed(
+            "unsupported fragment: function term f/1 (skolem functions of "
+            "arity >= 1 need the resolution engine)"),
+        ("prover9", "chaining"): ExecFailed("formula outside the rule fragment"),
+        ("z3", "resolution"): Answered(Verdict(Truth.TRUE)),
+        ("z3", "sat"): Answered(Verdict(Truth.TRUE)),
+        ("z3", "chaining"): ExecFailed("formula outside the rule fragment"),
+    }
+
+    @pytest.mark.parametrize("dialect,engine", sorted(SHALLOW))
+    def test_outcome_whatever_the_caller_depth(self, dialect, engine):
+        text, shallow = self.TEXTS[dialect], self.SHALLOW[dialect, engine]
+        assert solve_translation(text, dialect, engine)[0] == shallow
+        outcome, _ = call_at_depth(450, solve_translation, text, dialect,
+                                   engine)
+        assert outcome in (shallow, ExecFailed(
+            "nested too deeply for the interpreter stack"))
 
 
 class TestClassifyOutcome:

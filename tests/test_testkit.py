@@ -385,6 +385,18 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GenConfig(fragment="nonsense")
 
+    @pytest.mark.parametrize("knobs,message", [
+        ({"unary_predicates": 0}, "need at least one unary predicate"),
+        ({"distractor_facts": -1}, "counts must be nonnegative"),
+        ({"depth": 0}, "depth must be at least 1"),
+        ({"constants": 5, "unary_predicates": 5},
+         "25 base ground atoms exceeds the oracle limit of 24"),
+    ])
+    def test_config_guard_messages(self, knobs, message):
+        with pytest.raises(ValueError) as raised:
+            GenConfig(**knobs)
+        assert str(raised.value) == message
+
     def test_suite_cycles_depths(self):
         suite = generate_suite(GenConfig(seed=3), 6, depths=(2, 3, 5))
         assert [gp.tags["depth"] for gp in suite] == ["2", "3", "5", "2", "3", "5"]
