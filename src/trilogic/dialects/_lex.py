@@ -1,5 +1,5 @@
 """What the dialect parsers share: lexer, comments, sections, cursor,
-arity table.
+arity table, term table.
 
 A dialect's lexer is one compiled pattern and a kind table, as `Lexer`
 describes. One `findall` per line gives the line's tokens as plain
@@ -17,7 +17,10 @@ import re
 from itertools import islice
 from typing import Iterator
 
-from ..fol import MAX_NESTING_DEPTH, ParseError, SourceSpan, too_deep
+from ..fol import (
+    MAX_NESTING_DEPTH, Atom, Constant, Function, ParseError, SourceSpan,
+    Term, Variable, too_deep,
+)
 
 # also takes a non-decimal numeral such as '²', which the name rule rejects
 NAME = r"[^\W\d_]\w*"
@@ -25,10 +28,9 @@ PUNCTUATION = {"(": "lparen", ")": "rparen", ",": "comma"}
 REJECT = "reject"  # the kind of a token that is an error wherever it stands
 
 
-def _name_kind(text: str) -> str:
-    """The kind of a token that is not in the kind table."""
-    if text[0].isalpha():
-        return "ident"
+def _other_kind(text: str) -> str:
+    """The kind of a token that is not in the kind table and does not
+    start with a letter."""
     if text[0] == "$" and len(text) > 1:  # only pyke's pattern makes one
         return "var"
     return REJECT
@@ -41,7 +43,8 @@ class Lexer:
     tokens of two or more characters, longest first, and pyke's
     variables), then a name, then any other single character. `kinds`
     maps a token's text to its kind and `rejects` a rejected token's text
-    to its message; any other text takes the name rule (`_name_kind`).
+    to its message; any other text starting with a letter is an `ident`,
+    and the rest take `_other_kind`.
     """
 
     def __init__(self, patterns: tuple[str, ...], kinds: dict[str, str],
@@ -62,7 +65,8 @@ class Lexer:
         # at each of them, and each try scans to the end of the line.
         tokens = self.pattern.findall(content, 0, len(content.rstrip()))
         get = self.kinds.get
-        kinds = [get(text) or _name_kind(text) for text in tokens]
+        kinds = [get(text) or ("ident" if text[0].isalpha()
+                               else _other_kind(text)) for text in tokens]
         if REJECT in kinds:
             i = kinds.index(REJECT)
             text = tokens[i]
@@ -136,15 +140,17 @@ class Cursor:
     and `expect` return the index of the token they consume, which
     `span` and `error` take.
 
-    A formula line also holds the text's arity table, `arities`, and
-    `scope`, the quantifier-bound names around the current token.
+    A formula line also holds the text's arity table, `arities`, its
+    term table, `terms`, and `scope`, the quantifier-bound names around
+    the current token.
     """
 
     # set where every early end of line means one thing
     end_message: str | None = None
 
     def __init__(self, lexer: Lexer, content: str, line_no: int,
-                 line_len: int, arities: ArityTable | None = None) -> None:
+                 line_len: int, arities: ArityTable | None = None,
+                 terms: TermTable | None = None) -> None:
         self.lexer = lexer
         self.content = content
         self.tokens, self.kinds = lexer.tokenize(content, line_no)
@@ -154,6 +160,7 @@ class Cursor:
         self.line_len = line_len
         self.depth = 0
         self.arities = arities
+        self.terms = terms
         self.scope: list[str] = []
 
     def span(self, i: int) -> SourceSpan:
@@ -246,3 +253,45 @@ class ArityTable:
             raise line.error(
                 f"inconsistent arity for predicate '{name}': {known} vs {arity}",
                 at)
+
+
+class TermTable:
+    """One text's terms and atoms: each distinct Constant, Variable,
+    Function and Atom is built, and its name checked, once, and every
+    occurrence in the text shares it.
+
+    A parser makes one per text and never keeps it, so two parses share
+    nothing. It passes terms around as keys, which hash without a call
+    into Python: a constant's key is its name, a variable's the 1-tuple
+    of its name, and a function application's the tuple of its name and
+    its arguments' keys. `terms` maps each key to its term.
+    """
+
+    def __init__(self) -> None:
+        self.terms: dict[str | tuple, Term] = {}
+        self.atoms: dict[tuple, Atom] = {}
+
+    def constant(self, name: str) -> str:
+        if name not in self.terms:
+            self.terms[name] = Constant(name)
+        return name
+
+    def variable(self, name: str) -> tuple[str]:
+        key = (name,)
+        if key not in self.terms:
+            self.terms[key] = Variable(name)
+        return key
+
+    def function(self, name: str, args: list[str | tuple]) -> tuple:
+        key = (name, *args)
+        if key not in self.terms:
+            self.terms[key] = Function(name, tuple(map(self.terms.get, args)))
+        return key
+
+    def atom(self, predicate: str, args: list[str | tuple]) -> Atom:
+        key = (predicate, *args)
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(
+                predicate, tuple(map(self.terms.get, args)))
+        return atom

@@ -9,11 +9,12 @@ variables, everything else in term position is a constant.
 from __future__ import annotations
 
 from ..fol import (
-    And, Atom, Constant, Formula, ForAll, Exists, Function, Iff, Implies,
-    Not, Or, ParseError, Problem, Term, Variable, Xor,
+    And, Formula, ForAll, Exists, Iff, Implies, Not, Or, ParseError, Problem,
+    Xor,
 )
 from ._lex import (
-    PUNCTUATION, ArityTable, Cursor, Lexer, end_span, section_lines,
+    PUNCTUATION, ArityTable, Cursor, Lexer, TermTable, end_span,
+    section_lines,
 )
 
 _LEXER = Lexer(("<->", "->"), {
@@ -72,14 +73,14 @@ class _FormulaParser(Cursor):
         if kind == "ident":
             at = self.advance()
             name = self.tokens[at]
-            args: list[Term] = []
+            args = []
             if self.accept("lparen"):
                 args.append(self.term())
                 while self.accept("comma"):
                     args.append(self.term())
                 self.expect("rparen", "')'")
             self.arities.check_use(name, len(args), self, at)
-            return Atom(name, tuple(args))
+            return self.terms.atom(name, args)
         if kind not in ("not", "forall", "exists", "lparen"):
             raise self.unexpected()
         self.deeper(self.advance())
@@ -98,7 +99,8 @@ class _FormulaParser(Cursor):
         self.depth -= 1
         return f
 
-    def term(self) -> Term:
+    def term(self) -> str | tuple:
+        """The next term's key in the text's term table."""
         at = self.expect("ident", "a term")
         name = self.tokens[at]
         if self.peek() == "lparen":
@@ -111,10 +113,10 @@ class _FormulaParser(Cursor):
                 args.append(self.term())
             self.expect("rparen", "')'")
             self.depth -= 1
-            return Function(name, tuple(args))
+            return self.terms.function(name, args)
         if name in self.scope:
-            return Variable(name)
-        return Constant(name)
+            return self.terms.variable(name)
+        return self.terms.constant(name)
 
 
 class _DeclarationCursor(Cursor):
@@ -146,7 +148,7 @@ def parse_prover9(text: str) -> Problem:
     Raises ParseError with a source span on malformed input: untranslated
     prose, unknown characters, arity clashes, or a missing conclusion.
     """
-    arities = ArityTable()
+    arities, terms = ArityTable(), TermTable()
     premises: list[Formula] = []
     conclusion: Formula | None = None
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
@@ -155,7 +157,8 @@ def parse_prover9(text: str) -> Problem:
                 _DeclarationCursor(_LEXER, content, line_no, len(raw)),
                 arities)
             continue
-        parser = _FormulaParser(_LEXER, content, line_no, len(raw), arities)
+        parser = _FormulaParser(_LEXER, content, line_no, len(raw), arities,
+                                terms)
         formula = parser.parse()
         if section == "premises":
             premises.append(formula)
@@ -166,4 +169,5 @@ def parse_prover9(text: str) -> Problem:
 
     if conclusion is None:
         raise ParseError("missing Conclusion section", end_span(text))
-    return Problem(tuple(premises), conclusion)
+    # a name outside every quantifier for it is a constant: closed
+    return Problem._closed(tuple(premises), conclusion)

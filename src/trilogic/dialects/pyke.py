@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..fol import (
-    MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, ForAll, Formula,
-    Implies, Not, ParseError, Problem, SourceSpan, Term, Variable, too_deep,
+    MAX_NESTING_DEPTH, And, Atom, ExecError, ForAll, Formula, Implies, Not,
+    ParseError, Problem, SourceSpan, too_deep,
 )
 from ._lex import (
-    PUNCTUATION, Cursor, Lexer, end_span, section_lines,
+    PUNCTUATION, Cursor, Lexer, TermTable, end_span, section_lines,
 )
 
 _CONNECTIVE_WORDS = ("Xor", "Exists", "ForAll", "Or", "And", "Not",
@@ -69,7 +69,7 @@ class _LineParser(Cursor):
                 f"literal '{tokens[name]}' needs a final True/False slot",
                 name)
         value = tokens[args[-1]] == "True"
-        terms: list[Term] = []
+        keys = []
         for at in args[:-1]:
             text = tokens[at]
             if text in ("True", "False"):
@@ -77,10 +77,10 @@ class _LineParser(Cursor):
             if text == "bool":
                 raise self.error("'bool' is only valid in declarations", at)
             if self.kinds[at] == "var":
-                terms.append(Variable(text[1:]))
+                keys.append(self.terms.variable(text[1:]))
             else:
-                terms.append(Constant(text))
-        atom = Atom(tokens[name], tuple(terms))
+                keys.append(self.terms.constant(text))
+        atom = self.terms.atom(tokens[name], keys)
         return atom if value else Not(atom)
 
 
@@ -148,18 +148,18 @@ def _parse_rule(parser: _LineParser) -> tuple[Formula, list[Formula]]:
 
 def _parse_query(parser: _LineParser) -> Atom:
     if len(parser.tokens) == 1 and parser.accept("ident"):
-        return Atom(parser.tokens[0])
+        return parser.terms.atom(parser.tokens[0], [])
     name, args = parser.raw_call()
     parser.done()
-    names: list[Term] = []
+    keys = []
     for at in args:
         text = parser.tokens[at]
         if text in ("True", "False"):
             raise parser.error("the query takes no truth value", at)
         if parser.kinds[at] == "var":
             raise parser.error(f"variable {text!r} in the query", at)
-        names.append(Constant(text))
-    return Atom(parser.tokens[name], tuple(names))
+        keys.append(parser.terms.constant(text))
+    return parser.terms.atom(parser.tokens[name], keys)
 
 
 def _check_arities(declarations: list[tuple[str, int]],
@@ -205,8 +205,9 @@ def parse_pyke(text: str) -> Problem:
     # the rules' literals, rule by rule, for the arity check
     rule_literals: list[Formula] = []
     query: Atom | None = None
+    terms = TermTable()
     for section, line_no, raw, content in section_lines(text, _SECTIONS):
-        parser = _LineParser(_LEXER, content, line_no, len(raw))
+        parser = _LineParser(_LEXER, content, line_no, len(raw), terms=terms)
         has_arrow = "arrow" in parser.kinds
         if section == "predicates":
             declarations.append(_parse_declaration(parser))
@@ -231,4 +232,5 @@ def parse_pyke(text: str) -> Problem:
         *((f, "a fact") for f in facts),
         *((f, "a rule") for f in rule_literals),
         (query, "the query")])
-    return Problem((*facts, *rules), query)
+    # facts and the query are ground, and a rule quantifies its variables
+    return Problem._closed((*facts, *rules), query)

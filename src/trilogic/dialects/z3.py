@@ -13,12 +13,12 @@ from __future__ import annotations
 import re
 
 from ..fol import (
-    And, Atom, Constant, Exists, ForAll, Formula, Iff, Implies, Not, Or,
-    ParseError, Problem, SourceSpan, Term, Variable, Xor,
+    And, Exists, ForAll, Formula, Iff, Implies, Not, Or, ParseError, Problem,
+    SourceSpan, Xor,
 )
 from ._lex import (
-    PUNCTUATION, ArityTable, Cursor, Lexer, content_lines, end_span,
-    indent_span,
+    PUNCTUATION, ArityTable, Cursor, Lexer, TermTable, content_lines,
+    end_span, indent_span,
 )
 
 _DEF_LINE = re.compile(r"^def\s+[A-Za-z_]\w*\s*\(\s*\)\s*:\s*$")
@@ -74,7 +74,7 @@ class _LineParser(Cursor):
             if name in self.scope:
                 raise self.error(f"variable '{name}' used as a formula", at)
             self.arities.check_use(name, 0, self, at)
-            return Atom(name)
+            return self.terms.atom(name, [])
         if name in ("ForAll", "Exists"):
             return self.quantifier_call(at)
         if name in _OPERATORS:
@@ -84,7 +84,7 @@ class _LineParser(Cursor):
             args.append(self.term(at))
         self.expect("rparen", "')'")
         self.arities.check_use(name, len(args), self, at)
-        return Atom(name, tuple(args))
+        return self.terms.atom(name, args)
 
     def operator_call(self, at: int) -> Formula:
         name = self.tokens[at]
@@ -129,7 +129,8 @@ class _LineParser(Cursor):
             body = cls(v, body)
         return body
 
-    def term(self, callee: int) -> Term:
+    def term(self, callee: int) -> str | tuple:
+        """The next term's key in the text's term table."""
         if self.peek() == "lbracket":
             # A bracketed list marks a quantifier-style call, so the callee
             # was meant to be an operator and is not one we know.
@@ -143,8 +144,8 @@ class _LineParser(Cursor):
         if name in _BOOLEANS:
             raise self.error("boolean literal is not supported", at)
         if name in self.scope:
-            return Variable(name)
-        return Constant(name)
+            return self.terms.variable(name)
+        return self.terms.constant(name)
 
 
 def parse_z3(text: str) -> Problem:
@@ -153,7 +154,7 @@ def parse_z3(text: str) -> Problem:
     Every non-comment line is one assertion; the final line must be
     `return <expr>` and names the conclusion.
     """
-    arities = ArityTable()
+    arities, terms = ArityTable(), TermTable()
     premises: list[Formula] = []
     conclusion: Formula | None = None
     for index, (line_no, raw, content) in enumerate(
@@ -163,7 +164,8 @@ def parse_z3(text: str) -> Problem:
         if conclusion is not None:
             raise ParseError("content after the return line",
                              indent_span(line_no, content))
-        parser = _LineParser(_LEXER, content, line_no, len(raw), arities)
+        parser = _LineParser(_LEXER, content, line_no, len(raw), arities,
+                             terms)
         # a content line has a token
         is_return = parser.tokens[0] == "return"
         if is_return:
@@ -179,4 +181,5 @@ def parse_z3(text: str) -> Problem:
 
     if conclusion is None:
         raise ParseError("missing return line", end_span(text))
-    return Problem(tuple(premises), conclusion)
+    # a name outside every quantifier for it is a constant: closed
+    return Problem._closed(tuple(premises), conclusion)

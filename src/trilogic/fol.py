@@ -72,7 +72,23 @@ class Function(Term):
             raise ValueError("Function arity must be >= 1; use Constant")
 
     def __str__(self):
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
+        # an explicit stack: a term may nest up to MAX_NESTING_DEPTH deep,
+        # and the engines render every literal they sort
+        parts: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, str):
+                parts.append(u)
+            elif isinstance(u, Function):
+                parts.append(f"{u.name}(")
+                stack.append(")")
+                for k in range(len(u.args) - 1, 0, -1):
+                    stack += (u.args[k], ", ")
+                stack.append(u.args[0])
+            else:
+                parts.append(str(u))
+        return "".join(parts)
 
 
 def subterms(t: Term) -> list[Term]:
@@ -390,6 +406,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Problem:
+    """Closed premises and a closed conclusion.
+
+    `Problem(...)` raises ValueError if a formula has a free variable.
+    The dialect parsers and the generator build their formulas closed (a
+    name outside every quantifier for it is a constant), so they go
+    through `Problem._closed`, which skips that walk.
+    """
+
     premises: tuple[Formula, ...]
     conclusion: Formula
 
@@ -398,6 +422,15 @@ class Problem:
         for f in (*self.premises, self.conclusion):
             if free_variables(f):
                 raise ValueError(f"formula has free variables: {f}")
+
+    @classmethod
+    def _closed(cls, premises: tuple[Formula, ...], conclusion: Formula
+                ) -> Problem:
+        """The Problem of formulas the caller built closed, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "premises", premises)
+        object.__setattr__(p, "conclusion", conclusion)
+        return p
 
     def constants(self) -> set[str]:
         """Names of all constants mentioned anywhere in the problem."""

@@ -47,8 +47,12 @@ class NameSupply:
         return name
 
 
+# the dialects reject names starting with '_', so a text cannot write one
+SKOLEM_PREFIX = "_sk"
+
+
 def skolem_supply() -> NameSupply:
-    return NameSupply("_sk")
+    return NameSupply(SKOLEM_PREFIX)
 
 
 def variable_supply() -> NameSupply:

@@ -23,7 +23,7 @@ from .fol import (
     Problem, ResourceLimits, DEFAULT_LIMITS, Term, Variable, subterms,
 )
 # clausify_all is not called here; perfbench/tracer.py wraps it
-from .normalize import clausify_all
+from .normalize import SKOLEM_PREFIX, clausify_all
 from .resolution import ProofResult, Proved, Refute, Saturated, dual_run
 
 DUMMY_CONSTANT = "_c0"
@@ -161,9 +161,11 @@ def _picker(slots: list[int]) -> Callable[[tuple], tuple]:
 
 def _reject_functions(t: Term) -> None:
     if isinstance(t, Function):
+        what = ("skolem functions of arity >= 1"
+                if t.name.startswith(SKOLEM_PREFIX) else "function terms")
         raise ExecError(
             f"unsupported fragment: function term {t.name}/{len(t.args)} "
-            "(skolem functions of arity >= 1 need the resolution engine)")
+            f"({what} need the resolution engine)")
 
 
 def _clause_constants(clauses: Iterable[Clause]) -> set[str]:

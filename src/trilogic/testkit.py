@@ -525,7 +525,8 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
     shrink = 0
     for _ in range(60):
         premises, conclusion, ordered = build(cfg, rng, shrink)
-        problem = Problem(tuple(premises), conclusion)
+        # every variable the builders write sits under its quantifier
+        problem = Problem._closed(tuple(premises), conclusion)
         try:
             verdict = enumerate_models(problem)
         except ExecError:
@@ -549,8 +550,8 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
     texts = {"prover9": _render_prover9(problem),
              "z3": _render_z3(problem)}
     if ordered is not None:
-        texts["pyke"] = _render_pyke(Problem(tuple(ordered),
-                                             problem.conclusion))
+        texts["pyke"] = _render_pyke(Problem._closed(tuple(ordered),
+                                                     problem.conclusion))
     pid = f"gen-{cfg.fragment}-s{cfg.seed}-{index:05d}"
     tags = {"dataset": "generated", "fragment": cfg.fragment,
             "depth": str(cfg.depth), "world": cfg.assumption.value}

@@ -17,7 +17,7 @@ from trilogic.dialects._lex import NAME, Cursor
 from trilogic.fol import (
     MAX_NESTING_DEPTH, And, Atom, Constant, ExecError, Exists, ForAll,
     Function, Iff, Implies, Not, Or, ParseError, Problem, SourceSpan, Truth,
-    Variable, Xor, pretty,
+    Variable, Xor, free_variables, pretty, subformulas, subterms,
 )
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
@@ -805,6 +805,57 @@ def test_handwritten_texts_parse_as_recorded():
     texts = handwritten_texts()
     assert len(texts) == 260
     assert parse_digest(texts) == HANDWRITTEN_DIGEST
+
+
+# --- what a parse builds: closed formulas, and one object per distinct
+# term and atom of the text ---
+
+
+def test_parsed_formulas_are_closed():
+    # the parsers build their Problem without the free-variable walk that
+    # Problem(...) makes, so each formula must come out closed by scoping
+    texts = (list(base_texts(6, 20)) + mutants(6, 20, 40)
+             + handwritten_texts() + bench_shaped_texts())
+    parsed = 0
+    for dialect, text in texts:
+        try:
+            problem = PARSERS[dialect](text)
+        except (ParseError, ExecError):
+            continue
+        parsed += 1
+        for f in (*problem.premises, problem.conclusion):
+            assert free_variables(f) == set(), (dialect, text)
+    assert parsed > 400
+
+
+def _shared_parts(problem):
+    """Every atom and every term occurrence of a problem, in walk order."""
+    atoms = [g for g in subformulas(*problem.premises, problem.conclusion)
+             if isinstance(g, Atom)]
+    return atoms, [t for a in atoms for arg in a.args for t in subterms(arg)]
+
+
+SHARING_TEXTS = {
+    "prover9": "Premises:\nall x (p(x) -> q(f(x), A))\nall y (q(f(y), A) | "
+    "p(y))\np(A) & -p(A) | q(f(A), x)\nConclusion:\nq(f(A), A) | p(A)\n",
+    "z3": closure_text(6, "z3", random.Random(0)),
+    "pyke": closure_text(6, "pyke", random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("dialect", DIALECTS)
+def test_one_object_per_distinct_term_and_atom_of_a_text(dialect):
+    first = PARSERS[dialect](SHARING_TEXTS[dialect])
+    second = PARSERS[dialect](SHARING_TEXTS[dialect])
+    assert first == second
+    atoms, terms = _shared_parts(first)
+    for parts in (atoms, terms):
+        assert len(parts) > len(set(parts))  # the text repeats some
+        assert len({id(x) for x in parts}) == len(set(parts))
+    assert {type(t) for t in terms} >= {Constant, Variable}
+    # nothing is kept from one parse to the next
+    again, _ = _shared_parts(second)
+    assert not {id(a) for a in atoms} & {id(a) for a in again}
 
 
 # --- the three tokenizers as they were before the shared lexer ---

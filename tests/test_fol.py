@@ -17,7 +17,7 @@ from trilogic.testkit import (
     _term_name, generate_suite, oracle_universe,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, call_at_depth
 from hostile import base_texts, mutants
 
 
@@ -166,6 +166,14 @@ class TestPretty:
     def test_xor_and_iff(self):
         f = Xor(atom("p", A), Iff(atom("q", A), atom("r", A)))
         assert pretty(f) == "p(Anne) ^ (q(Anne) <-> r(Anne))"
+
+    def test_deep_term_renders_without_recursion(self):
+        t = A
+        for _ in range(199):
+            t = Function("f", (t, X))
+        text = "f(" * 199 + "Anne" + ", x)" * 199
+        assert call_at_depth(800, str, t) == text
+        assert str(atom("p", t, A)) == f"p({text}, Anne)"
 
     def test_roundtrip_through_parser(self):
         from trilogic.dialects import parse_prover9

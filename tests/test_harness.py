@@ -255,8 +255,8 @@ class TestDeepCaller:
     SHALLOW = {
         ("prover9", "resolution"): Answered(Verdict(Truth.UNKNOWN)),
         ("prover9", "sat"): ExecFailed(
-            "unsupported fragment: function term f/1 (skolem functions of "
-            "arity >= 1 need the resolution engine)"),
+            "unsupported fragment: function term f/1 (function terms need "
+            "the resolution engine)"),
         ("prover9", "chaining"): ExecFailed("formula outside the rule fragment"),
         ("z3", "resolution"): Answered(Verdict(Truth.TRUE)),
         ("z3", "sat"): Answered(Verdict(Truth.TRUE)),
