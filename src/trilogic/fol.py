@@ -4,7 +4,11 @@ Everything here is an immutable value. Terms, formulas, literals and
 clauses compare and hash structurally, so they are safe to share across
 threads and usable as dict keys. Clauses keep their literals in a fixed
 sorted order so that iteration is deterministic regardless of
-PYTHONHASHSEED.
+PYTHONHASHSEED: by predicate, then by the atom's rendering, then negative
+before positive, then, for literals alike in all three, by each term's
+kind, name and arity in preorder. A clause whose literals all have
+different predicates is ordered by predicate alone: no literal of it is
+hashed or rendered while it is built.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import enum
 import re
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 
@@ -309,9 +313,44 @@ class Literal:
         return (self.atom.predicate, str(self.atom), self.positive)
 
 
+def _total_key(lit: Literal):
+    """sort_key, then each term as (kind, name, arity) in preorder: that
+    tells apart atoms that render alike, such as p(x) of a Variable and of
+    a Constant."""
+    return lit.sort_key(), tuple(
+        (type(t).__name__, t.name, len(t.args) if isinstance(t, Function) else 0)
+        for a in lit.atom.args for t in subterms(a))
+
+
+_predicate = attrgetter("atom.predicate")
+_first = itemgetter(0)
+
+
+def _sorted_literals(lits: tuple[Literal, ...]) -> tuple[Literal, ...]:
+    """lits in Clause order, each once."""
+    keyed = sorted([(l.sort_key(), l) for l in lits], key=_first)
+    out: list[Literal] = []
+    last = None
+    for key, l in keyed:
+        if key != last:
+            out.append(l)
+            last = key
+        elif l != out[-1]:  # alike in sort_key but not equal: break the tie
+            return tuple(sorted(set(lits), key=_total_key))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Clause:
     """A duplicate-free disjunction of literals, kept in sorted order.
+
+    The order is by predicate, then by the atom's rendering, then negative
+    before positive, then by the kind, name and arity of each term in
+    preorder. The last key is computed only for a clause that has literals
+    alike in the first three. A clause whose literals all have different predicates has
+    no repeated literal and no complementary pair, so it is sorted by
+    predicate alone, with no literal hashed or rendered, and is known not
+    to be a tautology.
 
     The empty clause is representable and denotes contradiction. All
     variables are implicitly universally quantified.
@@ -319,9 +358,19 @@ class Clause:
 
     literals: tuple[Literal, ...] = ()
 
+    # class defaults, not fields: set on the instance only when they differ
+    _shares_predicate = False
+    _variables = None
+
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.literals), key=Literal.sort_key))
-        object.__setattr__(self, "literals", ordered)
+        lits = tuple(self.literals)
+        if len(lits) > 1:
+            if len({l.atom.predicate for l in lits}) == len(lits):
+                lits = tuple(sorted(lits, key=_predicate))
+            else:
+                lits = _sorted_literals(lits)
+                object.__setattr__(self, "_shares_predicate", True)
+        object.__setattr__(self, "literals", lits)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
@@ -336,17 +385,25 @@ class Clause:
         return not self.literals
 
     def is_tautology(self) -> bool:
+        if not self._shares_predicate:
+            return False
         pos = {l.atom for l in self.literals if l.positive}
         neg = {l.atom for l in self.literals if not l.positive}
         return bool(pos & neg)
 
-    @cached_property
+    @property
     def variables(self) -> frozenset[str]:
         """Names of the variables in the clause, computed once per clause:
-        resolution renames every pair of parents apart."""
-        return frozenset(t.name for lit in self.literals
-                         for a in lit.atom.args for t in subterms(a)
-                         if isinstance(t, Variable))
+        resolution renames every pair of parents apart. Not a
+        functools.cached_property, which on Python 3.10 and 3.11 takes one
+        lock shared by every Clause on each first read."""
+        v = self._variables
+        if v is None:
+            v = frozenset(t.name for lit in self.literals
+                          for a in lit.atom.args for t in subterms(a)
+                          if isinstance(t, Variable))
+            object.__setattr__(self, "_variables", v)
+        return v
 
     def __str__(self):
         if not self.literals:

@@ -2,6 +2,7 @@
 and the shared formula and term walks."""
 
 import json
+import random
 
 import pytest
 
@@ -205,6 +206,119 @@ class TestClause:
         c = Clause((Literal(False, atom("p", A)), Literal(True, atom("q", X))))
         assert str(c) == "-p(Anne) | q(x)"
         assert str(Clause(())) == "$false"
+
+    def test_literals_that_render_alike_have_one_order(self):
+        # p(x) of a Variable and of a Constant, and a constant whose name
+        # reads as a function term
+        alike = [Literal(True, atom("p", Variable("x"))),
+                 Literal(True, atom("p", Constant("x")))]
+        nested = [Literal(False, atom("q", Function("f", (Constant("a"),)))),
+                  Literal(False, atom("q", Constant("f(a)")))]
+        for lits in (alike, nested):
+            forward, backward = Clause(tuple(lits)), Clause(tuple(lits[::-1]))
+            assert forward == backward
+            assert hash(forward) == hash(backward)
+            assert len(forward) == 2 and not forward.is_tautology()
+        # kind breaks the tie: Constant before Function before Variable
+        assert Clause(tuple(alike)).literals == (alike[1], alike[0])
+        assert Clause(tuple(nested)).literals == (nested[1], nested[0])
+
+    def test_different_predicates_build_without_hashing_or_rendering(
+            self, monkeypatch):
+        lits = [Literal(False, atom("r", X, A)), Literal(True, atom("p", X)),
+                Literal(False, atom("q", Function("f", (X,)), Y))]
+
+        def refuse(*args):
+            raise AssertionError("a literal was hashed or rendered")
+
+        monkeypatch.setattr(Literal, "sort_key", refuse)
+        monkeypatch.setattr(Literal, "__hash__", refuse)
+        for given in (tuple(lits), lits, iter(lits)):
+            c = Clause(given)
+            assert [l.atom.predicate for l in c] == ["p", "q", "r"]
+            assert not c.is_tautology()
+        assert Clause(lits[:1]).literals == (lits[0],)
+
+    def test_construction_matches_the_reference_rule(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            lits = random_literals(rng)
+            want = reference_clause(lits)
+            rng.shuffle(lits)
+            for given in (tuple(lits), list(lits), (l for l in lits)):
+                got = Clause(given)
+                assert got.literals == want.literals, lits
+                assert got.is_tautology() == reference_is_tautology(lits), lits
+                assert got.variables == reference_variables(lits), lits
+                assert got == want and hash(got) == hash(want), lits
+
+
+# --- Clause construction before predicates decided the order, kept as a
+# reference: every literal hashed into a set and rendered for its sort key,
+# with a tie-break on the term structure written recursively ---
+
+
+def reference_shape(t: Term) -> list:
+    if isinstance(t, Function):
+        out = [("Function", t.name, len(t.args))]
+        for a in t.args:
+            out += reference_shape(a)
+        return out
+    return [(type(t).__name__, t.name, 0)]
+
+
+def reference_clause(lits) -> Clause:
+    """A Clause whose literals are ordered by the reference rule, built
+    without running Clause's own construction."""
+    def key(l):
+        shape = [s for a in l.atom.args for s in reference_shape(a)]
+        return (l.atom.predicate, str(l.atom), l.positive, shape)
+
+    c = object.__new__(Clause)
+    object.__setattr__(c, "literals", tuple(sorted(set(lits), key=key)))
+    return c
+
+
+def reference_is_tautology(lits) -> bool:
+    pos = {l.atom for l in lits if l.positive}
+    neg = {l.atom for l in lits if not l.positive}
+    return bool(pos & neg)
+
+
+def reference_variables(lits) -> frozenset[str]:
+    return frozenset(v for l in lits for a in l.atom.args
+                     for v in reference_term_variables(a))
+
+
+def random_clause_term(rng, depth=2) -> Term:
+    """Variables and constants that share names, function terms, and a
+    constant whose name renders like a function term."""
+    roll = rng.random()
+    if depth > 0 and roll < 0.25:
+        return Function("f", tuple(random_clause_term(rng, depth - 1)
+                                   for _ in range(rng.randint(1, 2))))
+    if roll < 0.6:
+        return Variable(rng.choice("ab"))
+    return Constant(rng.choice(["a", "b", "f(a)"]))
+
+
+def random_literals(rng) -> list[Literal]:
+    """0 to 5 literals over 1 to 3 predicates, with repeats and
+    complementary pairs."""
+    preds = ["p", "q", "r"][:rng.randint(1, 3)]
+    lits: list[Literal] = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if lits and roll < 0.2:
+            lits.append(rng.choice(lits))
+        elif lits and roll < 0.4:
+            l = rng.choice(lits)
+            lits.append(Literal(not l.positive, l.atom))
+        else:
+            lits.append(Literal(rng.random() < 0.5, Atom(
+                rng.choice(preds), tuple(random_clause_term(rng)
+                                         for _ in range(rng.randint(0, 2))))))
+    return lits
 
 
 # --- the walks before subformulas and subterms, kept as references ---

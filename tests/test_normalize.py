@@ -2,6 +2,7 @@
 negations in, standardizes apart, skolemizes and distributes to CNF,
 checked against a four-walk reference plus a CNF pass kept here."""
 
+import hashlib
 import random
 import time
 
@@ -375,6 +376,24 @@ class TestMergedWalks:
                 assert got == want, formulas
                 assert ([s.next_index for s in got_supplies]
                         == [s.next_index for s in want_supplies]), formulas
+
+
+# SHA-256 of the clause texts of every reference_inputs() call, recorded
+# before clauses whose literals all have different predicates came to be
+# sorted by predicate alone. TestMergedWalks builds its reference clauses
+# with the same Clause, so only this digest sees a change of literal order.
+CLAUSE_DIGEST = ("0aae797f5d120ee042d994098f2d7f97"
+                 "b831ebf1f682fee3d969a7e086e04481")
+
+
+def test_clause_order_as_recorded():
+    digest = hashlib.sha256()
+    for calls in reference_inputs():
+        supplies = variable_supply(), skolem_supply()
+        for formulas in calls:
+            texts = clause_texts(clausify_all, formulas, supplies)
+            digest.update(f"{texts!r}\n".encode())
+    assert digest.hexdigest() == CLAUSE_DIGEST
 
 
 # texts whose clausification grows exponentially in their length
