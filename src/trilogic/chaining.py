@@ -214,7 +214,7 @@ def forward_chain(rb: RuleBase, limits: ResourceLimits = DEFAULT_LIMITS
         flipped = (fact[0], fact[1], not fact[2])
         if flipped in present:
             raise InconsistentFacts(
-                f"inconsistent facts: {fact[0]}({', '.join(fact[1])}) "
+                f"inconsistent facts: {_fact_text(fact[0], fact[1])} "
                 "asserted both True and False")
         if len(store) >= limits.max_ground_literals:
             raise ExecError("fact store budget exceeded")
@@ -287,8 +287,13 @@ def answer_query(fixpoint: tuple[Fact, ...], query: Fact) -> Verdict:
     return Verdict(Truth.UNKNOWN)
 
 
+def _fact_text(pred: str, args: tuple[str, ...]) -> str:
+    """A fact's atom as Atom.__str__ writes it: bare with no arguments."""
+    return f"{pred}({', '.join(args)})" if args else pred
+
+
 def dump_fixpoint(fixpoint: tuple[Fact, ...]) -> str:
-    lines = [f"{pred}({', '.join(args)})={value}"
+    lines = [f"{_fact_text(pred, args)}={value}"
              for pred, args, value in sorted(fixpoint)]
     return "\n".join(lines)
 

@@ -31,8 +31,7 @@ from .harness import (
 from .resolution import render_trace
 from .dialects import DIALECTS
 from .testkit import (
-    DEFAULT_ENGINES, FRAGMENTS, GenConfig, differential_check,
-    generate_suite,
+    FRAGMENTS, GenConfig, differential_check, generate_suite,
 )
 
 
@@ -161,13 +160,8 @@ def cmd_gen(args: argparse.Namespace, limits: ResourceLimits) -> int:
 
 def cmd_diff(args: argparse.Namespace, limits: ResourceLimits) -> int:
     cfg, depths = _gen_config(args)
-    engines = None
-    if args.engines is not None:
-        names = [n.strip() for n in args.engines.split(",") if n.strip()]
-        unknown = sorted(set(names) - set(DEFAULT_ENGINES))
-        if unknown:
-            raise ValueError(f"unknown engine(s): {', '.join(unknown)}")
-        engines = {n: DEFAULT_ENGINES[n] for n in names}
+    engines = ENGINES if args.engines is None else [
+        n.strip() for n in args.engines.split(",") if n.strip()]
     report = differential_check(args.n, cfg, engines=engines,
                                 depths=depths, limits=limits)
     if report.ok:

@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .fol import (
     And, Answered, Atom, Constant, ExecError, Exists, ForAll, Formula,
@@ -30,7 +30,7 @@ from .fol import (
     ResourceLimits, DEFAULT_LIMITS, Term, Truth, Variable, Verdict,
     WorldAssumption, Xor, pretty, subformulas,
 )
-from .harness import run_translation
+from .harness import ENGINES, run_translation
 # not called here; kept importable because perfbench/tracer.py wraps them
 from .chaining import entail_chaining
 from .dialects import parse_prover9, parse_pyke, parse_z3
@@ -571,20 +571,8 @@ def generate_suite(cfg: GenConfig, n: int,
 
 # --- differential checking ---
 
-Engine = Callable[[GeneratedProblem, ResourceLimits], Outcome]
-
 # the dialect each engine reads in a differential check
 _DIFF_DIALECTS = {"resolution": "prover9", "sat": "z3", "chaining": "pyke"}
-
-
-def _diff_engine(engine: str, dialect: str) -> Engine:
-    def run(gp: GeneratedProblem, limits: ResourceLimits) -> Outcome:
-        return run_translation(gp.texts[dialect], dialect, engine, limits)
-    return run
-
-
-DEFAULT_ENGINES: dict[str, Engine] = {
-    e: _diff_engine(e, d) for e, d in _DIFF_DIALECTS.items()}
 
 
 @dataclass(frozen=True)
@@ -611,27 +599,30 @@ class DiffReport:
 
 
 def differential_check(n: int, cfg: GenConfig,
-                       engines: Optional[Mapping[str, Engine]] = None,
+                       engines: Sequence[str] = ENGINES,
                        depths: Optional[Sequence[int]] = None,
                        limits: ResourceLimits = DEFAULT_LIMITS) -> DiffReport:
     """Generate n problems and cross-check every engine against the oracle.
 
-    Engines see only their own emitted dialect text, so this also exercises
-    the emit/parse round trip. A custom engines mapping replaces the
-    default set, which the self-test uses to plant a broken engine.
-    Chaining reads pyke text, which only horn problems have, so it
-    checks no full-fol problem. Raises ValueError when no engine is
-    left to check.
+    engines names which of harness.ENGINES (resolution, sat, chaining) to
+    check, each once in name order; all three by default. Each engine
+    sees only the text of its own dialect, so this also exercises the
+    emit/parse round trip. Chaining reads pyke text, which only horn
+    problems have, so it checks no full-fol problem. Raises ValueError
+    on an unknown name and when no engine is left to check.
     """
-    table = dict(DEFAULT_ENGINES if engines is None else engines)
-    if cfg.fragment != HORN:
-        table.pop("chaining", None)
-    if not table:
+    unknown = sorted(set(engines) - set(ENGINES))
+    if unknown:
+        raise ValueError(f"unknown engine(s): {', '.join(unknown)}")
+    names = [e for e in sorted(set(engines))
+             if cfg.fragment == HORN or e != "chaining"]
+    if not names:
         raise ValueError(f"no engine to check on {cfg.fragment} problems")
     mismatches: list[DiffMismatch] = []
     for gp in generate_suite(cfg, n, depths):
-        for name, engine in sorted(table.items()):
-            outcome = engine(gp, limits)
+        for name in names:
+            dialect = _DIFF_DIALECTS[name]
+            outcome = run_translation(gp.texts[dialect], dialect, name, limits)
             good = (isinstance(outcome, Answered)
                     and outcome.verdict.value is gp.gold
                     and not outcome.verdict.resource_limited)

@@ -13,8 +13,8 @@ from trilogic.chaining import (
 from trilogic.dialects import parse_pyke
 from trilogic.fol import (
     DEFAULT_LIMITS, MAX_NESTING_DEPTH, And, Answered, Atom, Constant, DeadlineExceeded,
-    ExecError, ExecFailed, ForAll, Implies, Not, Problem, ResourceLimits,
-    Truth, Variable, Verdict, WorldAssumption,
+    ExecError, ExecFailed, ForAll, Implies, Inconsistent, Not, Problem,
+    ResourceLimits, Truth, Variable, Verdict, WorldAssumption,
 )
 from trilogic.harness import apply_world_assumption, run_translation
 from trilogic.testkit import HORN, GenConfig, generate_suite
@@ -79,6 +79,25 @@ class TestForwardChain:
                 "Query:\nquiet(Anne)\n")
         with pytest.raises(InconsistentFacts, match="inconsistent facts"):
             forward_chain(compile_rules(parse_pyke(text)), DEFAULT_LIMITS)
+
+    def test_zero_arity_facts_dump_bare(self):
+        text = ("Predicates:\nrain(bool)\nwet(bool)\n\n"
+                "Facts:\nrain(True)\n\n"
+                "Rules:\nrain(True) >>> wet(True)\n\n"
+                "Query:\nwet\n")
+        fp = forward_chain(compile_rules(parse_pyke(text)), DEFAULT_LIMITS)
+        assert dump_fixpoint(fp) == "rain=True\nwet=True"
+
+    def test_zero_arity_contradiction_names_bare_atom(self):
+        text = ("Predicates:\nrain(bool)\n\n"
+                "Facts:\nrain(True)\nrain(False)\n\n"
+                "Query:\nrain\n")
+        problem = parse_pyke(text)
+        with pytest.raises(InconsistentFacts) as raised:
+            forward_chain(compile_rules(problem), DEFAULT_LIMITS)
+        assert str(raised.value) == ("inconsistent facts: rain asserted "
+                                     "both True and False")
+        assert isinstance(entail_chaining(problem), Inconsistent)
 
     def test_store_budget(self):
         tiny = ResourceLimits(max_generated_clauses=10, max_clause_literals=4,

@@ -386,8 +386,12 @@ class TestDiff:
     def test_mismatch_exit_1(self, capsys, monkeypatch):
         # every sat run is wrong, so 11 mismatches show as 10 lines and the
         # first one's texts
-        monkeypatch.setitem(testkit.DEFAULT_ENGINES, "sat",
-                            lambda gp, limits: ExecFailed("planted fault"))
+        real = testkit.run_translation
+        monkeypatch.setattr(
+            testkit, "run_translation",
+            lambda text, dialect, engine, limits:
+            ExecFailed("planted fault") if engine == "sat"
+            else real(text, dialect, engine, limits))
         code, out, err = run(capsys, "diff", "--n", "11", "--seed", "17")
         suite = testkit.generate_suite(testkit.GenConfig(seed=17), 11)
         first = suite[0]

@@ -256,6 +256,12 @@ class TestResolve:
                          Clause((lit("p", A, pos=False),)))
         assert len(got) == 1 and got[0].clause.is_empty()
 
+    def test_same_sign_literals_do_not_resolve(self):
+        # p(x) and p(A) unify, but both are positive
+        c1 = Clause((lit("p", X), lit("q", X)))
+        c2 = Clause((lit("p", A), lit("r", A)))
+        assert resolvents(c1, c2) == []
+
 
 class TestFactor:
     def test_unifiable_duplicates_collapse(self):

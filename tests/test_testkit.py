@@ -16,8 +16,9 @@ from trilogic.fol import (
     Function, Iff, Implies, Inconsistent, Not, Or, Outcome, ParseError,
     ParseFailed, Problem, Truth, Variable, Verdict, WorldAssumption, Xor,
 )
+from trilogic.harness import ENGINES, run_translation
 from trilogic.testkit import (
-    DEFAULT_ENGINES, FULL_FOL, HORN, ORACLE_MAX_ATOMS, DiffReport, GenConfig,
+    FULL_FOL, HORN, ORACLE_MAX_ATOMS, DiffReport, GenConfig,
     GeneratedProblem, differential_check, enumerate_models, generate_problem,
     generate_suite, oracle_universe, _BLOCK_ATOMS, _Evaluator, _render_pyke,
     _tiled_column,
@@ -373,6 +374,16 @@ class TestGenerator:
         assert testkit._render_z3(Problem((), Atom("p", (Constant("B"),)))) \
             == "return p(B)\n"
 
+    @pytest.mark.parametrize("render, parse", [
+        (testkit._render_prover9, parse_prover9),
+        (testkit._render_z3, parse_z3)], ids=["prover9", "z3"])
+    def test_zero_arity_atoms_round_trip(self, render, parse):
+        # the generator draws unary predicates only, so no generated text
+        # has a bare atom
+        rain, wet, cold = (Atom(name, ()) for name in ("rain", "wet", "cold"))
+        problem = Problem((rain, Implies(rain, wet), Not(cold)), wet)
+        assert parse(render(problem)) == problem
+
     def test_pyke_text_parses(self):
         gp = generate_problem(GenConfig(seed=7), 0)
         assert parse_pyke(gp.texts["pyke"]).conclusion == gp.problem.conclusion
@@ -501,35 +512,40 @@ class TestDifferential:
         assert report.checked == 20
         assert report.ok
 
-    def test_planted_bug_is_caught(self):
-        def broken(gp, limits):
-            return Answered(Verdict(Truth.TRUE))
-
+    def test_planted_bug_is_caught(self, monkeypatch):
+        monkeypatch.setattr(testkit, "run_translation",
+                            lambda text, dialect, engine, limits:
+                            Answered(Verdict(Truth.TRUE)))
         report = differential_check(10, GenConfig(seed=21),
-                                    engines={"broken": broken})
+                                    engines=["resolution"])
         assert not report.ok
         bad = report.mismatches[0]
-        assert bad.engine == "broken"
+        assert bad.engine == "resolution"
         assert bad.expected in ("True", "False", "Unknown")
         assert "prover9" in bad.texts
 
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown engine\(s\): magic$"):
+            differential_check(1, GenConfig(seed=21), engines=["magic"])
+
     def test_engine_names(self):
-        assert sorted(DEFAULT_ENGINES) == ["chaining", "resolution", "sat"]
+        assert sorted(testkit._DIFF_DIALECTS) == sorted(ENGINES)
 
     def test_broken_text_is_parse_failure(self):
-        gp = generate_problem(GenConfig(seed=21))
-        gp = dataclasses.replace(gp, texts={**gp.texts, "prover9": BROKEN_P9})
-        out = DEFAULT_ENGINES["resolution"](gp, DEFAULT_LIMITS)
+        dialect = testkit._DIFF_DIALECTS["resolution"]
+        out = run_translation(BROKEN_P9, dialect, "resolution",
+                              DEFAULT_LIMITS)
         assert isinstance(out, ParseFailed)
 
-    def test_broken_text_is_reported_as_mismatch(self):
-        def breaks_text(gp, limits):
-            broken = dataclasses.replace(
-                gp, texts={**gp.texts, "prover9": BROKEN_P9})
-            return DEFAULT_ENGINES["resolution"](broken, limits)
+    def test_broken_text_is_reported_as_mismatch(self, monkeypatch):
+        def breaks_text(text, dialect, engine, limits):
+            return run_translation(
+                BROKEN_P9 if dialect == "prover9" else text, dialect,
+                engine, limits)
 
+        monkeypatch.setattr(testkit, "run_translation", breaks_text)
         report = differential_check(3, GenConfig(seed=21),
-                                    engines={"resolution": breaks_text})
+                                    engines=["resolution"])
         assert len(report.mismatches) == 3
         assert all(m.got.startswith("ParseError: ")
                    for m in report.mismatches)
