@@ -25,7 +25,7 @@ from .fol import (
     Answered, ExecError, ResourceLimits, DEFAULT_LIMITS, WorldAssumption,
 )
 from .harness import (
-    ENGINES, apply_world_assumption, compute_metrics, evaluate,
+    ENGINES, RUN_FIELDS, apply_world_assumption, compute_metrics, evaluate,
     load_dataset, load_translations, render_report, solve_translation,
 )
 from .resolution import render_trace
@@ -103,7 +103,7 @@ def cmd_solve(args: argparse.Namespace, limits: ResourceLimits) -> int:
 def cmd_eval(args: argparse.Namespace, limits: ResourceLimits) -> int:
     records = load_dataset(args.dataset)
     group_by = [k.strip() for k in args.group_by.split(",") if k.strip()]
-    unknown = sorted(set(group_by) - {"dialect", "engine", "provider"}
+    unknown = sorted(set(group_by) - set(RUN_FIELDS)
                      - {key for record in records for key in record.tags})
     if records and unknown:
         raise ValueError(f"unknown group-by key(s): {', '.join(unknown)}")

@@ -603,6 +603,10 @@ class ResourceLimits:
             value = getattr(self, f.name)
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{f.name} must be a positive integer")
+        try:
+            float(self.wall_ms)  # deadline() reads it in float seconds
+        except OverflowError:
+            raise ValueError("wall_ms is too large") from None
 
     def deadline(self, share: float = 1.0) -> float:
         """The time.monotonic() instant share of wall_ms from now; see

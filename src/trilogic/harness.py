@@ -6,8 +6,8 @@ parse, failed at runtime (contradictions land here too). Executable rate
 counts the first two; accuracy counts only the first, over all records, so
 accuracy can never exceed executable rate.
 
-The thread pool and statistics are imported inside the functions that
-use them, so a process that only solves never loads them
+The thread pool, statistics and csv are imported inside the functions
+that use them, so a process that only solves never loads them
 (tests/test_footprint.py checks this).
 """
 
@@ -17,6 +17,7 @@ import enum
 import json
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -34,6 +35,8 @@ from .resolution import Proved, entail_resolution, resolution_runs
 from .sat import entail_sat
 
 ENGINES = ("resolution", "sat", "chaining")
+# the group-by keys read from the run; any other key names a dataset tag
+RUN_FIELDS = ("dialect", "engine", "provider")
 
 
 class FigureCategory(enum.Enum):
@@ -308,21 +311,17 @@ def compute_metrics(runs: Sequence[RunRecord],
     for run in runs:
         parts = []
         for key in group_by:
-            if key in ("dialect", "engine", "provider"):
-                value = getattr(run, key)
-            else:
-                # a bare `|` parts two keys, so a tag value escapes its own
-                value = run.tags.get(key, "-").replace("\\", "\\\\") \
-                    .replace("|", "\\|")
-            parts.append(f"{key}={value}")
+            value = getattr(run, key) if key in RUN_FIELDS \
+                else run.tags.get(key, "-")
+            # a bare `|` parts two keys, so each value escapes its own
+            parts.append(f"{key}=" + value.replace("\\", "\\\\")
+                         .replace("|", "\\|"))
         groups.setdefault("|".join(parts), []).append(run)
 
     out: list[Metrics] = []
     for label in sorted(groups):
         bucket = groups[label]
-        counts = {c: 0 for c in FigureCategory}
-        for run in bucket:
-            counts[run.category] += 1
+        counts = Counter(run.category for run in bucket)
         total = len(bucket)
         ec = counts[FigureCategory.EXEC_CORRECT]
         ei = counts[FigureCategory.EXEC_INCORRECT]
@@ -387,19 +386,18 @@ def render_report(metrics: Sequence[Metrics], fmt: str = "markdown") -> bytes:
                 f"NonExecRuntime {_percent(m.nonexec_runtime / total)}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "csv":
+        import csv
         buf = StringIO()
-        buf.write("group,dialect,engine,total,exec_correct,exec_incorrect,"
-                  "nonexec_parse,nonexec_runtime,exec_rate,accuracy,"
-                  "resource_limited\r\n")
-        for m in metrics:
-            group = m.group.replace('"', "'")
-            if any(c in group for c in ",\r\n"):
-                group = f'"{group}"'
-            buf.write(f"{group},{m.dialect},{m.engine},{m.total},"
-                      f"{m.exec_correct},{m.exec_incorrect},"
-                      f"{m.nonexec_parse},{m.nonexec_runtime},"
-                      f"{m.exec_rate:.4f},{m.accuracy:.4f},"
-                      f"{m.resource_limited}\r\n")
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(["group", "dialect", "engine", "total",
+                         "exec_correct", "exec_incorrect", "nonexec_parse",
+                         "nonexec_runtime", "exec_rate", "accuracy",
+                         "resource_limited"])
+        writer.writerows(
+            [m.group, m.dialect, m.engine, m.total, m.exec_correct,
+             m.exec_incorrect, m.nonexec_parse, m.nonexec_runtime,
+             f"{m.exec_rate:.4f}", f"{m.accuracy:.4f}", m.resource_limited]
+            for m in metrics)
         return buf.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -561,6 +561,8 @@ def generate_problem(cfg: GenConfig, index: int = 0) -> GeneratedProblem:
 def generate_suite(cfg: GenConfig, n: int,
                    depths: Optional[Sequence[int]] = None
                    ) -> list[GeneratedProblem]:
+    if depths is not None and not depths:
+        raise ValueError("depths must name at least one depth")
     out = []
     for i in range(n):
         c = cfg if depths is None else dataclasses.replace(

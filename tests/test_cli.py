@@ -459,6 +459,14 @@ class TestLimitsEnv:
         assert code == 2
         assert "wall_ms must be a positive integer" in err
 
+    def test_too_large_wall_ms_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRILOGIC_LIMITS",
+                           '{"wall_ms": 1%s}' % ("0" * 400))
+        code, out, err = run(capsys, "solve", str(DATA_DIR / "anne.p9"),
+                             "--dialect", "prover9", "--engine", "resolution")
+        assert (code, out, err) == (
+            2, "", "error: TRILOGIC_LIMITS: wall_ms is too large\n")
+
     def test_invalid_json_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("TRILOGIC_LIMITS", "{oops")
         code, _, err = run(capsys, "solve", str(DATA_DIR / "anne.p9"),

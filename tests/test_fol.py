@@ -104,6 +104,12 @@ class TestConstruction:
             ResourceLimits(**{field: value})
         assert getattr(ResourceLimits(**{field: 7}), field) == 7
 
+    def test_wall_ms_must_convert_to_float(self):
+        # deadline() reads wall_ms in float seconds
+        with pytest.raises(ValueError, match="^wall_ms is too large$"):
+            ResourceLimits(wall_ms=10 ** 400)
+        assert ResourceLimits(wall_ms=10 ** 308).deadline() > 0
+
 
 class TestFreeVariables:
     def test_unbound_atom(self):

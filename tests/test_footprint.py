@@ -1,9 +1,9 @@
 """Start-up footprint: importing trilogic and solving one problem stay lean.
 
-The thread pool and statistics are imported where they are used
-(evaluate with jobs > 1, pearson), so a process that never reaches them
-never pays for them. The other LAZY_MODULES are imported nowhere in the
-package; the guard keeps it that way.
+The thread pool, statistics and csv are imported where they are used
+(evaluate with jobs > 1, pearson, a CSV report), so a process that never
+reaches them never pays for them. The other LAZY_MODULES are imported
+nowhere in the package; the guard keeps it that way.
 """
 
 import json
@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # modules a trilogic process loads only on the code paths that need them
 LAZY_MODULES = (
     "ssl", "http.client", "urllib.request", "email", "socket", "hashlib",
-    "logging", "concurrent.futures", "statistics",
+    "logging", "concurrent.futures", "statistics", "csv",
 )
 
 # prints the modules loaded after interpreter start-up

@@ -482,7 +482,7 @@ class TestRenderReport:
     @pytest.mark.parametrize("value,group", [
         ("x\ny", "dataset=x\ny"), ("x\r\ny", "dataset=x\r\ny"),
         ("x\ry", "dataset=x\ry"), ("a,b", "dataset=a,b"),
-        ("p|q", "dataset=p\\|q")])
+        ("p|q", "dataset=p\\|q"), ('a"b', 'dataset=a"b')])
     def test_csv_keeps_one_record_per_group(self, value, group):
         raw = render_report(self.tagged(value), "csv").decode()
         rows = list(csv.reader(io.StringIO(raw, newline="")))
@@ -506,6 +506,18 @@ class TestRenderReport:
         assert len(cells) == 8  # six cells between the outer bars
         assert lines[2].startswith(f"| dataset={shown} | prover9 |")
         assert lines[5].startswith(f"- dataset={shown} (prover9/")
+
+    def test_run_field_values_escape_like_tag_values(self):
+        # a provider ending in `\` or holding `|` must not read as another
+        runs = [dataclasses.replace(r, provider=provider,
+                                    tags={"dataset": "x"})
+                for provider in ("m\\", "m", "m|x") for r in micro_runs()]
+        metrics = compute_metrics(runs, ("provider", "dataset"))
+        assert [m.group for m in metrics] == [
+            "provider=m\\\\|dataset=x", "provider=m\\|x|dataset=x",
+            "provider=m|dataset=x"]
+        rows = render_report(metrics).decode().split("\n")[2:5]
+        assert len(set(rows)) == 3
 
 
 class TestEngineTable:

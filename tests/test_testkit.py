@@ -412,6 +412,10 @@ class TestGenerator:
         suite = generate_suite(GenConfig(seed=3), 6, depths=(2, 3, 5))
         assert [gp.tags["depth"] for gp in suite] == ["2", "3", "5", "2", "3", "5"]
 
+    def test_suite_rejects_empty_depth_list(self):
+        with pytest.raises(ValueError, match="depths"):
+            generate_suite(GenConfig(), 3, [])
+
     def test_minimal_config_label_is_positive(self):
         # a bare chain with nothing to distract always derives its goal
         cfg = GenConfig(depth=1, distractor_facts=0, distractor_rules=0)
@@ -527,6 +531,10 @@ class TestDifferential:
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ValueError, match=r"^unknown engine\(s\): magic$"):
             differential_check(1, GenConfig(seed=21), engines=["magic"])
+
+    def test_empty_depth_list_is_rejected(self):
+        with pytest.raises(ValueError, match="depths"):
+            differential_check(3, GenConfig(), depths=())
 
     def test_engine_names(self):
         assert sorted(testkit._DIFF_DIALECTS) == sorted(ENGINES)
