@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
@@ -28,7 +28,7 @@ from .resolution import ProofResult, Proved, Refute, Saturated, dual_run
 
 DUMMY_CONSTANT = "_c0"
 
-# clause instances grounded between two looks at the clock
+# instances and atoms that grounding looks at between two looks at the clock
 _COMBOS_PER_CHECK = 1024
 
 # the highest atom a set's clauses name, its unit literals, and its
@@ -36,19 +36,112 @@ _COMBOS_PER_CHECK = 1024
 _Intake = tuple[int, list[int], list[tuple[int, ...]]]
 
 
+# A join step finds the atom of one negative literal, as (predicate, older,
+# key, binds, checks). older: it reads only atoms numbered before the seed
+# atom. key picks the atom's names off the row when the step binds no
+# variable, else None. binds are the (argument position, row slot) pairs
+# of the variables it binds, and checks those of the other arguments, whose
+# names must equal the row's once binds are made.
+_Step = tuple[str, bool, Optional[Callable], tuple[tuple[int, int], ...],
+              tuple[tuple[int, int], ...]]
+
+# a join: its steps, then the row slots of the variables that no step
+# binds, which range over the whole universe
+_Plan = tuple[tuple[_Step, ...], tuple[int, ...]]
+
+
+class _Rule:
+    """A clause compiled for instantiation.
+
+    A row holds the values of the clause's variables, in sorted order, then
+    its constants, and blank is the row with no variable set; each literal
+    reads its atom's names off the row. closed: no negative literal holds a
+    variable, so every instance has the same negative atoms. plans[j], once
+    plan(j) made it, is the join that starts at an atom of the j-th
+    negative literal and takes the others in clause order.
+    """
+
+    __slots__ = ("literals", "negative", "blank", "width", "closed", "plans")
+
+    def __init__(self, clause: Clause) -> None:
+        variables = sorted(clause.variables)
+        width = self.width = len(variables)
+        blank: list[Optional[str]] = [None] * width
+        literals: list[tuple[bool, str, Callable]] = []
+        negative: list[tuple[str, list[int], Callable]] = []
+        closed = True
+        for lit in clause:
+            predicate, args = lit.atom.predicate, lit.atom.args
+            slots = []
+            for arg in args:
+                if isinstance(arg, Variable):
+                    slots.append(variables.index(arg.name))
+                else:
+                    _reject_functions(arg)
+                    slots.append(len(blank))
+                    blank.append(arg.name)
+            pick = _picker(slots)
+            literals.append((lit.positive, predicate, pick))
+            if not lit.positive:
+                negative.append((predicate, slots, pick))
+                if closed and slots and min(slots) < width:
+                    closed = False
+        self.literals, self.negative, self.blank = literals, negative, blank
+        self.closed = closed
+        self.plans: list[Optional[_Plan]] = [None] * len(negative)
+
+    def plan(self, seed: int) -> _Plan:
+        """Make plans[seed]. The steps before the seed literal's read older
+        atoms, so an instance is made at its first literal on its newest
+        negative atom."""
+        width = self.width
+        bound = [False] * width
+        steps = []
+        for k in (seed, *range(seed), *range(seed + 1, len(self.negative))):
+            predicate, slots, pick = self.negative[k]
+            binds: list[tuple[int, int]] = []
+            checks: list[tuple[int, int]] = []
+            for p, s in enumerate(slots):
+                if s < width and not bound[s]:
+                    bound[s] = True
+                    binds.append((p, s))
+                else:
+                    checks.append((p, s))
+            steps.append((predicate, k < seed, None if binds else pick,
+                          tuple(binds), tuple(checks)))
+        plan = self.plans[seed] = (
+            tuple(steps), tuple([s for s in range(width) if not bound[s]]))
+        return plan
+
+
+def _wait(rule: _Rule, waiting: dict[str, list[tuple[_Rule, int]]]) -> None:
+    """File each negative literal of rule, as (rule, j), under its
+    predicate."""
+    for j, (predicate, _, _) in enumerate(rule.negative):
+        if predicate in waiting:
+            waiting[predicate].append((rule, j))
+        else:
+            waiting[predicate] = [(rule, j)]
+
+
 @dataclass
 class PropClauseSet:
     """Ground clauses as DIMACS-style signed 1-based indices.
 
     table maps each ground atom, as its plain (predicate, names) tuple, to
-    its index, in the order the indices were handed out. A set is not
-    changed once built: what ground and dpll read off a base set is
-    worked out once, on first use, and kept on it.
+    its index, in the order the indices were handed out. In a grounding,
+    these are the possibly true atoms: each occurs positively in an
+    instance made. rules are the compiled clauses it read whose instances
+    may still wait for an atom, its base's first, so that a grounding on
+    top of it goes on with the same fixpoint. A set is not changed once
+    built: what ground and dpll read off a base set is worked out once, on
+    first use, and kept on it.
     """
 
     clauses: list[tuple[int, ...]]
     atom_count: int
     table: dict[tuple[str, tuple[str, ...]], int]
+    rules: tuple[_Rule, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def _instances(self) -> frozenset[tuple[int, ...]]:
@@ -62,6 +155,22 @@ class PropClauseSet:
     def _intake(self) -> Optional[_Intake]:
         return _take_in(self.clauses)
 
+    @cached_property
+    def _fixpoint(self) -> tuple[dict[str, list[tuple[int, tuple[str, ...]]]],
+                                 dict[str, list[tuple[_Rule, int]]]]:
+        """Each predicate's atoms, as (index, names) in index order, and
+        its waiting negative literals, as _wait files them."""
+        atoms: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
+        for (predicate, names), idx in self.table.items():
+            if predicate in atoms:
+                atoms[predicate].append((idx, names))
+            else:
+                atoms[predicate] = [(idx, names)]
+        waiting: dict[str, list[tuple[_Rule, int]]] = {}
+        for rule in self.rules:
+            _wait(rule, waiting)
+        return atoms, waiting
+
 
 # the base of a grounding or a search that extends no other
 _EMPTY = PropClauseSet([], 0, {})
@@ -71,25 +180,35 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
            limits: ResourceLimits = DEFAULT_LIMITS,
            deadline: Optional[float] = None,
            base: Optional[PropClauseSet] = None) -> PropClauseSet:
-    """Instantiate every clause under every assignment of its variables.
+    """Instantiate the clauses bottom-up over the sorted universe: make an
+    instance only once the atom of each of its negative literals is
+    possibly true, that is, occurs positively in an instance made already.
+    Setting every atom the grounding never numbers to False satisfies each
+    instance left out, so the grounding is satisfiable exactly when the
+    full instantiation is. A variable that no negative literal holds ranges
+    over the whole universe.
 
-    Each clause is compiled once into literal templates. Every argument
-    reads either a variable's slot in the assignment or one of the clause's
-    constants. Atoms are interned by their plain (predicate, names) key.
-    deadline is a time.monotonic() instant, by default wall_ms from now,
-    checked every _COMBOS_PER_CHECK assignments of a clause; past it
-    grounding raises DeadlineExceeded.
+    Clauses are read in order, each compiled once into a _Rule, and reading
+    one makes its instances that are ready by then. An atom is numbered
+    when an instance first holds it, and atoms are taken up in index order:
+    each completes the waiting instances whose newest negative atom it is.
+    So each instance is made once, in an order set by the clauses and the
+    universe alone, and a clause with no variable in a negative literal,
+    whose negative atoms are possibly true when it is read, grounds as full
+    instantiation does. deadline is a time.monotonic() instant, by default
+    wall_ms from now, checked every _COMBOS_PER_CHECK instances and atoms
+    looked at; past it grounding raises DeadlineExceeded.
 
-    base is an earlier grounding over the same constants that these
-    clauses extend, as a problem's goal extends its premises; none reads
-    as a base with no clauses. The result numbers its atoms on from a
-    copy of base's table and holds only the instances base lacks, and the
-    literal budget counts base's literals too, so base's clauses followed
-    by the result's are the grounding of base's clauses and these in one
-    call.
-    base's instance set and literal count are read in once per base, not
-    once per call, so of the premises each goal grounded on them copies
-    only the atom table.
+    base is an earlier grounding over the same constants that these clauses
+    extend, as a problem's goal extends its premises; none reads as a base
+    with no clauses. The grounding goes on with base's fixpoint: an atom of
+    these clauses can complete base's waiting instances, which then belong
+    to the result. The result numbers its atoms on from a copy of base's
+    table and holds only the instances base lacks, and the literal budget
+    counts base's literals too, so base's clauses followed by the result's
+    are the grounding of base's clauses and these in one call. What ground
+    reads off base is worked out once per base and read in place, so each
+    goal grounded on the premises copies only the atom table.
     """
     if deadline is None:
         deadline = limits.deadline()
@@ -100,53 +219,153 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
     table = dict(base.table)
     known = base._instances
     total_literals = base._literal_count
+    literal_budget = limits.max_ground_literals
+    base_atoms, base_waiting = base._fixpoint
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
-    literal_budget = limits.max_ground_literals
+    rules: list[_Rule] = []
+    # the atoms base lacks: numbered, and those taken up by predicate
+    numbered: list[tuple[str, tuple[str, ...]]] = []
+    own_atoms: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
+    own_waiting: dict[str, list[tuple[_Rule, int]]] = {}
+    ticks = _COMBOS_PER_CHECK  # so that the first instance reads the clock
 
-    for clause in clauses:
-        # a row holds the variables' values, then the clause's constants
-        variables = sorted(clause.variables)
-        fixed: list[str] = []
-        template: list[tuple[bool, str, Callable[[tuple], tuple]]] = []
-        for lit in clause:
-            slots = []
-            for arg in lit.atom.args:
-                _reject_functions(arg)
-                if isinstance(arg, Variable):
-                    slots.append(variables.index(arg.name))
-                else:
-                    slots.append(len(variables) + len(fixed))
-                    fixed.append(arg.name)
-            template.append((lit.positive, lit.atom.predicate, _picker(slots)))
-        constants_row = tuple(fixed)
-        combos = itertools.product(universe, repeat=len(variables))
-        for k, combo in enumerate(combos):
-            if not k % _COMBOS_PER_CHECK and time.monotonic() > deadline:
-                raise DeadlineExceeded("wall clock budget")
-            row = combo + constants_row
-            signed: list[int] = []
-            for positive, predicate, pick in template:
-                key = (predicate, pick(row))
-                idx = table.get(key)
-                if idx is None:
-                    idx = table[key] = len(table) + 1
-                s = idx if positive else -idx
-                if -s in signed:
-                    break  # a tautology
-                if s not in signed:
-                    signed.append(s)
+    def make(literals: list, row: list) -> bool:
+        """Make the instance that row gives, unless it is a tautology or
+        made already; False, and nothing made, if one of its negative
+        atoms is not possibly true."""
+        nonlocal total_literals, ticks
+        ticks += 1
+        if ticks >= _COMBOS_PER_CHECK:
+            ticks = 0
+            _check_clock(deadline)
+        fresh = len(numbered)
+        signed: list[int] = []
+        for positive, predicate, pick in literals:
+            key = (predicate, pick(row))
+            idx = table.get(key)
+            if idx is None:
+                if not positive:
+                    break
+                idx = table[key] = len(table) + 1
+                numbered.append(key)
+            s = idx if positive else -idx
+            if -s in signed:
+                break  # a tautology
+            if s not in signed:
+                signed.append(s)
+        else:
+            # no tautology, so abs alone orders the literals
+            instance = tuple(sorted(signed, key=abs))
+            if instance in seen or instance in known:
+                return True  # so it holds no new atom
+            seen.add(instance)
+            total_literals += len(instance)
+            if total_literals > literal_budget:
+                raise ExecError("grounding budget exceeded")
+            out.append(instance)
+            return True
+        # the instance's new atoms are not possibly true
+        for key in numbered[fresh:]:
+            del table[key]
+        del numbered[fresh:]
+        return idx is not None
+
+    def join(rule: _Rule, plan: _Plan, k: int, row: list, seed: int) -> None:
+        """Make each instance that completes row from step k of plan on,
+        from atoms numbered seed or lower (below seed in an older step)."""
+        nonlocal ticks
+        steps, free = plan
+        while k < len(steps):
+            predicate, older, key, binds, checks = steps[k]
+            if key is None:
+                break
+            idx = table.get((predicate, key(row)))
+            if idx is None or idx > seed - older:
+                return
+            k += 1
+        else:
+            if free:
+                for names in itertools.product(universe, repeat=len(free)):
+                    for s, name in zip(free, names):
+                        row[s] = name
+                    make(rule.literals, row)
             else:
-                # no tautology, so abs alone orders the literals
-                instance = tuple(sorted(signed, key=abs))
-                if instance in seen or instance in known:
+                make(rule.literals, row)
+            return
+        limit = seed - older
+        for atoms in (base_atoms.get(predicate, ()),
+                      own_atoms.get(predicate, ())):
+            ticks += len(atoms)
+            if ticks >= _COMBOS_PER_CHECK:
+                ticks = 0
+                _check_clock(deadline)
+            for idx, names in atoms:
+                if idx > limit:
+                    break
+                for p, s in binds:
+                    row[s] = names[p]
+                for p, s in checks:
+                    if names[p] != row[s]:
+                        break
+                else:
+                    join(rule, plan, k + 1, row, seed)
+
+    done = start = len(table)  # the atoms taken up
+    for clause in clauses:
+        rule = _Rule(clause)
+        if rule.closed:
+            # every instance holds the same negative atoms, so one that is
+            # not ready leaves the clause waiting for them
+            fixed = tuple(rule.blank[rule.width:])
+            for names in itertools.product(universe, repeat=rule.width):
+                if not make(rule.literals, names + fixed):
+                    rules.append(rule)
+                    _wait(rule, own_waiting)
+                    break
+        else:
+            rules.append(rule)
+            _wait(rule, own_waiting)
+            first = rule.negative[0][0]  # the predicate plan(0) reads first
+            if first in own_atoms or first in base_atoms:
+                join(rule, rule.plan(0), 0, list(rule.blank), done)
+        while done < len(table):
+            predicate, names = numbered[done - start]
+            done += 1
+            if predicate in own_atoms:
+                own_atoms[predicate].append((done, names))
+            else:
+                own_atoms[predicate] = [(done, names)]
+            for waiting in (base_waiting.get(predicate),
+                            own_waiting.get(predicate)):
+                if not waiting:
                     continue
-                seen.add(instance)
-                total_literals += len(instance)
-                if total_literals > literal_budget:
-                    raise ExecError("grounding budget exceeded")
-                out.append(instance)
-    return PropClauseSet(out, len(table), table)
+                ticks += len(waiting)
+                if ticks >= _COMBOS_PER_CHECK:
+                    ticks = 0
+                    _check_clock(deadline)
+                for rule, j in waiting:
+                    plan = rule.plans[j] or rule.plan(j)
+                    _, _, _, binds, checks = plan[0][0]
+                    row = list(rule.blank)
+                    for p, s in binds:
+                        row[s] = names[p]
+                    for p, s in checks:
+                        if names[p] != row[s]:
+                            break
+                    else:
+                        join(rule, plan, 1, row, done)
+    cs = PropClauseSet(out, len(table), table, base.rules + tuple(rules))
+    if base is _EMPTY:
+        # cs holds only its own atoms and rules, so a grounding on top of
+        # it reads these indexes as they are
+        cs._fixpoint = own_atoms, own_waiting
+    return cs
+
+
+def _check_clock(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise DeadlineExceeded("wall clock budget")
 
 
 def _picker(slots: list[int]) -> Callable[[tuple], tuple]:
@@ -397,7 +616,9 @@ def _prepare_grounding(p: Problem, premises: list[Clause],
     goal. It grounds the premises as a base, then grounds its goal on top
     of the base and hands both to dpll, so its clause set, literal budget
     and search are step for step those of the premises and goal grounded
-    in one call. Runs whose goal brings no skolem constant of its own
+    in one call. Grounding the goal goes on with the base's fixpoint: the
+    premise instances that a goal atom completes are that run's, and
+    count against its literal budget. Runs whose goal brings no skolem constant of its own
     (the usual case) share one universe and one base, grounded at the
     first of them under the problem's deadline, so the premises are read
     in once per problem and copied per run. A goal with skolem constants

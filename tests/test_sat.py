@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,8 @@ from trilogic.fol import (
 from trilogic.dialects import parse_prover9, parse_z3
 from trilogic.normalize import clausify_all, skolem_supply, variable_supply
 from trilogic.sat import (
-    PropClauseSet, dpll, entail_sat, ground, to_dimacs,
+    DUMMY_CONSTANT, PropClauseSet, _reject_functions, dpll, entail_sat,
+    ground, to_dimacs,
 )
 from trilogic.testkit import FULL_FOL, HORN, GenConfig, generate_suite
 
@@ -35,10 +40,19 @@ def lit(p, *args, pos=True):
 
 class TestGround:
     def test_instantiates_over_sorted_universe(self):
+        # -p(x) | q(x) waits for p(A), which the unit makes possibly true;
+        # p(B) never is, so -p(B) | q(B) is not made
         cs = ground([Clause((lit("p", X, pos=False), lit("q", X))),
                      Clause((lit("p", A),))], ["A", "B"], DEFAULT_LIMITS)
-        assert cs.clauses == [(-1, 2), (-3, 4), (1,)]
-        assert cs.atom_count == 4
+        assert cs.clauses == [(1,), (-1, 2)]
+        assert cs.atom_count == 2
+        # a variable that no negative literal holds ranges over them all
+        cs = ground([Clause((lit("p", A),)),
+                     Clause((lit("p", X, pos=False), lit("q", X,
+                                                         Variable("y"))))],
+                    ["B", "A"], DEFAULT_LIMITS)
+        assert to_dimacs(cs) == ("c 1 p(A)\nc 2 q(A, A)\nc 3 q(A, B)\n"
+                                 "p cnf 3 3\n1 0\n-1 2 0\n-1 3 0")
 
     def test_empty_universe_gets_dummy_constant(self):
         cs = ground([Clause((lit("p", X),))], [], DEFAULT_LIMITS)
@@ -76,11 +90,11 @@ class TestGround:
                 Clause((lit("p", A),))]
         other = [Clause((lit("s", A),)),
                  Clause((lit("p", X, pos=False), lit("q", X)))]
-        want = {id(goal): ([(-2, 5), (-4, 6)], 6),
-                id(other): ([(5,)], 5)}
-        # the base holds 5 literals; goal adds 4 and other adds 1
-        fits_other_only = ResourceLimits(max_ground_literals=8)
-        fits_both = ResourceLimits(max_ground_literals=9)
+        want = {id(goal): ([(-2, 3)], 3),
+                id(other): ([(3,)], 3)}
+        # the base holds 3 literals; goal adds 2 and other adds 1
+        fits_other_only = ResourceLimits(max_ground_literals=4)
+        fits_both = ResourceLimits(max_ground_literals=5)
         for order in ((goal, other), (other, goal)):
             base = ground(premises, ["A", "B"])
             clauses, table = list(base.clauses), dict(base.table)
@@ -89,7 +103,8 @@ class TestGround:
                 assert (on_top.clauses, on_top.atom_count) == want[id(g)]
                 assert ground(g, ["A", "B"], fits_both, base=base) == on_top
                 if g is goal:
-                    assert on_top.table[("r", ("B",))] == 6
+                    assert on_top.table[("r", ("A",))] == 3
+                    assert ("r", ("B",)) not in on_top.table
                     with pytest.raises(ExecError, match="grounding budget"):
                         ground(g, ["A", "B"], fits_other_only, base=base)
                 else:
@@ -100,9 +115,28 @@ class TestGround:
                 assert to_dimacs(both) == to_dimacs(ground(premises + g,
                                                            ["A", "B"]))
             # base is untouched
-            assert base.clauses == clauses == [(-1, 2), (-3, 4), (1,)]
+            assert base.clauses == clauses == [(1,), (-1, 2)]
             assert base.table == table
-            assert len(base.table) == base.atom_count == 4
+            assert len(base.table) == base.atom_count == 2
+
+    def test_a_goal_atom_completes_waiting_premise_instances(self):
+        premises = [Clause((lit("p", X, pos=False), lit("q", X))),
+                    Clause((lit("p", A),))]
+        goal = [Clause((lit("p", Constant("B")),))]
+        base = ground(premises, ["A", "B"])
+        top = ground(goal, ["A", "B"], base=base)
+        # p(B) makes the premise instance -p(B) | q(B) ready in this run
+        assert top.clauses == [(3,), (-3, 4)]
+        assert list(top.table)[2:] == [("p", ("B",)), ("q", ("B",))]
+        assert base.clauses + top.clauses == ground(premises + goal,
+                                                    ["A", "B"]).clauses
+        assert base.clauses == [(1,), (-1, 2)]
+        # base holds 3 literals, and the run's 3 count against its budget
+        assert ground(goal, ["A", "B"], ResourceLimits(max_ground_literals=6),
+                      base=base) == top
+        with pytest.raises(ExecError, match="grounding budget"):
+            ground(goal, ["A", "B"], ResourceLimits(max_ground_literals=5),
+                   base=base)
 
     def test_budget_enforced(self):
         tight = ResourceLimits(max_generated_clauses=10, max_clause_literals=64,
@@ -115,14 +149,14 @@ class TestGround:
 
 class TestDimacs:
     def test_header_and_clause_lines(self):
+        # q(A) is never possibly true, so -q(A) is not made
         cs = ground([Clause((lit("p", A),)), Clause((lit("q", A, pos=False),))],
                     ["A"], DEFAULT_LIMITS)
         lines = to_dimacs(cs).splitlines()
-        assert "p cnf 2 2" in lines
-        assert lines[-1] == "-2 0"
+        assert "p cnf 1 1" in lines
+        assert lines[-1] == "1 0"
 
     def test_zero_arity_and_binary_atom_bytes(self):
-        # recorded before the atom table dropped its Atom list
         y = Variable("y")
         premises = [Clause((lit("rain", pos=False), lit("r", X, A))),
                     Clause((lit("rain"),)),
@@ -132,13 +166,14 @@ class TestDimacs:
         on_top = ground(goal, ["A", "B"], base=base)
         both = PropClauseSet(base.clauses + on_top.clauses,
                              on_top.atom_count, on_top.table)
-        atoms = ("c 1 r(A, A)\nc 2 rain\nc 3 r(B, A)\nc 4 r(A, B)\n"
-                 "c 5 r(B, B)\n")
+        # rain is numbered first, as the first clause waits for it; r(B, B)
+        # is never possibly true, and neither is wet, so the goal adds
+        # nothing
+        atoms = "c 1 rain\nc 2 r(A, A)\nc 3 r(B, A)\nc 4 r(A, B)\n"
         assert to_dimacs(base) == (
-            atoms + "p cnf 5 5\n1 -2 0\n-2 3 0\n2 0\n3 -4 0\n-3 4 0")
+            atoms + "p cnf 4 5\n1 0\n-1 2 0\n-1 3 0\n-3 4 0\n3 -4 0")
         assert to_dimacs(both) == (
-            atoms + "c 6 wet\np cnf 6 7\n1 -2 0\n-2 3 0\n2 0\n3 -4 0\n"
-            "-3 4 0\n1 -6 0\n4 -6 0")
+            atoms + "p cnf 4 5\n1 0\n-1 2 0\n-1 3 0\n-3 4 0\n3 -4 0")
 
 
 class TestDpll:
@@ -146,9 +181,12 @@ class TestDpll:
         cs = ground([Clause((lit("p", X, pos=False), lit("q", X))),
                      Clause((lit("p", A),))], ["A", "B"], DEFAULT_LIMITS)
         model = dpll(cs)
-        # p(A) is forced, q(A) follows; nothing forces the rest, and
-        # branching tries False first
-        assert model == {1: True, 2: True, 3: False, 4: False}
+        # p(A) is forced and q(A) follows; p(B) and q(B) are never
+        # numbered
+        assert model == {1: True, 2: True}
+        cs = PropClauseSet(cs.clauses, 4, cs.table)
+        # nothing forces the rest, and branching tries False first
+        assert dpll(cs) == {1: True, 2: True, 3: False, 4: False}
 
     def test_unsat_returns_none(self):
         cs = ground([Clause((lit("p", A),)), Clause((lit("p", A, pos=False),))],
@@ -368,11 +406,6 @@ class TestDpllOnABase:
     def test_a_goal_on_a_premise_base_is_the_joined_grounding(self, search):
         # each goal over its own universe, skolem constants included, as
         # entail_sat grounds a goal that brings constants of its own
-        def constants_of(clauses):
-            return {t.name for c in clauses for lit in c
-                    for arg in lit.atom.args for t in subterms(arg)
-                    if isinstance(t, Constant)}
-
         own = 0
         for text in QUANTIFIED_TEXTS:
             p = parse_z3(text)
@@ -441,6 +474,52 @@ def reference_dpll(cs):
     return solve(list(cs.clauses), {})
 
 
+def reference_ground(clauses, constants, limits=DEFAULT_LIMITS, base=None):
+    """ground as it was before it went bottom-up: every clause under every
+    assignment of its variables to the sorted universe, atoms numbered in
+    the order the instances hold them, on from base's table."""
+    universe = sorted(set(constants)) or [DUMMY_CONSTANT]
+    base = base or PropClauseSet([], 0, {})
+    table = dict(base.table)
+    known = set(base.clauses)
+    total_literals = sum(map(len, base.clauses))
+    seen, out = set(), []
+    for clause in clauses:
+        variables = sorted(clause.variables)
+        fixed, template = [], []
+        for lit in clause:
+            slots = []
+            for arg in lit.atom.args:
+                _reject_functions(arg)
+                if isinstance(arg, Variable):
+                    slots.append(variables.index(arg.name))
+                else:
+                    slots.append(len(variables) + len(fixed))
+                    fixed.append(arg.name)
+            template.append((lit.positive, lit.atom.predicate, slots))
+        for combo in itertools.product(universe, repeat=len(variables)):
+            row = combo + tuple(fixed)
+            signed = []
+            for positive, predicate, slots in template:
+                key = (predicate, tuple(row[s] for s in slots))
+                idx = table.setdefault(key, len(table) + 1)
+                s = idx if positive else -idx
+                if -s in signed:
+                    break  # a tautology
+                if s not in signed:
+                    signed.append(s)
+            else:
+                instance = tuple(sorted(signed, key=abs))
+                if instance in seen or instance in known:
+                    continue
+                seen.add(instance)
+                total_literals += len(instance)
+                if total_literals > limits.max_ground_literals:
+                    raise ExecError("grounding budget exceeded")
+                out.append(instance)
+    return PropClauseSet(out, len(table), table)
+
+
 def reference_entail_sat(p, limits=DEFAULT_LIMITS):
     """entail_sat as it was before the premises were grounded once: each
     query grounds the premises with its goal, over the named constants and
@@ -507,6 +586,33 @@ def closure_text(n, forward):
     return "\n".join(lines) + f"\nreturn path({src}, {dst})\n"
 
 
+def constants_of(clauses):
+    return {t.name for c in clauses for lit in c for arg in lit.atom.args
+            for t in subterms(arg) if isinstance(t, Constant)}
+
+
+def entail_runs(text, grounder):
+    """(base, top) for each run of a z3 text, P and not C first, grounded
+    by grounder as entail_sat grounds them: the premises as a base over
+    the run's universe, shared by the runs whose goal brings no constant
+    of its own, then the goal on top of it."""
+    p = parse_z3(text)
+    var_supply, sk_supply = variable_supply(), skolem_supply()
+    premises = clausify_all(p.premises, var_supply, sk_supply)
+    goals = [clausify_all([c], var_supply, sk_supply)
+             for c in (Not(p.conclusion), p.conclusion)]
+    constants = p.constants() | constants_of(premises)
+    shared = None
+    for goal in goals:
+        universe = constants | constants_of(goal)
+        if universe != constants:
+            base = grounder(premises, universe)
+        else:
+            shared = shared or grounder(premises, constants)
+            base = shared
+        yield base, grounder(goal, universe, base=base)
+
+
 # conclusions whose negation, assertion or both bring skolem constants
 QUANTIFIED_TEXTS = (
     # the P-and-C goal has one (and in the first, the premises too)
@@ -558,16 +664,17 @@ class TestSharedPremises:
                          "ExecError: grounding budget exceeded"}
 
     @pytest.mark.parametrize("conclusion, goal_literals", [
-        # P and not C: -q(A) | -q(B), -q(A) | -r(A); P and C: q(A), q(B) | r(A)
-        ("And(q(A), Or(q(B), r(A)))", 4),
-        # P and not C: -q(A), -q(B) | -r(A); P and C: q(A) | q(B), q(A) | r(A)
+        # P and not C makes nothing, as no q atom is possibly true there
+        # P and C: q(A), q(B) | r(A)
+        ("And(q(A), Or(q(B), r(A)))", 3),
+        # P and C: q(A) | q(B), q(A) | r(A)
         ("Or(q(A), And(q(B), r(A)))", 4),
     ])
     def test_budget_is_premises_plus_one_goal(self, conclusion, goal_literals):
-        # premise instances: p(A); -p(A) | s(A); -p(B) | s(B)
+        # premise instances: p(A); -p(A) | s(A)
         problem = parse_z3("p(A)\nForAll([x], Implies(p(x), s(x)))\n"
                            f"return {conclusion}\n")
-        premise_literals = 5
+        premise_literals = 3
         fits = ResourceLimits(
             max_ground_literals=premise_literals + goal_literals)
         over = ResourceLimits(
@@ -576,6 +683,134 @@ class TestSharedPremises:
             assert run(problem, fits) == Answered(Verdict(Truth.UNKNOWN))
             assert run(problem, over) == ExecFailed(
                 "grounding budget exceeded")
+
+
+class TestBottomUp:
+    """ground against reference_ground, the full instantiation it
+    replaced."""
+
+    @staticmethod
+    def texts():
+        for fragment in (HORN, FULL_FOL):
+            for seed in (3, 17, 23):
+                cfg = GenConfig(fragment=fragment, seed=seed)
+                for gp in generate_suite(cfg, 30, (2, 3, 5)):
+                    yield gp.texts["z3"]
+        yield from QUANTIFIED_TEXTS
+        for pigeons, holes in ((4, 3), (3, 3), (5, 4), (4, 4)):
+            yield pigeonhole_text(pigeons, holes)
+        for n in (4, 6, 8):
+            yield closure_text(n, True)
+            yield closure_text(n, False)
+
+    @staticmethod
+    def runs(text, grounder):
+        """entail_runs, or the ExecError message it raises."""
+        try:
+            return list(entail_runs(text, grounder))
+        except ExecError as e:
+            return str(e)
+
+    def test_same_satisfiability_as_full_instantiation(self):
+        answers, fewer, failed = set(), 0, 0
+        for text in self.texts():
+            got, want = self.runs(text, ground), self.runs(text, reference_ground)
+            if isinstance(want, str):
+                assert got == want, text
+                failed += 1
+                continue
+            for (base, top), (ref_base, ref_top) in zip(got, want):
+                model = dpll(top, None, base)
+                assert (model is None) == (
+                    dpll(ref_top, None, ref_base) is None), text
+                answers.add(model is None)
+                names = {idx: key for key, idx in top.table.items()}
+                ref_names = {idx: key for key, idx in ref_top.table.items()}
+                made = {frozenset((l > 0, names[abs(l)]) for l in c)
+                        for c in base.clauses + top.clauses}
+                full = {frozenset((l > 0, ref_names[abs(l)]) for l in c)
+                        for c in ref_base.clauses + ref_top.clauses}
+                # the instances made are instances of full instantiation
+                assert made <= full, text
+                fewer += made < full
+                if model is None:
+                    continue
+                # an atom never numbered is False
+                value = {key: model[idx] for key, idx in top.table.items()}
+                for c in full:
+                    assert any(value.get(key, False) == positive
+                               for positive, key in c), text
+        assert answers == {True, False}
+        assert failed == 0
+        assert fewer > 100
+
+    @pytest.mark.parametrize("pigeons, holes",
+                             [(3, 3), (4, 3), (4, 4), (5, 4), (12, 11)])
+    def test_nothing_waits_nothing_moves(self, pigeons, holes):
+        # every instance of a pigeonhole text is ready when its clause is
+        # read, so its grounding, and the search on it, stay as they were
+        text = pigeonhole_text(pigeons, holes)
+        for (base, top), (ref_base, ref_top) in zip(
+                entail_runs(text, ground), entail_runs(text, reference_ground)):
+            assert to_dimacs(base) == to_dimacs(ref_base)
+            assert to_dimacs(top) == to_dimacs(ref_top)
+
+    @pytest.mark.parametrize("n, forward, made", [
+        (6, True, [21, 21]), (8, True, [36, 36]), (10, True, [55, 55]),
+        (6, False, [20, 26]), (8, False, [35, 43]), (10, False, [54, 64]),
+    ])
+    def test_instances_each_closure_run_makes(self, monkeypatch, n, forward,
+                                              made):
+        # forward: the n - 1 edges, their paths, the (n - 1)(n - 2) / 2
+        # instances of the path rule on a path and an edge, and the goal;
+        # reverse, the P-and-C goal's path(last, first) also makes the n - 1
+        # instances of the path rule that start from it, and P and not C
+        # makes no goal instance, as path(last, first) is not possibly
+        # true there
+        runs = []
+
+        def counted(clauses, constants, limits=DEFAULT_LIMITS, deadline=None,
+                    base=None):
+            cs = ground(clauses, constants, limits, deadline, base)
+            if base is not None:
+                runs.append(len(base.clauses) + len(cs.clauses))
+            return cs
+
+        monkeypatch.setattr("trilogic.sat.ground", counted)
+        text = closure_text(n, forward)
+        out = entail_sat(parse_z3(text))
+        assert out.verdict.value is (Truth.TRUE if forward else Truth.UNKNOWN)
+        assert runs == made
+        # full instantiation made every instance of the path rule, less the
+        # tautologies: n^3 + n per run
+        assert [len(base.clauses) + len(top.clauses) for base, top in
+                entail_runs(text, reference_ground)] == [n ** 3 + n] * 2
+
+    def test_same_bytes_under_any_hash_seed(self):
+        # the fixpoint takes atoms up in index order, never in the order
+        # of a set or a dict keyed by them
+        def size(text):
+            return sum(len(top.table) for _, top in entail_runs(text, ground))
+
+        suite = generate_suite(GenConfig(fragment=FULL_FOL, seed=17), 12)
+        texts = [closure_text(6, False),
+                 max((gp.texts["z3"] for gp in suite), key=size)]
+        script = ("import sys\n"
+                  "sys.path[:0] = sys.argv[1:3]\n"
+                  "from test_sat import entail_runs, ground, to_dimacs\n"
+                  "for text in sys.argv[3:]:\n"
+                  "    for base, top in entail_runs(text, ground):\n"
+                  "        print(to_dimacs(base))\n"
+                  "        print(to_dimacs(top))\n")
+        here = Path(__file__).resolve().parent
+        argv = [sys.executable, "-c", script, str(here.parent / "src"),
+                str(here), *texts]
+        outs = [subprocess.run(argv, capture_output=True, text=True,
+                               check=True, timeout=60,
+                               env={**os.environ, "PYTHONHASHSEED": seed}
+                               ).stdout for seed in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert outs[0].count("p cnf") == 8
 
 
 class TestEntailSat:
