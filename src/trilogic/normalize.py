@@ -161,12 +161,18 @@ def clausify_all(formulas: Iterable[Formula], var_supply: NameSupply,
 
     clauses: list[Clause] = []
     seen: set[Clause] = set()
-    for f in formulas:
-        for lits in cnf(f, True, (), {}):
-            for _ in lits:
-                tick()
-            c = Clause(lits)
-            if c not in seen and not c.is_tautology():
-                seen.add(c)
-                clauses.append(c)
+    try:
+        for f in formulas:
+            for lits in cnf(f, True, (), {}):
+                for _ in lits:
+                    tick()
+                c = Clause(lits)
+                if c not in seen and not c.is_tautology():
+                    seen.add(c)
+                    clauses.append(c)
+    finally:
+        # cnf calls itself through its own cell; emptying the cell breaks
+        # that cycle, so reference counting frees the walk on return or
+        # raise
+        del cnf
     return clauses

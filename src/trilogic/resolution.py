@@ -251,21 +251,26 @@ def factors(c: Clause) -> list[ProofStep]:
 
 def subsumes(c1: Clause, c2: Clause) -> bool:
     """True iff some substitution maps c1's literals into a subset of c2's."""
-    lits2 = c2.literals
+    return _maps_into(c1.literals, c2.literals, 0, {})
 
-    def backtrack(i: int, sub: dict[str, Term]) -> bool:
-        if i == len(c1.literals):
+
+def _maps_into(lits1: tuple[Literal, ...], lits2: tuple[Literal, ...],
+               i: int, sub: dict[str, Term]) -> bool:
+    """True iff some extension of sub maps lits1[i:] into lits2.
+
+    Module-level rather than a closure of subsumes: a nested function that
+    calls itself holds itself through its own cell, and every call would
+    leave that cycle to the cyclic collector."""
+    if i == len(lits1):
+        return True
+    l1 = lits1[i]
+    for l2 in lits2:
+        if l2.positive != l1.positive:
+            continue
+        extended = _match(l1.atom, l2.atom, sub)
+        if extended is not None and _maps_into(lits1, lits2, i + 1, extended):
             return True
-        l1 = c1.literals[i]
-        for l2 in lits2:
-            if l2.positive != l1.positive:
-                continue
-            extended = _match(l1.atom, l2.atom, sub)
-            if extended is not None and backtrack(i + 1, extended):
-                return True
-        return False
-
-    return backtrack(0, {})
+    return False
 
 
 def deletes(c1: Clause, c2: Clause) -> bool:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .fol import (
     Clause, Constant, DeadlineExceeded, ExecError, Function, Outcome,
@@ -27,6 +26,9 @@ from .normalize import SKOLEM_PREFIX, clausify_all
 from .resolution import ProofResult, Proved, Refute, Saturated, dual_run
 
 DUMMY_CONSTANT = "_c0"
+
+# a value that a PropClauseSet has not worked out yet
+_UNREAD: Any = object()
 
 # instances and atoms that grounding looks at between two looks at the clock
 _COMBOS_PER_CHECK = 1024
@@ -143,23 +145,42 @@ class PropClauseSet:
     table: dict[tuple[str, tuple[str, ...]], int]
     rules: tuple[_Rule, ...] = field(default=(), compare=False, repr=False)
 
-    @cached_property
+    # what ground and dpll read off a base, worked out on first read and
+    # kept on the set: class defaults, not fields. Not
+    # functools.cached_property, which on Python 3.10 and 3.11 takes one
+    # lock shared by every set on each first read.
+    _kept_instances = _kept_literal_count = _kept_intake = _UNREAD
+    _kept_fixpoint = _UNREAD
+
+    @property
     def _instances(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.clauses)
+        v = self._kept_instances
+        if v is _UNREAD:
+            v = self._kept_instances = frozenset(self.clauses)
+        return v
 
-    @cached_property
+    @property
     def _literal_count(self) -> int:
-        return sum(map(len, self.clauses))
+        v = self._kept_literal_count
+        if v is _UNREAD:
+            v = self._kept_literal_count = sum(map(len, self.clauses))
+        return v
 
-    @cached_property
+    @property
     def _intake(self) -> Optional[_Intake]:
-        return _take_in(self.clauses)
+        v = self._kept_intake
+        if v is _UNREAD:
+            v = self._kept_intake = _take_in(self.clauses)
+        return v
 
-    @cached_property
+    @property
     def _fixpoint(self) -> tuple[dict[str, list[tuple[int, tuple[str, ...]]]],
                                  dict[str, list[tuple[_Rule, int]]]]:
         """Each predicate's atoms, as (index, names) in index order, and
         its waiting negative literals, as _wait files them."""
+        v = self._kept_fixpoint
+        if v is not _UNREAD:
+            return v
         atoms: dict[str, list[tuple[int, tuple[str, ...]]]] = {}
         for (predicate, names), idx in self.table.items():
             if predicate in atoms:
@@ -169,6 +190,7 @@ class PropClauseSet:
         waiting: dict[str, list[tuple[_Rule, int]]] = {}
         for rule in self.rules:
             _wait(rule, waiting)
+        self._kept_fixpoint = atoms, waiting
         return atoms, waiting
 
 
@@ -312,54 +334,60 @@ def ground(clauses: Iterable[Clause], constants: Iterable[str],
                     join(rule, plan, k + 1, row, seed)
 
     done = start = len(table)  # the atoms taken up
-    for clause in clauses:
-        rule = _Rule(clause)
-        if rule.closed:
-            # every instance holds the same negative atoms, so one that is
-            # not ready leaves the clause waiting for them
-            fixed = tuple(rule.blank[rule.width:])
-            for names in itertools.product(universe, repeat=rule.width):
-                if not make(rule.literals, names + fixed):
-                    rules.append(rule)
-                    _wait(rule, own_waiting)
-                    break
-        else:
-            rules.append(rule)
-            _wait(rule, own_waiting)
-            first = rule.negative[0][0]  # the predicate plan(0) reads first
-            if first in own_atoms or first in base_atoms:
-                join(rule, rule.plan(0), 0, list(rule.blank), done)
-        while done < len(table):
-            predicate, names = numbered[done - start]
-            done += 1
-            if predicate in own_atoms:
-                own_atoms[predicate].append((done, names))
+    try:
+        for clause in clauses:
+            rule = _Rule(clause)
+            if rule.closed:
+                # every instance holds the same negative atoms, so one that
+                # is not ready leaves the clause waiting for them
+                fixed = tuple(rule.blank[rule.width:])
+                for names in itertools.product(universe, repeat=rule.width):
+                    if not make(rule.literals, names + fixed):
+                        rules.append(rule)
+                        _wait(rule, own_waiting)
+                        break
             else:
-                own_atoms[predicate] = [(done, names)]
-            for waiting in (base_waiting.get(predicate),
-                            own_waiting.get(predicate)):
-                if not waiting:
-                    continue
-                ticks += len(waiting)
-                if ticks >= _COMBOS_PER_CHECK:
-                    ticks = 0
-                    _check_clock(deadline)
-                for rule, j in waiting:
-                    plan = rule.plans[j] or rule.plan(j)
-                    _, _, _, binds, checks = plan[0][0]
-                    row = list(rule.blank)
-                    for p, s in binds:
-                        row[s] = names[p]
-                    for p, s in checks:
-                        if names[p] != row[s]:
-                            break
-                    else:
-                        join(rule, plan, 1, row, done)
+                rules.append(rule)
+                _wait(rule, own_waiting)
+                first = rule.negative[0][0]  # the predicate plan(0) reads first
+                if first in own_atoms or first in base_atoms:
+                    join(rule, rule.plan(0), 0, list(rule.blank), done)
+            while done < len(table):
+                predicate, names = numbered[done - start]
+                done += 1
+                if predicate in own_atoms:
+                    own_atoms[predicate].append((done, names))
+                else:
+                    own_atoms[predicate] = [(done, names)]
+                for waiting in (base_waiting.get(predicate),
+                                own_waiting.get(predicate)):
+                    if not waiting:
+                        continue
+                    ticks += len(waiting)
+                    if ticks >= _COMBOS_PER_CHECK:
+                        ticks = 0
+                        _check_clock(deadline)
+                    for rule, j in waiting:
+                        plan = rule.plans[j] or rule.plan(j)
+                        _, _, _, binds, checks = plan[0][0]
+                        row = list(rule.blank)
+                        for p, s in binds:
+                            row[s] = names[p]
+                        for p, s in checks:
+                            if names[p] != row[s]:
+                                break
+                        else:
+                            join(rule, plan, 1, row, done)
+    finally:
+        # join calls itself through its own cell; emptying the cell breaks
+        # that cycle, so reference counting frees the grounding's working
+        # state on return or raise
+        del join
     cs = PropClauseSet(out, len(table), table, base.rules + tuple(rules))
     if base is _EMPTY:
         # cs holds only its own atoms and rules, so a grounding on top of
         # it reads these indexes as they are
-        cs._fixpoint = own_atoms, own_waiting
+        cs._kept_fixpoint = own_atoms, own_waiting
     return cs
 
 
